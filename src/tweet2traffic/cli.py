@@ -39,7 +39,12 @@ from .learn.stack import predict_day
 from .tweetpipe.geocode import MilepostGeocoder
 from .tweetpipe.incidents import assemble_incident_records, parse_incident_tweet
 from .tweetpipe.textclean import clean_text, load_slang, load_wordlist
-from .tweetpipe.users import filter_influential_users, geotag_timeline, infer_home
+from .tweetpipe.users import (
+    filter_influential_users,
+    geotag_timeline,
+    infer_home,
+    landuse_table,
+)
 
 log = logging.getLogger("t2t")
 
@@ -163,10 +168,12 @@ def cmd_tweets(args) -> int:
         for t in bundle.tweets:
             if t.kind == "GEOCODED" and t.coord is not None:
                 geo_by_user.setdefault(t.user_id, []).append(t)
+        landuse = landuse_table([t.coord for ts in geo_by_user.values() for t in ts],
+                                bundle.zones)
         for uid in sorted(users):
             if not users[uid].is_resident or uid in bots:
                 continue
-            home = infer_home(uid, geo_by_user.get(uid, []), bundle.zones, cfg.tweets)
+            home = infer_home(uid, geo_by_user.get(uid, []), landuse, cfg.tweets)
             if home:
                 homes[uid] = home
         augmented = geotag_timeline(bundle.tweets, homes, cfg.tweets)
@@ -307,11 +314,15 @@ def cmd_evaluate(args) -> int:
     plan = TsCvPlan(cfg.harness.n_outer, cfg.model.inner_folds)
     report = run_nested_tscv(prepared, models=models, plan=plan, seed=args.seed)
     out = Path(args.out)
-    tokens = token_frequency(
-        [t for t in bundle.tweets if t.coord is not None],
-        lambda text: clean_text(text, slang=load_slang(cfg.slang_path),
-                                wordlist=load_wordlist(cfg.wordlist_path)),
-        cfg.tweets.periods)
+    geo_tweets = [t for t in bundle.tweets if t.coord is not None]
+    # prepare_data cleaned the in-box tweets; only out-of-box text is left
+    texts = dict(prepared.clean_texts)
+    missing = dict.fromkeys(t.text for t in geo_tweets if t.text not in texts)
+    if missing:
+        slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
+        texts.update({text: clean_text(text, slang=slang, wordlist=wordlist)
+                      for text in missing})
+    tokens = token_frequency(geo_tweets, texts, cfg.tweets.periods)
     emit_report(report, out, token_counts=tokens)
     for m in models:
         agg = report.aggregate.get((m, "ALL"), {})

@@ -24,9 +24,13 @@ def weather_feature_names() -> list[str]:
     return names
 
 
-def _hourly_rows(records, day: date_t) -> list:
+def weather_index(records) -> dict:
+    """Weather records by timestamp; the index every feature reads."""
+    return {r.timestamp: r for r in records}
+
+
+def _hourly_rows(by_ts: dict, day: date_t) -> list:
     """Rows for hours 0..10 of the day, forward-filling missing hours."""
-    by_ts = {r.timestamp: r for r in records}
     rows = []
     prev = None
     for h in range(N_HOURS):
@@ -54,10 +58,11 @@ class WeatherScaler:
     def __init__(self):
         self.bounds: dict[str, tuple[float, float]] = {}
 
-    def fit(self, records, train_days: list[date_t]) -> "WeatherScaler":
+    def fit(self, by_ts: dict, train_days: list[date_t]) -> "WeatherScaler":
+        """Bounds over the training days of a `weather_index`."""
         per_col: dict[str, list[float]] = {}
         for day in train_days:
-            rows = _hourly_rows(records, day)
+            rows = _hourly_rows(by_ts, day)
             for h, rec in enumerate(rows):
                 for field in CONTINUOUS:
                     per_col.setdefault(f"{field}_{h}", []).append(
@@ -73,8 +78,8 @@ class WeatherScaler:
         return (value - lo) / (hi - lo)     # test values may leave [0, 1]
 
 
-def weather_features(records, day: date_t, scaler: WeatherScaler) -> dict[str, float]:
-    rows = _hourly_rows(records, day)
+def weather_features(by_ts: dict, day: date_t, scaler: WeatherScaler) -> dict[str, float]:
+    rows = _hourly_rows(by_ts, day)
     out = {}
     for h, rec in enumerate(rows):
         for field in CONTINUOUS:

@@ -38,7 +38,7 @@ def _tweet_profile_hours(prepared: PreparedData):
     cfg = prepared.config.clustering
     out: dict = {}
     for t in prepared.bundle.tweets:
-        if t.coord is None or t.tweet_id not in prepared.tweet_tracts:
+        if t.coord is None or t.coord not in prepared.coord_tracts:
             continue
         h = t.timestamp.hour + t.timestamp.minute / 60.0
         if h >= cfg.profile_start_hour:

@@ -1,7 +1,8 @@
 """End-to-end orchestration: dataset views, per-split artifacts, predictions.
 
-PreparedData caches everything split-independent (speed arrays, tract joins,
-sentiment labels, per-day tweet buckets, incident features). build_split
+PreparedData caches everything split-independent (speed arrays, cleaned
+tweet text, tract and land-use joins, the weather index, sentiment labels,
+per-day tweet buckets, incident features). build_split
 refits every leakage-sensitive artifact (reference speeds, user set and
 homes, scalers, clustering, descriptors, segment models) from the training
 span only.
@@ -32,7 +33,7 @@ from ..clustering import (
     pca_fit,
     pca_transform,
 )
-from ..errors import TooFewDays
+from ..errors import IncompleteDay, TooFewDays
 from ..features.assemble import (
     FeatureMatrix,
     build_feature_matrix,
@@ -44,7 +45,7 @@ from ..features.assemble import (
 )
 from ..features.incident import bulk_incident_features
 from ..features.timefeat import time_features
-from ..features.weather import WeatherScaler, weather_features
+from ..features.weather import WeatherScaler, weather_features, weather_index
 from ..ingest.loaders import DatasetBundle
 from ..learn.stack import (
     OrderedDescriptor,
@@ -67,6 +68,7 @@ from ..tweetpipe.users import (
     filter_influential_users,
     geotag_timeline,
     infer_home,
+    landuse_table,
     load_resident_lexicon,
 )
 
@@ -91,9 +93,12 @@ class PreparedData:
     event_counts: dict
     event_neu: dict
     sleep_buckets: dict                     # day -> user -> [tweets in the night window]
-    tweet_tracts: dict[str, str | None]     # geocoded tweet id -> tract
+    clean_texts: dict[str, str]             # in-box geocoded tweet text -> clean_text
+    coord_tracts: dict                      # in-box geocoded coordinate -> tract
     geocoder: TractGeocoder
     user_geo: dict[str, list]
+    landuse: dict                           # user_geo coordinate -> land use
+    weather_by_ts: dict                     # hourly timestamp -> WeatherRecord
     road_layout: list = field(default_factory=list)
 
     @property
@@ -137,11 +142,12 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
     geocoder = TractGeocoder(bundle.tracts)
     tract_ids = [t.tract_id for t in geocoder.tracts]
 
-    # tract join for every geocoded in-box tweet, once
+    # tract join for every distinct in-box geocoded coordinate, once
     geo_tweets = [t for t in bundle.tweets
                   if t.coord is not None and _in_bbox(t.coord, cfg.tweets.bbox)]
-    located = geocoder.locate_many([t.coord for t in geo_tweets]) if geo_tweets else []
-    tweet_tracts = {t.tweet_id: tr for t, tr in zip(geo_tweets, located)}
+    geo_coords = list(dict.fromkeys(t.coord for t in geo_tweets))
+    located = geocoder.locate_many(geo_coords) if geo_coords else []
+    coord_tracts = dict(zip(geo_coords, located))
 
     # sentiment labels for event indicators, once (cleaner + provider)
     if sentiment_provider is None:
@@ -151,10 +157,11 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
             sentiment_provider = LexiconSentimentProvider()
     slang = slang if slang is not None else load_slang(cfg.slang_path)
     wordlist = wordlist if wordlist is not None else load_wordlist(cfg.wordlist_path)
+    clean_texts = {text: clean_text(text, slang=slang, wordlist=wordlist)
+                   for text in dict.fromkeys(t.text for t in geo_tweets)}
     labels = {}
     for t in geo_tweets:
-        normalized = clean_text(t.text, slang=slang, wordlist=wordlist)
-        _p, lab = sentiment_label(t.tweet_id, normalized, sentiment_provider,
+        _p, lab = sentiment_label(t.tweet_id, clean_texts[t.text], sentiment_provider,
                                   cfg.tweets.sentiment_pos, cfg.tweets.sentiment_neg)
         labels[t.tweet_id] = lab
 
@@ -186,6 +193,8 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
     for t in bundle.tweets:
         if t.kind == "GEOCODED" and t.coord is not None:
             user_geo.setdefault(t.user_id, []).append(t)
+    landuse = landuse_table([t.coord for ts in user_geo.values() for t in ts],
+                            bundle.zones)
 
     # merge RCRS incidents with records parsed from agency tweets
     incidents = list(bundle.incidents)
@@ -210,8 +219,9 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
         emit_slots=emit_slots, incidents=incidents,
         incident_vectors=incident_vectors,
         event_counts=event_counts, event_neu=event_neu,
-        sleep_buckets=sleep_buckets, tweet_tracts=tweet_tracts,
-        geocoder=geocoder, user_geo=user_geo,
+        sleep_buckets=sleep_buckets, clean_texts=clean_texts,
+        coord_tracts=coord_tracts, geocoder=geocoder, user_geo=user_geo,
+        landuse=landuse, weather_by_ts=weather_index(bundle.weather),
         road_layout=road_layout,
     )
 
@@ -250,7 +260,7 @@ def _split_quadruples(prepared: PreparedData, train_days, all_days):
             raw = morning_speeds(prepared, seg.segment_id, d)
             try:
                 filled = fill_speed_gaps(raw, cfg.max_ffill_slots)
-            except Exception:
+            except IncompleteDay:
                 quads[seg.segment_id][d] = None
                 continue
             series = TtiSeries(seg.segment_id, d, ref / filled)
@@ -278,12 +288,11 @@ def _split_tweet_features(prepared: PreparedData, train_days, all_days):
     for u in residents:
         geo = [t for t in prepared.user_geo.get(u, [])
                if t.timestamp.date() in train_set]
-        home = infer_home(u, geo, prepared.bundle.zones, cfg)
+        home = infer_home(u, geo, prepared.landuse, cfg)
         if home is not None:
             homes[u] = home
-    home_tracts = {u: prepared.geocoder.locate(*homes[u]) for u in sorted(homes)}
-    coord_cache: dict[tuple[float, float], str | None] = {
-        homes[u]: home_tracts[u] for u in homes}
+    # the prepared join covers in-box check-ins; homes and the rest are located here
+    coord_cache = dict(prepared.coord_tracts)
 
     def tract_of(lat, lon):
         key = (lat, lon)
@@ -366,8 +375,8 @@ def build_split(prepared: PreparedData, train_days, test_days, seed: int) -> Spl
     all_days = list(train_days) + list(test_days)
     v_ref, quads, tti = _split_quadruples(prepared, train_days, all_days)
     tweet_vecs, homes = _split_tweet_features(prepared, train_days, all_days)
-    scaler = WeatherScaler().fit(prepared.bundle.weather, list(train_days))
-    weather_vecs = {d: weather_features(prepared.bundle.weather, d, scaler)
+    scaler = WeatherScaler().fit(prepared.weather_by_ts, list(train_days))
+    weather_vecs = {d: weather_features(prepared.weather_by_ts, d, scaler)
                     for d in all_days}
     time_vecs = {d: time_features(d, prepared.holidays,
                                   cfg.features.weeks_per_year, cfg.features.months_per_year)

@@ -116,14 +116,17 @@ def emit_report(report, out_dir, descriptors=None, segment_models=None,
     return written
 
 
-def token_frequency(tweets, clean, periods) -> dict[str, Counter]:
-    """Token counts per day period of cleaned tweet text (word-cloud substitute)."""
+def token_frequency(tweets, clean_texts, periods) -> dict[str, Counter]:
+    """Token counts per day period of cleaned tweet text (word-cloud substitute).
+
+    `clean_texts` maps each tweet's raw text to its `clean_text` output.
+    """
     out: dict[str, Counter] = {name: Counter() for name, _s, _e in periods}
     for t in tweets:
         h = t.timestamp.hour
         for name, start, end in periods:
             if start <= h < end:
-                for token in clean(t.text).rstrip(".").split():
+                for token in clean_texts[t.text].rstrip(".").split():
                     if len(token) > 2:
                         out[name][token] += 1
                 break

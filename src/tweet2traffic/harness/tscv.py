@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..congestion import N_SLOTS
-from ..errors import InsufficientHistory, TooFewDays
+from ..errors import InsufficientHistory, TooFewDays, UnknownVariant
 from .baselines import fit_sar, hm_predict, sar_quadruple, sar_rollout
 from .metrics import compute_metrics, weighted_aggregate
 from .pipeline import PreparedData, build_split, fit_stack, stack_predictions
 
 log = logging.getLogger(__name__)
+
+_STACK_VARIANTS = {"t2t": "linear", "t2t_rf": "rf", "t2t_knn": "knn"}
 
 
 @dataclass(frozen=True)
@@ -210,6 +212,11 @@ def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
     plan = plan or TsCvPlan(prepared.config.harness.n_outer)
     report = EvaluationReport()
     variant_masks = variant_masks or {}
+    known = {"hm", "sar", *_STACK_VARIANTS, *variant_masks}
+    unknown = [name for name in models if name not in known]
+    if unknown:
+        raise UnknownVariant(f"unknown model(s) {', '.join(map(repr, unknown))}; "
+                             f"known: {', '.join(sorted(known))}")
     for split_id, train_idx, test_idx in plan.splits(len(prepared.days)):
         train_days = [prepared.days[i] for i in train_idx]
         test_days = [prepared.days[i] for i in test_idx]
@@ -219,16 +226,14 @@ def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
                 _score_hm(prepared, art, split_id, report)
             elif name == "sar":
                 _score_sar(prepared, art, split_id, report)
-            elif name in ("t2t", "t2t_rf", "t2t_knn"):
-                variant = {"t2t": "linear", "t2t_rf": "rf", "t2t_knn": "knn"}[name]
-                stack = fit_stack(prepared, art, variant=variant, seed=seed + split_id)
+            elif name in _STACK_VARIANTS:
+                stack = fit_stack(prepared, art, variant=_STACK_VARIANTS[name],
+                                  seed=seed + split_id)
                 _score_stack(prepared, art, stack, split_id, name, report)
-            elif name in variant_masks:
+            else:
                 stack = fit_stack(prepared, art, seed=seed + split_id,
                                   **variant_masks[name])
                 _score_stack(prepared, art, stack, split_id, name, report)
-            else:
-                raise ValueError(f"unknown model {name!r}")
         log.info("split %d scored (%d train days, %d test days)",
                  split_id, len(train_days), len(test_days))
     return report.finalize()

@@ -23,21 +23,14 @@ from .optimizers import (
 _EPS = 1e-12
 
 
-def _standardized(X):
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale > _EPS, scale, 1.0)
-    return (X - mean) / scale
-
-
 def logistic_critical_lambda(X, y) -> float:
-    Xs = _standardized(np.asarray(X, dtype=float))
+    Xs = _standardize(np.asarray(X, dtype=float))[0]
     y = np.asarray(y, dtype=float)
     return float(np.abs(Xs.T @ (y - y.mean())).max())
 
 
 def lasso_critical_alpha(X, y) -> float:
-    Xs = _standardized(np.asarray(X, dtype=float))
+    Xs = _standardize(np.asarray(X, dtype=float))[0]
     y = np.asarray(y, dtype=float)
     return float(2.0 * np.abs(Xs.T @ (y - y.mean())).max())
 

@@ -206,9 +206,18 @@ def landuse_of_points(coords, zones) -> list[str | None]:
     return out
 
 
-def build_checkin_clusters(user_id: str, geocoded_tweets, zones, cfg: TweetConfig,
+def landuse_table(coords, zones) -> dict[tuple[float, float], str | None]:
+    """Land use of every distinct coordinate, from one batch join."""
+    distinct = list(dict.fromkeys(coords))
+    return dict(zip(distinct, landuse_of_points(distinct, zones)))
+
+
+def build_checkin_clusters(user_id: str, geocoded_tweets, landuse, cfg: TweetConfig,
                            home_keywords=None) -> list[CheckinCluster]:
-    """Cluster one user's check-ins and compute the six home-rule features."""
+    """Cluster one user's check-ins and compute the six home-rule features.
+
+    `landuse` maps each check-in coordinate to its land use (`landuse_table`).
+    """
     if home_keywords is None:
         home_keywords = cfg.home_keywords
     tweets = sorted(geocoded_tweets, key=lambda t: (t.timestamp, t.tweet_id))
@@ -223,7 +232,7 @@ def build_checkin_clusters(user_id: str, geocoded_tweets, zones, cfg: TweetConfi
         last_of_day[t.timestamp.date()] = lab
     last_dest_clusters = set(last_of_day.values())
 
-    landuses = landuse_of_points(coords, zones)
+    landuses = [landuse[t.coord] for t in tweets]
     clusters = []
     sizes = []
     for lab in sorted(set(labels.tolist())):
@@ -278,11 +287,12 @@ def classify_home_cluster(clusters: list[CheckinCluster]) -> list[CheckinCluster
     return clusters
 
 
-def weighted_home_location(cluster: CheckinCluster, zones, cfg: TweetConfig) -> tuple[float, float]:
+def weighted_home_location(cluster: CheckinCluster, landuse,
+                           cfg: TweetConfig) -> tuple[float, float]:
     """Land-use weighted centroid; zero total weight falls back to the plain mean."""
     weights_map = dict(cfg.landuse_weights)
     pts = cluster.coords
-    landuses = landuse_of_points(pts, zones)
+    landuses = [landuse[lat, lon] for lat, lon in pts.tolist()]
     w = np.array([weights_map.get(lu, 0.0) if lu is not None else 0.0
                   for lu in landuses])
     if w.sum() <= 0:
@@ -292,15 +302,16 @@ def weighted_home_location(cluster: CheckinCluster, zones, cfg: TweetConfig) -> 
     return (lat, lon)
 
 
-def infer_home(user_id: str, geocoded_tweets, zones, cfg: TweetConfig) -> tuple[float, float] | None:
-    clusters = build_checkin_clusters(user_id, geocoded_tweets, zones, cfg)
+def infer_home(user_id: str, geocoded_tweets, landuse,
+               cfg: TweetConfig) -> tuple[float, float] | None:
+    clusters = build_checkin_clusters(user_id, geocoded_tweets, landuse, cfg)
     if not clusters:
         return None
     classify_home_cluster(clusters)
     home = [c for c in clusters if c.label == "HOME"]
     if not home:
         return None
-    return weighted_home_location(home[0], zones, cfg)
+    return weighted_home_location(home[0], landuse, cfg)
 
 
 def in_night_window(ts: datetime, window: tuple[int, int]) -> bool:

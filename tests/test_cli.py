@@ -53,6 +53,48 @@ class TestCli:
         assert (out / "token_frequencies.csv").exists()
         assert "t2t:" in capsys.readouterr().out
 
+    def test_evaluate_unknown_model_exit_2(self, data_dir, tmp_path, capsys):
+        rc = main(["evaluate", "--data", str(data_dir), "--models", "hm,bogus",
+                   "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert "unknown model(s) 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_evaluate_token_frequencies_match_fresh_cleaning(self, data_dir, tmp_path):
+        import csv
+        import shutil
+        from datetime import datetime, time
+
+        from tweet2traffic.config import PipelineConfig
+        from tweet2traffic.harness.report import token_frequency
+        from tweet2traffic.ingest.loaders import load_bundle, write_dataset
+        from tweet2traffic.ingest.types import Tweet
+        from tweet2traffic.tweetpipe.textclean import clean_text
+
+        # one geocoded tweet outside the box: prepare_data never cleans it
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        bundle = load_bundle(data)
+        morning = datetime.combine(bundle.tweets[0].timestamp.date(), time(8, 0))
+        outside = Tweet("far1", "visitor", morning, "Sooo many #roadworks near Harrisburg today",
+                        (40.27, -76.88), None, "GEOCODED")
+        write_dataset("tweets", bundle.tweets + [outside], data / "tweets.csv")
+        bundle = load_bundle(data)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"harness": {"n_outer": 3}}))
+        out = tmp_path / "eval"
+        rc = main(["evaluate", "--data", str(data), "--config", str(cfg),
+                   "--models", "hm", "--out", str(out)])
+        assert rc == 0
+        with (out / "token_frequencies.csv").open(encoding="utf-8") as fh:
+            rows = [(r["period"], r["token"], int(r["count"])) for r in csv.DictReader(fh)]
+        geo = [t for t in bundle.tweets if t.coord is not None]
+        periods = PipelineConfig().tweets.periods
+        want = token_frequency(geo, {t.text: clean_text(t.text) for t in geo}, periods)
+        assert sorted(rows) == sorted((p, tok, n) for p, c in want.items()
+                                      for tok, n in c.items())
+        assert ("AM", "harrisburg", 1) in rows
+
     def test_ablate_small(self, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

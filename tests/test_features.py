@@ -14,6 +14,7 @@ from tweet2traffic.features import (
     road_orientation,
     time_features,
     weather_features,
+    weather_index,
 )
 from tweet2traffic.features.assemble import (
     assemble_features,
@@ -165,33 +166,40 @@ class TestWeather:
         return recs
 
     def test_endpoints(self):
-        recs = self.make()
+        recs = weather_index(self.make())
         scaler = WeatherScaler().fit(recs, [self.D1, self.D2])
         f1 = weather_features(recs, self.D1, scaler)
         f2 = weather_features(recs, self.D2, scaler)
         assert f1["temp_0"] == 0.0 and f2["temp_0"] == 1.0
 
     def test_constant_field_zero(self):
-        recs = self.make()
+        recs = weather_index(self.make())
         scaler = WeatherScaler().fit(recs, [self.D1, self.D2])
         f1 = weather_features(recs, self.D1, scaler)
         assert f1["pressure_4"] == 0.0
 
     def test_test_value_unclipped(self):
         d3 = date(2014, 3, 6)
-        recs = self.make() + [wrec(d3, h, temperature=80.0 + h) for h in range(24)]
+        recs = weather_index(self.make()
+                             + [wrec(d3, h, temperature=80.0 + h) for h in range(24)])
         scaler = WeatherScaler().fit(recs, [self.D1, self.D2])
         f3 = weather_features(recs, d3, scaler)
         assert f3["temp_3"] > 1.0
 
     def test_missing_hour_carried_forward(self):
-        recs = [wrec(self.D1, h) for h in range(24) if h != 4]
+        recs = weather_index([wrec(self.D1, h, wx_severity=h) for h in range(24) if h != 4])
         scaler = WeatherScaler().fit(recs, [self.D1])
         feats = weather_features(recs, self.D1, scaler)
-        assert feats["wx_phrase_4"] == feats["wx_phrase_3"]
+        assert feats["wx_phrase_4"] == feats["wx_phrase_3"] == 3.0
+
+    def test_lead_gap_borrows_first_later_record(self):
+        recs = weather_index([wrec(self.D1, h, wx_severity=h) for h in range(2, 24)])
+        scaler = WeatherScaler().fit(recs, [self.D1])
+        feats = weather_features(recs, self.D1, scaler)
+        assert feats["wx_phrase_0"] == feats["wx_phrase_1"] == feats["wx_phrase_2"] == 2.0
 
     def test_no_leakage_train_only_bounds(self):
-        recs = self.make()
+        recs = weather_index(self.make())
         s_train = WeatherScaler().fit(recs, [self.D1])
         s_both = WeatherScaler().fit(recs, [self.D1, self.D2])
         assert s_train.bounds["temp_0"] != s_both.bounds["temp_0"]

@@ -225,6 +225,17 @@ class TestNestedTscv:
             assert small_report.per_split[key].as_dict() == ms.as_dict()
 
 
+    def test_unknown_model_rejected_before_any_split(self, small_world, monkeypatch):
+        prepared, _ = small_world
+
+        def no_split(*_a, **_k):
+            raise AssertionError("build_split ran before the model names were checked")
+
+        monkeypatch.setattr("tweet2traffic.harness.tscv.build_split", no_split)
+        with pytest.raises(UnknownVariant, match="'bogus'"):
+            run_nested_tscv(prepared, models=("hm", "bogus"), plan=TsCvPlan(n_outer=3))
+
+
 class TestLeakage:
     def test_model_hash_invariant_to_test_fold_deletion(self):
         cfg = SyntheticConfig(n_days=40, n_roads=1, segments_per_road=3,

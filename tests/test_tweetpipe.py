@@ -26,6 +26,7 @@ from tweet2traffic.tweetpipe import (
     weighted_home_location,
 )
 from tweet2traffic.tweetpipe.geo import EARTH_RADIUS_KM, haversine_km
+from tweet2traffic.tweetpipe.users import landuse_table
 from tweet2traffic.tweetpipe.sentiment import LexiconSentimentProvider
 
 CFG = TweetConfig()
@@ -181,24 +182,29 @@ AMEN_ZONE = ZonePolygon("amenity", ((40.3, -80.2), (40.3, -80.0), (40.5, -80.0),
                                     (40.5, -80.2), (40.3, -80.2)))
 
 
+def zone_table(coords, zones):
+    return landuse_table([tuple(c) for c in coords], zones)
+
+
 class TestWeightedHome:
     def test_all_residence_plain_centroid(self):
         coords = [[40.05, -80.15], [40.15, -80.05]]
         c = make_cluster(1, coords=coords)
-        lat, lon = weighted_home_location(c, [RES_ZONE], CFG)
+        lat, lon = weighted_home_location(c, zone_table(coords, [RES_ZONE]), CFG)
         assert lat == pytest.approx(40.10)
         assert lon == pytest.approx(-80.10)
 
     def test_industry_zero_weight(self):
         coords = [[40.1, -80.1], [40.1, -79.8]]   # residence vs industry
         c = make_cluster(1, coords=coords)
-        lat, lon = weighted_home_location(c, [RES_ZONE, IND_ZONE], CFG)
+        lat, lon = weighted_home_location(c, zone_table(coords, [RES_ZONE, IND_ZONE]),
+                                          CFG)
         assert (lat, lon) == pytest.approx((40.1, -80.1))
 
     def test_all_amenity_falls_back_to_centroid(self):
         coords = [[40.35, -80.15], [40.45, -80.05]]
         c = make_cluster(1, coords=coords)
-        lat, lon = weighted_home_location(c, [AMEN_ZONE], CFG)
+        lat, lon = weighted_home_location(c, zone_table(coords, [AMEN_ZONE]), CFG)
         assert (lat, lon) == pytest.approx((40.40, -80.10))
 
 
@@ -470,7 +476,8 @@ def test_home_inference_deterministic():
         hour = int(rng.integers(0, 24))
         tweets.append(tw(f"h{i}", "u9", datetime(2014, 3, 1 + i % 5, hour, 0),
                          text="off to sleep", coord=(lat, lon)))
-    h1 = infer_home("u9", tweets, [RES_ZONE], CFG)
-    h2 = infer_home("u9", list(tweets), [RES_ZONE], CFG)
+    landuse = landuse_table([t.coord for t in tweets], [RES_ZONE])
+    h1 = infer_home("u9", tweets, landuse, CFG)
+    h2 = infer_home("u9", list(tweets), dict(landuse), CFG)
     assert h1 is not None
     assert h1 == h2
