@@ -186,11 +186,13 @@ def cmd_tweets(args) -> int:
         print(f"augmented {len(homes)} users' timelines -> {out/'tweets_augmented.csv'}")
     if args.clean:
         ran_any = True
+        cleaned = {text: clean_text(text, slang=slang, wordlist=wordlist)
+                   for text in dict.fromkeys(t.text for t in bundle.tweets)}
         with (out / "tweets_clean.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["tweet_id", "normalized_text"])
             for t in bundle.tweets:
-                w.writerow([t.tweet_id, clean_text(t.text, slang=slang, wordlist=wordlist)])
+                w.writerow([t.tweet_id, cleaned[t.text]])
         print(f"cleaned {len(bundle.tweets)} tweets -> {out/'tweets_clean.csv'}")
     if args.parse_incidents:
         ran_any = True

@@ -38,18 +38,6 @@ class CongestionParams:
 
 
 @dataclass(frozen=True)
-class MorningGrid:
-    """Morning analysis window: 05:00-11:00 at 5-minute resolution."""
-    start_hour: int = 5
-    end_hour: int = 11
-    slot_minutes: int = 5
-
-    @property
-    def n_slots(self) -> int:
-        return (self.end_hour - self.start_hour) * 60 // self.slot_minutes
-
-
-@dataclass(frozen=True)
 class ClusteringConfig:
     pca_variance_target: float = 0.90
     kmeans_n_init: int = 10
@@ -90,20 +78,21 @@ class TweetConfig:
 
     @property
     def sleep_hours(self) -> tuple[int, ...]:
-        return (21, 22, 23, 0, 1, 2)
+        return _window_hours(*self.sleep_window)
 
     @property
     def wake_hours(self) -> tuple[int, ...]:
-        return (3, 4)
+        return _window_hours(*self.wake_window)
+
+
+def _window_hours(start: int, end: int) -> tuple[int, ...]:
+    """Clock hours from start up to end, wrapping midnight when start >= end."""
+    return tuple((start + i) % 24 for i in range((end - start) % 24 or 24))
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
     d_thres_km: float = 5.0
-    incident_hours: int = 11            # hour grid 0..10 of the prediction day
-    wx_severity_map: tuple[tuple[str, int], ...] = (
-        ("clear", 0), ("fog", 1), ("rain", 2), ("snow", 3), ("flood", 4),
-    )
     weeks_per_year: int = 52
     months_per_year: int = 12
 
@@ -135,13 +124,11 @@ class HarnessConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     congestion: CongestionParams = field(default_factory=CongestionParams)
-    morning: MorningGrid = field(default_factory=MorningGrid)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     tweets: TweetConfig = field(default_factory=TweetConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     harness: HarnessConfig = field(default_factory=HarnessConfig)
-    timezone: str = "local"
     max_ffill_slots: int = 3
     ref_quantile: float = 0.85
     pti_quantile: float = 0.95
@@ -149,9 +136,6 @@ class PipelineConfig:
     resident_lexicon_path: str | None = None
     wordlist_path: str | None = None
     sentiment_scores_path: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
 def _merge_section(cls, defaults, overrides: dict):
@@ -177,7 +161,6 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     raw = json.loads(p.read_text(encoding="utf-8"))
     sections = {
         "congestion": CongestionParams,
-        "morning": MorningGrid,
         "clustering": ClusteringConfig,
         "tweets": TweetConfig,
         "features": FeatureConfig,

@@ -70,18 +70,6 @@ class TtiSeries:
         object.__setattr__(self, "values", vals)
 
 
-def tti_series(segment_id: str, date, speeds, v_ref: float, max_ffill: int = 3) -> TtiSeries:
-    """Ratio of reference to observed speed per slot, after bounded gap-fill."""
-    if v_ref <= 0:
-        raise EmptyInput("reference speed must be positive")
-    filled = fill_speed_gaps(speeds, max_ffill=max_ffill)
-    if filled.shape != (N_SLOTS,):
-        raise IncompleteDay(f"expected {N_SLOTS} slots, got {filled.shape}")
-    if not np.all(filled > 0):
-        raise IncompleteDay("nonpositive speed after gap fill")
-    return TtiSeries(segment_id, date, v_ref / filled)
-
-
 def detect_congested_periods(values, params: CongestionParams) -> list[tuple[int, int]]:
     """Half-open (start, end) slot intervals where TTI stays at/above threshold.
 

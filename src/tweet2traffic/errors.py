@@ -58,32 +58,12 @@ class DegenerateTable(Tweet2TrafficError):
     pass
 
 
-class ProviderFailure(Tweet2TrafficError):
-    pass
-
-
 class OrphanUpdate(Warning):
     """Incident UPDATE/CLEAR tweet seen without a preceding OCCUR."""
 
 
-class UnknownRelativePosition(Tweet2TrafficError):
-    pass
-
-
-class MissingComponent(Tweet2TrafficError):
-    pass
-
-
 class NotConverged(Warning):
     """Optimizer hit its iteration cap before meeting the tolerance."""
-
-
-class NoCongestedDays(Tweet2TrafficError):
-    pass
-
-
-class NoHistory(Tweet2TrafficError):
-    pass
 
 
 class InsufficientHistory(Tweet2TrafficError):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import TweetConfig
-from ..errors import MissingComponent
 from .incident import incident_feature_names
 from .timefeat import TIME_FEATURE_NAMES
 from .weather import weather_feature_names
@@ -61,35 +60,6 @@ def cluster_feature_layout(n_levels: int):
     return [(f"c_{l}", "cluster", ALWAYS) for l in range(1, n_levels + 1)]
 
 
-def assemble_features(tweet_vec: dict | None, weather_vec: dict | None,
-                      time_vec: dict | None, tract_ids, cfg: TweetConfig,
-                      incident_vec: dict | None = None,
-                      cluster_vec: np.ndarray | None = None):
-    """One day's named feature vector; segment level when incident_vec given.
-
-    Returns (names, values). Road vectors omit incident columns entirely;
-    cluster outputs are appended last when supplied.
-    """
-    for part, label in ((tweet_vec, "tweet"), (weather_vec, "weather"), (time_vec, "time")):
-        if part is None:
-            raise MissingComponent(label)
-    layout = tweet_feature_layout(tract_ids, cfg) + weather_feature_layout() + time_feature_layout()
-    names = [c[0] for c in layout]
-    merged = {}
-    merged.update(tweet_vec)
-    merged.update(weather_vec)
-    merged.update(time_vec)
-    values = [float(merged.get(n, 0.0)) for n in names]
-    if incident_vec is not None:
-        inc_names = [c[0] for c in incident_feature_layout()]
-        names += inc_names
-        values += [float(incident_vec.get(n, 0.0)) for n in inc_names]
-    if cluster_vec is not None:
-        names += [f"c_{l}" for l in range(1, len(cluster_vec) + 1)]
-        values += [float(v) for v in cluster_vec]
-    return names, np.asarray(values)
-
-
 @dataclass
 class FeatureMatrix:
     names: list[str]
@@ -97,12 +67,6 @@ class FeatureMatrix:
     avail_hours: list[float]
     days: list
     values: np.ndarray      # (n_days, n_cols)
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.index_of(name)]
 
     def drop_groups(self, groups: set[str]) -> "FeatureMatrix":
         keep = [i for i, g in enumerate(self.groups) if g not in groups]
@@ -114,19 +78,6 @@ class FeatureMatrix:
         keep = [i for i, (g, a) in enumerate(zip(self.groups, self.avail_hours))
                 if g not in maskable or a <= cutoff_hour]
         return self._take(keep)
-
-    def with_columns(self, layout, values: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(
-            names=self.names + [c[0] for c in layout],
-            groups=self.groups + [c[1] for c in layout],
-            avail_hours=self.avail_hours + [c[2] for c in layout],
-            days=self.days,
-            values=np.hstack([self.values, values]),
-        )
-
-    def rows_for(self, day_subset) -> np.ndarray:
-        pos = {d: i for i, d in enumerate(self.days)}
-        return self.values[[pos[d] for d in day_subset]]
 
     def _take(self, idx) -> "FeatureMatrix":
         return FeatureMatrix(

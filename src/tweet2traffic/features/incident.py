@@ -103,37 +103,6 @@ def incident_feature_names() -> list[str]:
     return names
 
 
-def incident_features(incidents, segment, road_segments, day: date_t,
-                      d_thres_km: float = 5.0) -> dict[str, float]:
-    """All p_*/f_* features of one segment-day, max-combined over incidents."""
-    values = {name: 0.0 for name in incident_feature_names()}
-    if not incidents:
-        return values
-    orientation = road_orientation(road_segments)
-    for rec in incidents:
-        if rec.road_id != segment.road_id:
-            continue
-        hours = incident_time_window(rec, day)
-        if not hours.any():
-            continue
-        geom = _IncidentGeometry(rec, road_segments)
-        try:
-            triple = incident_location_impact(geom, segment, orientation, d_thres_km)
-        except Exception as exc:
-            log.warning("cannot orient incident %s vs %s: %s; zeros used",
-                        rec.incident_id, segment.segment_id, exc)
-            continue
-        prefix = "p" if rec.closure_type == "PARTIAL" else "f"
-        for loc, impact in zip(LOCATION_CODES, triple):
-            if impact <= 0:
-                continue
-            for h in range(N_HOURS):
-                if hours[h]:
-                    key = f"{prefix}_{loc}_{h}"
-                    values[key] = max(values[key], impact)
-    return values
-
-
 def incident_days(record) -> list[date_t]:
     """Prediction days whose 00:00-11:00 grid the closure can overlap."""
     out = []
@@ -150,8 +119,9 @@ def bulk_incident_features(incidents, road_segments, days, day_filter,
     """Per (segment, day) feature dicts for one road, looping per incident.
 
     `day_filter(record, day)` decides whether the record is usable for that
-    prediction day (the data-feed cutoff rule). Equivalent to calling
-    incident_features per segment-day, but linear in the incident count.
+    prediction day (the data-feed cutoff rule). Each segment-day holds the
+    p_*/f_* features with a positive value, max-combined over the usable
+    incidents whose closure overlaps hours 0..10 of that day.
     """
     day_set = set(days)
     out = {seg.segment_id: {d: {} for d in days} for seg in road_segments}

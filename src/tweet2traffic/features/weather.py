@@ -5,6 +5,8 @@ import logging
 from datetime import date as date_t
 from datetime import datetime, time
 
+from ..errors import EmptyInput
+
 log = logging.getLogger(__name__)
 
 CONTINUOUS = ("temp", "hum", "wspd", "pressure", "vis", "precip_hrly")
@@ -41,7 +43,7 @@ def _hourly_rows(by_ts: dict, day: date_t) -> list:
                 # lead gap: borrow the first record at or after this hour
                 later = sorted(r for r in by_ts if r >= ts)
                 if not later:
-                    raise ValueError(f"no weather rows usable for {day}")
+                    raise EmptyInput(f"no weather rows usable for {day}")
                 rec = by_ts[later[0]]
                 log.warning("weather: missing hour %s filled from %s", ts, later[0])
             else:

@@ -144,11 +144,12 @@ def sar_rollout(model: SarModel, speeds: np.ndarray, day_idx: int,
     return out
 
 
-def sar_quadruple(pred_speeds: np.ndarray, v_ref: float, params: CongestionParams):
+def sar_quadruple(pred_speeds: np.ndarray, v_ref: float, params: CongestionParams,
+                  pti_quantile: float = 0.95):
     """Quadruple of the predicted series; no-congestion days keep PTI diagnostics."""
     tti = v_ref / np.maximum(pred_speeds, 1e-6)
     periods = detect_congested_periods(tti, params)
-    pti = morning_pti(tti)
+    pti = morning_pti(tti, pti_quantile)
     if not periods:
         return 0, 0.0, 0.0, pti
     first_start = periods[0][0]

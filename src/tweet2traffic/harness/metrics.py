@@ -21,9 +21,6 @@ class MetricSet:
     n_days: int
     n_congested: int
 
-    def as_dict(self) -> dict[str, float | None]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
 
 def compute_metrics(truth_quads, pred_cs, pred_cst, pred_cd, pred_pti,
                     slot_minutes: int = 5) -> MetricSet:

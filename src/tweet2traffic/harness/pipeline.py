@@ -392,8 +392,7 @@ def build_split(prepared: PreparedData, train_days, test_days, seed: int) -> Spl
 class FittedStack:
     descriptors: dict[str, OrderedDescriptor | None]
     segment_models: dict[str, SegmentModelSet]
-    feature_names: dict[str, list[str]]
-    scales: dict[str, np.ndarray]           # road -> (n_all_days, n_levels)
+    designs: dict[str, tuple[list[str], np.ndarray, dict]]   # segment_design output
 
 
 def segment_design(prepared: PreparedData, art: SplitArtifacts,
@@ -461,7 +460,6 @@ def fit_stack(prepared: PreparedData, art: SplitArtifacts, variant: str = "linea
         scales[road_id] = desc.predict_scales(road_matrix.values)
 
     segment_models: dict[str, SegmentModelSet] = {}
-    feature_names: dict[str, list[str]] = {}
     designs = segment_design(prepared, art, road_matrix, scales,
                              use_incidents=mask != "incident")
     for sid in sorted(designs):
@@ -473,13 +471,9 @@ def fit_stack(prepared: PreparedData, art: SplitArtifacts, variant: str = "linea
                 continue
             train_rows.append(X_all[pos[d]])
             train_quads.append(q)
-        model = fit_segment_models(sid, np.asarray(train_rows), train_quads,
-                                   names, cfg.model, variant=variant, seed=seed)
-        segment_models[sid] = model
-        feature_names[sid] = names
-        model._X_all = X_all
-        model._day_pos = pos
-    return FittedStack(descriptors, segment_models, feature_names, scales)
+        segment_models[sid] = fit_segment_models(sid, np.asarray(train_rows), train_quads,
+                                                 names, cfg.model, variant=variant, seed=seed)
+    return FittedStack(descriptors, segment_models, designs)
 
 
 def stack_predictions(prepared: PreparedData, art: SplitArtifacts, stack: FittedStack,
@@ -487,8 +481,7 @@ def stack_predictions(prepared: PreparedData, art: SplitArtifacts, stack: Fitted
     cfg = prepared.config
     out: dict[str, dict] = {}
     for sid, model in stack.segment_models.items():
-        out[sid] = {}
-        for d in days:
-            row = model._X_all[model._day_pos[d]]
-            out[sid][d] = predict_day(model, row, cfg.model.cs_threshold)
+        _names, X_all, pos = stack.designs[sid]
+        out[sid] = {d: predict_day(model, X_all[pos[d]], cfg.model.cs_threshold)
+                    for d in days}
     return out

@@ -191,7 +191,8 @@ def _score_sar(prepared, art, split_id, report):
             di = prepared.day_index[d]
             pred_speeds = sar_rollout(model, prepared.speeds[sid], di,
                                       prepared.morning_offset)
-            cs, cst, cd, pti = sar_quadruple(pred_speeds, art.v_ref[sid], params)
+            cs, cst, cd, pti = sar_quadruple(pred_speeds, art.v_ref[sid], params,
+                                             prepared.config.pti_quantile)
             cs_list.append(cs)
             cst_list.append(cst)
             cd_list.append(cd)

@@ -373,10 +373,6 @@ class DatasetBundle:
     def roads(self) -> list[str]:
         return sorted({s.road_id for s in self.segments})
 
-    def segments_of(self, road_id: str) -> list:
-        return sorted((s for s in self.segments if s.road_id == road_id),
-                      key=lambda s: s.order_on_road)
-
 
 def load_bundle(data_dir) -> DatasetBundle:
     """Load every dataset of a directory laid out per FILE_NAMES."""

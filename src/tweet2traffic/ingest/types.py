@@ -80,7 +80,3 @@ class ZonePolygon:
 class CalendarInfo:
     date: date_t
     is_holiday: bool
-
-    @property
-    def day_of_week(self) -> int:
-        return self.date.weekday()

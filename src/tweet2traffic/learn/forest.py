@@ -24,14 +24,6 @@ class _Node:
     is_leaf: bool = True
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float((p * p).sum())
-
-
 def _best_split(X, y, feat_idx, task):
     """(feature, threshold, score) minimizing weighted impurity, or None."""
     n = len(y)

@@ -47,6 +47,9 @@ class LinearModel:
     converged: bool = True
     n_iter: int = 0
     objective_path: list[float] = field(default_factory=list)
+    # (weights, bias) in the standardized frame the solver ran in: the
+    # warm-start handle for penalty paths
+    std_state: tuple | None = field(default=None, repr=False, compare=False)
 
     def decision(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.weights + self.bias
@@ -60,9 +63,6 @@ class LinearModel:
         if self.task == "LOGISTIC":
             return (self.predict_proba(X) >= 0.5).astype(int)
         return self.decision(X)
-
-    def nonzero_features(self, tol: float = 1e-12) -> list[str]:
-        return [n for n, w in zip(self.feature_names, self.weights) if abs(w) > tol]
 
     def coef_map(self) -> dict[str, float]:
         return {n: float(w) for n, w in zip(self.feature_names, self.weights)}
@@ -148,10 +148,8 @@ def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
     if not converged:
         warnings.warn(f"l1 logistic did not converge in {it} iterations", NotConverged)
     w_out, b_out = _destandardize(w, b, mean, scale, alive)
-    model = LinearModel(w_out, b_out, names, lam, "LOGISTIC",
-                        converged=converged, n_iter=it, objective_path=path)
-    model._std_state = (w, b)   # warm-start handle for penalty paths
-    return model
+    return LinearModel(w_out, b_out, names, lam, "LOGISTIC", converged=converged,
+                       n_iter=it, objective_path=path, std_state=(w, b))
 
 
 def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
@@ -274,10 +272,8 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
     if not converged:
         warnings.warn(f"lasso did not converge in {sweeps} sweeps", NotConverged)
     w_out, b_out = _destandardize(w, b, mean, scale, alive)
-    model = LinearModel(w_out, b_out, names, alpha, "LEAST_SQUARES",
-                        converged=converged, n_iter=sweeps, objective_path=path)
-    model._std_state = (w, b)
-    return model
+    return LinearModel(w_out, b_out, names, alpha, "LEAST_SQUARES", converged=converged,
+                       n_iter=sweeps, objective_path=path, std_state=(w, b))
 
 
 def lasso_kkt_violation(X, y, model: LinearModel) -> float:

@@ -63,22 +63,21 @@ def _alive_columns(X) -> np.ndarray:
 
 def _expand(model: LinearModel, frame, alive: np.ndarray, feature_names) -> LinearModel:
     """Map a model fit on the standardized live columns back to all columns."""
-    w, b = _destandardize(*model._std_state, *frame)
+    w, b = _destandardize(*model.std_state, *frame)
     weights = np.zeros(alive.size)
     weights[alive] = w
-    full = LinearModel(weights, b, list(feature_names), model.l1_strength,
+    return LinearModel(weights, b, list(feature_names), model.l1_strength,
                        model.task, converged=model.converged, n_iter=model.n_iter,
-                       objective_path=model.objective_path)
-    full._std_state = model._std_state
-    return full
+                       objective_path=model.objective_path, std_state=model.std_state)
 
 
-def _cv_losses(fit, loss, X, y, grid, folds, cv_tol) -> np.ndarray:
+def _cv_losses(fit, loss, X, y, grid, folds, cv_tol, live_names) -> np.ndarray:
     """Summed validation loss per penalty, one warm-started path per fold.
 
     Each fold's training rows are standardized once and shared by the whole
     path; `fit` runs on them unstandardized and its solution is mapped back to
     X's frame for scoring, exactly as a fit with standardize=True would return.
+    `live_names` names X's columns for every fit of the path.
     """
     n = len(y)
     scores = np.zeros(len(grid))
@@ -91,23 +90,25 @@ def _cv_losses(fit, loss, X, y, grid, folds, cv_tol) -> np.ndarray:
             warnings.simplefilter("ignore")
             for gi, penalty in enumerate(grid):
                 warm = fit(Xs, y[mask], penalty, tol=cv_tol, max_iter=200,
-                           standardize=False, warm_start=warm)._std_state
+                           feature_names=live_names, standardize=False,
+                           warm_start=warm).std_state
                 w, b = _destandardize(*warm, *frame)
                 scores[gi] += loss(y[fold], X[fold] @ w + b)
     return scores
 
 
-def _fit_selected(fit, X, y, grid, best, cv_tol, tol, max_iter, alive, names):
+def _fit_selected(fit, X, y, grid, best, cv_tol, tol, max_iter, alive, names,
+                  live_names):
     """Warm path down to grid[best] on the full rows, then the final tight fit."""
     Xs, *frame = _standardize(X)
     warm = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for cand in grid[:best]:
-            warm = fit(Xs, y, cand, tol=cv_tol, max_iter=200, standardize=False,
-                       warm_start=warm)._std_state
-    model = fit(Xs, y, grid[best], tol=tol, max_iter=max_iter, standardize=False,
-                warm_start=warm)
+            warm = fit(Xs, y, cand, tol=cv_tol, max_iter=200, feature_names=live_names,
+                       standardize=False, warm_start=warm).std_state
+    model = fit(Xs, y, grid[best], tol=tol, max_iter=max_iter, feature_names=live_names,
+                standardize=False, warm_start=warm)
     return _expand(model, frame, alive, names)
 
 
@@ -123,6 +124,7 @@ def fit_l1_logistic_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-6,
     Xa = X[:, alive]
     if Xa.shape[1] == 0:
         return constant_logistic(float(y.mean()), names, X.shape[1])
+    live_names = [n for n, keep in zip(names, alive) if keep]
     # stopping rules scale with the sum-form objective
     tol = tol * max(1.0, float(n))
     cv_tol = cv_tol * max(1.0, float(n))
@@ -133,10 +135,10 @@ def fit_l1_logistic_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-6,
         # a fold whose training rows hold a single class is left out
         fittable = [f for f in folds if len(set(np.delete(y, f))) >= 2]
         scores = _cv_losses(fit_l1_logistic, _log_loss, Xa, y, grid,
-                            fittable, cv_tol)
+                            fittable, cv_tol, live_names)
     best = int(np.argmin(scores))   # argmin takes the largest penalty on ties
     return _fit_selected(fit_l1_logistic, Xa, y, grid, best, cv_tol, tol, max_iter,
-                         alive, names)
+                         alive, names, live_names)
 
 
 def fit_lasso_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-8,
@@ -149,10 +151,10 @@ def fit_lasso_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-8,
     alive = _alive_columns(X)
     Xa = X[:, alive]
     if Xa.shape[1] == 0:
-        model = LinearModel(np.zeros(X.shape[1]), float(y.mean()), names, 0.0,
-                            "LEAST_SQUARES")
-        model._std_state = (np.zeros(X.shape[1]), model.bias)
-        return model
+        mean = float(y.mean())
+        return LinearModel(np.zeros(X.shape[1]), mean, names, 0.0, "LEAST_SQUARES",
+                           std_state=(np.zeros(X.shape[1]), mean))
+    live_names = [n for n, keep in zip(names, alive) if keep]
     scale = max(1.0, float(((y - y.mean()) ** 2).sum()))
     tol = tol * scale
     cv_tol = cv_tol * scale
@@ -160,16 +162,16 @@ def fit_lasso_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-8,
     folds = contiguous_folds(n, n_folds)
     scores = np.zeros(len(grid))
     if len(folds) >= 2:
-        scores = _cv_losses(fit_lasso, _squared_loss, Xa, y, grid, folds, cv_tol)
+        scores = _cv_losses(fit_lasso, _squared_loss, Xa, y, grid, folds, cv_tol,
+                            live_names)
     best = int(np.argmin(scores))
     return _fit_selected(fit_lasso, Xa, y, grid, best, cv_tol, tol, max_iter,
-                         alive, names)
+                         alive, names, live_names)
 
 
 def constant_logistic(rate: float, feature_names, n_features: int) -> LinearModel:
     """Degenerate-target fallback: zero weights, bias at the clipped base-rate logit."""
     p = min(max(rate, 1e-6), 1 - 1e-6)
-    model = LinearModel(np.zeros(n_features), float(np.log(p / (1 - p))),
-                        list(feature_names), 0.0, "LOGISTIC")
-    model._std_state = (np.zeros(n_features), model.bias)
-    return model
+    bias = float(np.log(p / (1 - p)))
+    return LinearModel(np.zeros(n_features), bias, list(feature_names), 0.0, "LOGISTIC",
+                       std_state=(np.zeros(n_features), bias))

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from ..errors import ParseError, SchemaMismatch
 from .optimizers import LinearModel
 from .stack import OrderedDescriptor, SegmentModelSet
 
@@ -80,9 +81,13 @@ def bundle_to_json(descriptors: dict, segment_models: dict, meta: dict | None = 
 
 
 def bundle_from_json(text: str):
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"model bundle is not JSON: {exc.msg}") from None
     if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model bundle version {doc.get('format_version')}")
+        raise SchemaMismatch("format_version", "unsupported model bundle version "
+                             f"{doc.get('format_version')}, expected {FORMAT_VERSION}")
     descriptors = {road: descriptor_from_dict(d) for road, d in doc["descriptors"].items()}
     segments = {sid: segment_from_dict(m) for sid, m in doc["segments"].items()}
     return descriptors, segments, doc["meta"]

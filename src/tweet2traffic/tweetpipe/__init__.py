@@ -3,7 +3,6 @@ from .users import (  # noqa: F401
     CheckinCluster,
     UserProfile,
     NullBotProvider,
-    MappingBotProvider,
     build_checkin_clusters,
     classify_home_cluster,
     dbscan_cluster,

@@ -8,20 +8,11 @@ tweets per day period together with the neutral-sentiment share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date as date_t
 from datetime import datetime, time, timedelta
 
 
 from ..config import TweetConfig
-
-
-@dataclass(frozen=True)
-class TweetFeatureVector:
-    sleep_hist: dict[tuple[int, str], float]
-    wake_hist: dict[tuple[int, str], float]
-    period_counts: dict[str, int]
-    neutral_pct: dict[str, float]
 
 
 def feature_window(day: date_t) -> tuple[datetime, datetime]:

@@ -51,7 +51,3 @@ def points_in_ring(points: np.ndarray, ring, include_boundary: bool = True,
                      & (y >= min(y1, y2) - eps) & (y <= max(y1, y2) + eps))
             on_edge |= (np.abs(cross) <= eps) & inbox
     return inside | on_edge if include_boundary else inside
-
-
-def point_in_ring(lat: float, lon: float, ring, include_boundary: bool = True) -> bool:
-    return bool(points_in_ring(np.array([[lat, lon]]), ring, include_boundary)[0])

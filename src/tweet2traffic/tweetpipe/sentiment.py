@@ -5,6 +5,8 @@ import csv
 import logging
 from pathlib import Path
 
+from ..errors import SchemaMismatch
+
 log = logging.getLogger(__name__)
 
 # compact valence lexicon; scores average to a [0, 1] positivity estimate
@@ -40,8 +42,11 @@ class PrecomputedSentimentProvider:
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header != ["tweet_id", "p"]:
-                raise ValueError(f"bad sentiment score header: {header}")
+            want = ["tweet_id", "p"]
+            if header != want:
+                missing = [c for c in want if c not in (header or [])]
+                raise SchemaMismatch(missing[0] if missing else header[0],
+                                     f"expected sentiment score header {want}, got {header}")
             for row in reader:
                 self.scores[row[0]] = float(row[1])
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import TweetConfig
-from .geo import haversine_km, pairwise_haversine_km, point_in_ring
+from .geo import haversine_km, pairwise_haversine_km, points_in_ring
 
 log = logging.getLogger(__name__)
 
@@ -88,14 +88,6 @@ class NullBotProvider:
 
     def score(self, user_id: str) -> float | None:
         return None
-
-
-class MappingBotProvider:
-    def __init__(self, scores: dict[str, float]):
-        self.scores = dict(scores)
-
-    def score(self, user_id: str) -> float | None:
-        return self.scores.get(user_id)
 
 
 def detect_bots(users: dict[str, UserProfile], cfg: TweetConfig, provider=None) -> set[str]:
@@ -182,20 +174,11 @@ class CheckinCluster:
         return self.land_use_mix.get("industry", 0.0) + self.land_use_mix.get("amenity", 0.0)
 
 
-def landuse_of_point(lat: float, lon: float, zones) -> str | None:
-    for zone in zones:
-        if point_in_ring(lat, lon, zone.ring):
-            return zone.land_use
-    return None
-
-
 def landuse_of_points(coords, zones) -> list[str | None]:
-    """Batch land-use join; first matching zone wins, like the scalar form."""
+    """Batch land-use join; the first zone containing a point wins."""
     pts = np.asarray(coords, dtype=float)
     out: list[str | None] = [None] * len(pts)
     unresolved = np.arange(len(pts))
-    from .geo import points_in_ring
-
     for zone in zones:
         if unresolved.size == 0:
             break

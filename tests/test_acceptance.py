@@ -399,7 +399,8 @@ def test_criterion_6_incident_weather_behavior(big_world):
             sid = aff["segment_id"]
             d = date.fromisoformat(aff["date"])
             model = stack.segment_models[sid]
-            row = model._X_all[model._day_pos[d]]
+            _names, X_all, pos = stack.designs[sid]
+            row = X_all[pos[d]]
             counterfactual = row.copy()
             for i, name in enumerate(model.feature_names):
                 if name.startswith(("p_", "f_")):

@@ -113,6 +113,61 @@ class TestCli:
         rc = main(["tweets", "--data", str(data_dir), "--out", str(tmp_path / "t")])
         assert rc == 2
 
+    def test_predict_unknown_bundle_version_exit_2(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": 99, "meta": {},
+                                     "descriptors": {}, "segments": {}}))
+        rc = main(["predict", "--data", str(data_dir), "--model", str(model),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_predict_model_not_json_exit_2(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("segment_id,weights\n")
+        rc = main(["predict", "--data", str(data_dir), "--model", str(model),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_sentiment_header_exit_2(self, data_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "sentiment_scores.csv").write_text("id,score\nt1,0.9\n")
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_weather_ending_before_last_speed_day_exit_2(self, data_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        lines = (data / "weather.csv").read_text().splitlines(keepends=True)
+        last_day = lines[-1].split("T")[0]
+        (data / "weather.csv").write_text(
+            "".join(line for line in lines if not line.startswith(last_day)))
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        {"morning": {"start_hour": 6}},
+        {"timezone": "UTC"},
+        {"features": {"incident_hours": 10}},
+        {"features": {"wx_severity_map": [["clear", 0]]}},
+    ])
+    def test_removed_config_keys_exit_2(self, data_dir, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        rc = main(["features", "--data", str(data_dir), "--config", str(cfg),
+                   "--out", str(tmp_path / "f")])
+        assert rc == 2
+        assert "error: unknown" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
     def test_describe(self, data_dir, tmp_path, capsys):
         rc = main(["describe", "--data", str(data_dir), "--out", str(tmp_path / "d")])
         assert rc == 0

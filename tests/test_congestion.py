@@ -16,7 +16,6 @@ from tweet2traffic.congestion import (
     morning_pti,
     percentile,
     reference_speed,
-    tti_series,
 )
 from tweet2traffic.errors import EmptyInput, IncompleteDay
 
@@ -86,6 +85,11 @@ class TestReferenceSpeed:
 
     def test_single_observation(self):
         assert reference_speed([55]) == 55
+
+
+def tti_series(segment_id, day, speeds, v_ref):
+    """The two calls the split pipeline makes: bounded gap-fill, then the ratio."""
+    return TtiSeries(segment_id, day, v_ref / fill_speed_gaps(speeds))
 
 
 class TestTtiSeries:

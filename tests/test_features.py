@@ -1,14 +1,14 @@
-from datetime import date, datetime
+import dataclasses
+from datetime import date, datetime, timedelta
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tweet2traffic.config import TweetConfig
-from tweet2traffic.errors import MissingComponent
+from tweet2traffic.config import HarnessConfig, PipelineConfig, TweetConfig
 from tweet2traffic.features import (
     WeatherScaler,
     cyclic_encode,
-    incident_features,
     incident_location_impact,
     incident_time_window,
     road_orientation,
@@ -17,13 +17,26 @@ from tweet2traffic.features import (
     weather_index,
 )
 from tweet2traffic.features.assemble import (
-    assemble_features,
     build_feature_matrix,
     tweet_feature_layout,
     time_feature_layout,
     weather_feature_layout,
 )
-from tweet2traffic.ingest.types import IncidentRecord, SegmentDescriptor, WeatherRecord
+from tweet2traffic.features.incident import (
+    LOCATION_CODES,
+    N_HOURS,
+    _IncidentGeometry,
+    bulk_incident_features,
+    incident_feature_names,
+)
+from tweet2traffic.harness.pipeline import _incident_vectors, segment_design
+from tweet2traffic.ingest.types import (
+    IncidentRecord,
+    SegmentDescriptor,
+    Tweet,
+    WeatherRecord,
+)
+from tweet2traffic.tweetpipe.encode import encode_sleep_wake
 
 CFG = TweetConfig()
 DEG_PER_KM = 1.0 / 111.2
@@ -111,13 +124,53 @@ class TestTimeWindow:
         assert incident_time_window(rec, self.DAY).sum() == 0
 
 
+def scalar_incident_features(incidents, segment, road_segments, day,
+                             d_thres_km=5.0):
+    """Oracle: all p_*/f_* features of one segment-day, one incident at a time."""
+    values = {name: 0.0 for name in incident_feature_names()}
+    if not incidents:
+        return values
+    orientation = road_orientation(road_segments)
+    for rec in incidents:
+        if rec.road_id != segment.road_id:
+            continue
+        hours = incident_time_window(rec, day)
+        if not hours.any():
+            continue
+        geom = _IncidentGeometry(rec, road_segments)
+        triple = incident_location_impact(geom, segment, orientation, d_thres_km)
+        prefix = "p" if rec.closure_type == "PARTIAL" else "f"
+        for loc, impact in zip(LOCATION_CODES, triple):
+            if impact <= 0:
+                continue
+            for h in range(N_HOURS):
+                if hours[h]:
+                    key = f"{prefix}_{loc}_{h}"
+                    values[key] = max(values[key], impact)
+    return values
+
+
+def always(_rec, _day):
+    return True
+
+
+def dense(vec):
+    """A bulk feature dict with every p_*/f_* column present."""
+    return {name: vec.get(name, 0.0) for name in incident_feature_names()}
+
+
+def bulk_features(incidents, segment, road_segments, day):
+    out = bulk_incident_features(incidents, road_segments, [day], always)
+    return dense(out[segment.segment_id][day])
+
+
 class TestIncidentFeatures:
     DAY = date(2014, 3, 5)
 
     def test_partial_routes_to_p(self):
         rec = incident(5.5, 5.6, datetime(2014, 3, 5, 7, 0), datetime(2014, 3, 5, 7, 30),
                        closure="PARTIAL")
-        feats = incident_features([rec], ROAD[1], ROAD, self.DAY)
+        feats = bulk_features([rec], ROAD[1], ROAD, self.DAY)
         assert feats["p_ds_7"] == pytest.approx(0.5, abs=0.01)
         assert all(v == 0.0 for k, v in feats.items() if k.startswith("f_"))
 
@@ -126,25 +179,52 @@ class TestIncidentFeatures:
                         closure="PARTIAL")
         rec2 = incident(4.0, 4.1, datetime(2014, 3, 5, 7, 10), datetime(2014, 3, 5, 7, 40),
                         closure="PARTIAL")
-        feats = incident_features([rec1, rec2], ROAD[1], ROAD, self.DAY)
-        solo = incident_features([rec2], ROAD[1], ROAD, self.DAY)
+        feats = bulk_features([rec1, rec2], ROAD[1], ROAD, self.DAY)
+        solo = bulk_features([rec2], ROAD[1], ROAD, self.DAY)
         assert feats["p_ds_7"] == pytest.approx(solo["p_ds_7"])
         assert solo["p_ds_7"] > 0.5
 
     def test_no_incidents_all_zero(self):
-        feats = incident_features([], ROAD[1], ROAD, self.DAY)
+        feats = bulk_features([], ROAD[1], ROAD, self.DAY)
         assert all(v == 0.0 for v in feats.values())
 
     def test_other_road_ignored(self):
+        # roads are routed to their own segments before the bulk encoder runs
         rec = incident(3.0, 3.5, datetime(2014, 3, 5, 7, 0), datetime(2014, 3, 5, 8, 0),
                        road="R9")
-        feats = incident_features([rec], ROAD[1], ROAD, self.DAY)
+        cfg = PipelineConfig(harness=HarnessConfig(assume_all_known=True))
+        out = _incident_vectors(cfg, {"R1": ROAD}, [rec], [self.DAY])
+        feats = dense(out[ROAD[1].segment_id][self.DAY])
         assert all(v == 0.0 for v in feats.values())
+        on_road = dataclasses.replace(rec, road_id="R1")
+        out = _incident_vectors(cfg, {"R1": ROAD}, [on_road], [self.DAY])
+        assert any(v > 0.0 for v in out[ROAD[1].segment_id][self.DAY].values())
 
     def test_orientation_detected(self):
         assert road_orientation(ROAD) == 1
         flipped = [seg("R2", o, 10 - (o + 1) * 1.5, 10 - o * 1.5) for o in range(5)]
         assert road_orientation(flipped) == -1
+
+    def test_bulk_matches_scalar_on_random_incidents(self):
+        rng = np.random.default_rng(21)
+        flipped = [seg("R1", o, 10 - (o + 1) * 1.5, 10 - o * 1.5) for o in range(5)]
+        days = [date(2014, 3, 4) + timedelta(days=i) for i in range(4)]
+        for road in (ROAD, flipped):
+            recs = []
+            for i in range(40):
+                mp0 = float(rng.uniform(-3.0, 11.0))
+                mp1 = mp0 + float(rng.uniform(0.0, 4.0))
+                start = datetime(2014, 3, 3, 12) + timedelta(minutes=int(rng.integers(0, 5760)))
+                end = start + timedelta(minutes=int(rng.integers(1, 1800)))
+                closure = "PARTIAL" if rng.random() < 0.5 else "FULL"
+                rec = incident(mp0, mp1, start, end, closure=closure)
+                recs.append(dataclasses.replace(rec, incident_id=f"i{i}"))
+            for n_recs in (1, 3, 40):
+                bulk = bulk_incident_features(recs[:n_recs], road, days, always)
+                for s in road:
+                    for d in days:
+                        want = scalar_incident_features(recs[:n_recs], s, road, d)
+                        assert dense(bulk[s.segment_id][d]) == want
 
 
 def wrec(day, hour, **kw):
@@ -255,32 +335,72 @@ class TestAssembly:
     DAY = date(2014, 3, 5)
     TRACTS = ["T01", "T02"]
 
+    def road_layout(self):
+        return (tweet_feature_layout(self.TRACTS, CFG) + weather_feature_layout()
+                + time_feature_layout())
+
+    def road_matrix(self, vec):
+        return build_feature_matrix([self.DAY], {self.DAY: vec}, self.road_layout())
+
     def parts(self):
-        tweet = {"21_T01": 0.5, "EV": 3, "Neu_EV": 0.4}
-        weather = {"temp_0": 0.3}
-        time_vec = {"dow_mon": 1.0}
-        return tweet, weather, time_vec
+        return {"21_T01": 0.5, "EV": 3, "Neu_EV": 0.4, "temp_0": 0.3, "dow_mon": 1.0}
 
     def test_road_vector_has_no_incident_columns(self):
-        names, _vals = assemble_features(*self.parts(), self.TRACTS, CFG)
-        assert not any(n.startswith(("p_", "f_")) for n in names)
+        fm = self.road_matrix(self.parts())
+        assert not any(n.startswith(("p_", "f_")) for n in fm.names)
+        row = dict(zip(fm.names, fm.values[0]))
+        assert {k: v for k, v in row.items() if v != 0.0} == self.parts()
 
     def test_segment_vector_cluster_columns(self):
-        names, vals = assemble_features(*self.parts(), self.TRACTS, CFG,
-                                        incident_vec={}, cluster_vec=np.array([0.4, 0.6, 0.2]))
+        sid = ROAD[1].segment_id
+        prepared = SimpleNamespace(roads=["R1"], segs_by_road={"R1": [ROAD[1]]})
+        art = SimpleNamespace(incident_vectors={sid: {self.DAY: {"p_ds_7": 0.25}}})
+        fm = self.road_matrix(self.parts())
+        scales = {"R1": np.array([[0.4, 0.6, 0.2]])}
+        names, X_all, pos = segment_design(prepared, art, fm, scales)[sid]
+        vals = X_all[pos[self.DAY]]
         assert names[-3:] == ["c_1", "c_2", "c_3"]
         assert vals[-3:].tolist() == [0.4, 0.6, 0.2]
         assert any(n.startswith("p_") for n in names)
+        assert names[:len(fm.names)] == fm.names
+        assert vals[names.index("p_ds_7")] == 0.25
+        assert vals[names.index("21_T01")] == 0.5
 
     def test_column_stability(self):
-        n1, _ = assemble_features(*self.parts(), self.TRACTS, CFG)
-        n2, _ = assemble_features({"MN": 9}, {"vis_2": 0.2}, {"dow_fri": 1.0},
-                                  self.TRACTS, CFG)
+        n1 = self.road_matrix(self.parts()).names
+        n2 = self.road_matrix({"MN": 9, "vis_2": 0.2, "dow_fri": 1.0}).names
         assert n1 == n2
 
-    def test_missing_component(self):
-        with pytest.raises(MissingComponent):
-            assemble_features(None, {}, {}, self.TRACTS, CFG)
+
+class TestSleepWakeLayout:
+    DAY = date(2014, 3, 5)
+
+    def emitted_keys(self, cfg):
+        """Column names of every (hour, tract) key encode_sleep_wake can emit."""
+        tweets_by_user = {}
+        for h in cfg.sleep_hours + cfg.wake_hours:
+            day = self.DAY - timedelta(days=1) if h >= 12 else self.DAY
+            ts = datetime.combine(day, datetime.min.time()).replace(hour=h, minute=30)
+            tweets_by_user[f"u{h}"] = [Tweet(f"t{h}", f"u{h}", ts, "", (40.5, -80.0),
+                                             None, "TIMELINE")]
+        sleep, wake = encode_sleep_wake(self.DAY, tweets_by_user, lambda lat, lon: "T01",
+                                        cfg)
+        return ({f"{h}_{t}" for h, t in sleep}, {f"{h}_{t}" for h, t in wake})
+
+    def layout_columns(self, cfg, group):
+        return {name for name, g, _a in tweet_feature_layout(["T01"], cfg) if g == group}
+
+    def test_default_windows(self):
+        assert CFG.sleep_hours == (21, 22, 23, 0, 1, 2)
+        assert CFG.wake_hours == (3, 4)
+
+    def test_layout_follows_configured_windows(self):
+        cfg = TweetConfig(sleep_window=(22, 1), wake_window=(1, 4))
+        assert cfg.sleep_hours == (22, 23, 0)
+        assert cfg.wake_hours == (1, 2, 3)
+        sleep, wake = self.emitted_keys(cfg)
+        assert sleep == self.layout_columns(cfg, "tweet_sleep")
+        assert wake == self.layout_columns(cfg, "tweet_wake")
 
 
 class TestFeatureMatrix:
@@ -311,8 +431,3 @@ class TestFeatureMatrix:
                                       "tweet_period", "tweet_sentiment"})
         assert not any(g.startswith("tweet") for g in fm.groups)
         assert "temp_5" in fm.names
-
-    def test_rows_for_subset(self):
-        fm = self.make()
-        rows = fm.rows_for([date(2014, 3, 5)])
-        assert rows.shape == (1, len(fm.names))

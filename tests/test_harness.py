@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
@@ -162,7 +164,7 @@ class TestMetrics:
         ms2 = compute_metrics([quads[i] for i in perm],
                               [preds[0][i] for i in perm], [preds[1][i] for i in perm],
                               [preds[2][i] for i in perm], [preds[3][i] for i in perm])
-        assert ms1.as_dict() == ms2.as_dict()
+        assert ms1 == ms2
 
     def test_weighted_aggregate_identity(self):
         ms1 = compute_metrics([quad(1), quad(0)], [1, 0], [40, 0], [12, 0], [2.0, 1.0])
@@ -222,8 +224,23 @@ class TestNestedTscv:
             again = run_nested_tscv(prepared, models=("t2t",),
                                     plan=TsCvPlan(n_outer=3), seed=0)
         for key, ms in again.per_split.items():
-            assert small_report.per_split[key].as_dict() == ms.as_dict()
+            assert small_report.per_split[key] == ms
 
+
+    def test_sar_scored_at_configured_pti_quantile(self, small_world, monkeypatch):
+        prepared, _ = small_world
+        quantiles = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(sar_quadruple).bind(*args, **kwargs)
+            quantiles.append(bound.arguments.get("pti_quantile"))
+            return sar_quadruple(*args, **kwargs)
+
+        monkeypatch.setattr("tweet2traffic.harness.tscv.sar_quadruple", spy)
+        half = dataclasses.replace(
+            prepared, config=dataclasses.replace(prepared.config, pti_quantile=0.5))
+        run_nested_tscv(half, models=("sar",), plan=TsCvPlan(n_outer=3))
+        assert quantiles and set(quantiles) == {0.5}
 
     def test_unknown_model_rejected_before_any_split(self, small_world, monkeypatch):
         prepared, _ = small_world

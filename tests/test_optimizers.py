@@ -88,7 +88,7 @@ class TestLasso:
         cold = fit_lasso(X, y, alpha=5.0, standardize=False)
         first = fit_lasso(X, y, alpha=20.0, standardize=False)
         warm = fit_lasso(X, y, alpha=5.0, standardize=False,
-                         warm_start=first._std_state)
+                         warm_start=first.std_state)
         assert np.abs(cold.weights - warm.weights).max() < 1e-6
 
     def test_zero_variance_column_zero_coef(self):
@@ -284,7 +284,7 @@ def assert_same_fit(model, ref):
     assert model.n_iter == ref.n_iter
     assert model.converged == ref.converged
     assert model.objective_path == ref.objective_path
-    assert model._std_state[0].tobytes() == ref.std_state[0].tobytes()
+    assert model.std_state[0].tobytes() == ref.std_state[0].tobytes()
 
 
 def both_fits(X, y, alpha, **kw):
@@ -320,7 +320,7 @@ class TestLassoMatchesScalarSweep:
                 ref = reference_fit_lasso(X, y, m * critical, standardize=False,
                                           tol=1e-4, max_iter=200, warm_start=ref_warm)
             assert_same_fit(model, ref)
-            warm, ref_warm = model._std_state, ref.std_state
+            warm, ref_warm = model.std_state, ref.std_state
 
     def test_zero_variance_columns(self):
         rng = np.random.default_rng(14)
@@ -399,7 +399,7 @@ def _reference_logistic_cv(X, y, multipliers, n_folds=4, tol=1e-6, cv_tol=1e-4):
             for gi, lam in enumerate(grid):
                 model = fit_l1_logistic(Xa[mask], y[mask], lam, tol=cv_tol * n,
                                         max_iter=200, warm_start=warm)
-                warm = model._std_state
+                warm = model.std_state
                 p = np.clip(model.predict_proba(Xa[fold]), 1e-12, 1 - 1e-12)
                 scores[gi] += float(-(y[fold] * np.log(p)
                                       + (1 - y[fold]) * np.log(1 - p)).sum())
@@ -407,7 +407,7 @@ def _reference_logistic_cv(X, y, multipliers, n_folds=4, tol=1e-6, cv_tol=1e-4):
         warm = None
         for cand in grid[:best]:
             warm = fit_l1_logistic(Xa, y, cand, tol=cv_tol * n, max_iter=200,
-                                   warm_start=warm)._std_state
+                                   warm_start=warm).std_state
         model = fit_l1_logistic(Xa, y, grid[best], tol=tol * n, warm_start=warm)
     weights = np.zeros(X.shape[1])
     weights[alive] = model.weights
@@ -430,7 +430,8 @@ def test_lasso_cv_matches_reference_loop():
         scale = max(1.0, float(((y - y.mean()) ** 2).sum()))
         scores = _cv_losses(fit_lasso, _squared_loss, Xa, y,
                             penalty_grid(lasso_critical_alpha(Xa, y), MULTIPLIERS),
-                            contiguous_folds(len(y), 4), 1e-4 * scale)
+                            contiguous_folds(len(y), 4), 1e-4 * scale,
+                            [f"x{j}" for j in range(Xa.shape[1])])
     ref_scores, alpha, weights, bias = _reference_lasso_cv(X, y, MULTIPLIERS)
     assert scores.tobytes() == ref_scores.tobytes()
     assert model.l1_strength == alpha
@@ -450,7 +451,8 @@ def test_logistic_cv_matches_reference_loop():
         Xa = X[:, _alive_columns(X)]
         scores = _cv_losses(fit_l1_logistic, _log_loss, Xa, y,
                             penalty_grid(logistic_critical_lambda(Xa, y), MULTIPLIERS),
-                            contiguous_folds(len(y), 4), 1e-4 * len(y))
+                            contiguous_folds(len(y), 4), 1e-4 * len(y),
+                            [f"x{j}" for j in range(Xa.shape[1])])
     ref_scores, lam, weights, bias = _reference_logistic_cv(X, y, MULTIPLIERS)
     assert scores.tobytes() == ref_scores.tobytes()
     assert model.l1_strength == lam

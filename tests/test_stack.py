@@ -309,7 +309,8 @@ class TestVariantHeads:
         model = fit_segment_models("S1", X, quads, names, CFG, variant="rf", seed=3)
         if "cs" in model.rf_columns:
             sel = {model.feature_names[i] for i in model.rf_columns["cs"]}
-            nonzero = set(model.classifier.nonzero_features())
+            nonzero = {n for n, w in zip(model.feature_names, model.classifier.weights)
+                       if w != 0.0}
             assert sel == nonzero
 
     def test_rf_falls_back_without_selection(self):

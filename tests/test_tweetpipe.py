@@ -10,7 +10,6 @@ from tweet2traffic.config import TweetConfig
 from tweet2traffic.ingest.types import TractPolygon, Tweet, ZonePolygon
 from tweet2traffic.tweetpipe import (
     CheckinCluster,
-    MappingBotProvider,
     TractGeocoder,
     assemble_incident_records,
     classify_home_cluster,
@@ -62,6 +61,16 @@ class TestInfluentialUsers:
     def test_coordinates_in_box(self):
         users = filter_influential_users(self.make_tweets("u5", 5, "40.429, -79.932"), CFG)
         assert users["u5"].is_resident
+
+
+class MappingBotProvider:
+    """Bot scores from a fixed user -> score mapping."""
+
+    def __init__(self, scores):
+        self.scores = dict(scores)
+
+    def score(self, user_id):
+        return self.scores.get(user_id)
 
 
 class TestBots:
