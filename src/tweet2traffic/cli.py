@@ -123,7 +123,8 @@ def cmd_cluster(args) -> int:
         profile = build_road_profiles(road_id, seg_ids, tti_map)
         pca = pca_fit(profile.rows, cfg.clustering.pca_variance_target)
         reduced = pca_transform(pca, profile.rows)
-        km = kmeans_fit(reduced, k, seed=args.seed, n_init=cfg.clustering.kmeans_n_init)
+        km = kmeans_fit(reduced, k, seed=args.seed, n_init=cfg.clustering.kmeans_n_init,
+                        max_iter=cfg.clustering.kmeans_max_iter)
         ordered = order_clusters_by_mean_tti(km, pca)
         from .clustering import pca_inverse_transform
 
@@ -137,13 +138,14 @@ def cmd_cluster(args) -> int:
         k_range = list(range(cfg.clustering.k_min,
                              min(cfg.clustering.k_max, len(profile.dates) - 1) + 1))
         if len(k_range) >= 3:
-            _k, inertias = elbow_select_k(reduced, k_range, seed=args.seed,
-                                          n_init=cfg.clustering.kmeans_n_init)
+            _k, models = elbow_select_k(reduced, k_range, seed=args.seed,
+                                        n_init=cfg.clustering.kmeans_n_init,
+                                        max_iter=cfg.clustering.kmeans_max_iter)
             with (out / f"inertia_{safe}.csv").open("w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh, lineterminator="\n")
                 w.writerow(["k", "inertia"])
-                for kk in sorted(inertias):
-                    w.writerow([kk, repr(float(inertias[kk]))])
+                for kk in sorted(models):
+                    w.writerow([kk, repr(float(models[kk].inertia))])
     print(f"cluster outputs written to {out}")
     return 0
 

@@ -173,21 +173,26 @@ def kmeans_fit(rows, k: int, seed: int, n_init: int = 10, max_iter: int = 300) -
     return best
 
 
-def elbow_select_k(rows, k_range, seed: int, n_init: int = 10) -> tuple[int, dict[int, float]]:
-    """K at the maximal discrete curvature of the inertia curve (ties: smaller K)."""
+def elbow_select_k(rows, k_range, seed: int, n_init: int = 10,
+                   max_iter: int = 300) -> tuple[int, dict[int, KMeansModel]]:
+    """K at the maximal discrete curvature of the inertia curve (ties: smaller K).
+
+    Returns the chosen K and the fitted model of every candidate K.
+    """
     ks = sorted(k_range)
     X = np.asarray(rows, dtype=float)
     if len(ks) < 3:
         raise RangeTooSmall("elbow needs at least 3 candidate K values")
     if ks[0] < 2 or ks[-1] > X.shape[0]:
         raise RangeTooSmall("k_range must lie within [2, n_rows]")
-    inertias = {k: kmeans_fit(X, k, seed=seed, n_init=n_init).inertia for k in ks}
+    models = {k: kmeans_fit(X, k, seed=seed, n_init=n_init, max_iter=max_iter) for k in ks}
+    inertias = {k: m.inertia for k, m in models.items()}
     best_k, best_curv = None, -np.inf
     for i in range(1, len(ks) - 1):
         curv = inertias[ks[i - 1]] - 2 * inertias[ks[i]] + inertias[ks[i + 1]]
         if curv > best_curv + 1e-12:
             best_curv, best_k = curv, ks[i]
-    return best_k, inertias
+    return best_k, models
 
 
 @dataclass

@@ -158,7 +158,12 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     p = Path(path)
     if not p.exists():
         raise InvalidConfig(f"config file not found: {p}")
-    raw = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"config file {p} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"config file {p} must hold a JSON object")
     sections = {
         "congestion": CongestionParams,
         "clustering": ClusteringConfig,

@@ -38,21 +38,22 @@ def reference_speed(speeds, q: float = 0.85) -> float:
     return percentile(speeds, q)
 
 
-def fill_speed_gaps(speeds, max_ffill: int = 3) -> np.ndarray:
-    """Forward-fill NaN runs of at most `max_ffill` slots; longer runs abort."""
-    out = np.asarray(speeds, dtype=float).copy()
-    last = np.nan
-    run = 0
-    for i in range(out.size):
-        if np.isfinite(out[i]):
-            last = out[i]
-            run = 0
-        else:
-            run += 1
-            if run > max_ffill or not np.isfinite(last):
-                raise IncompleteDay(f"unfillable gap ending at slot {i}")
-            out[i] = last
-    return out
+def fill_speed_gaps(speeds, max_ffill: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-fill NaN runs of at most `max_ffill` slots, one day per row.
+
+    Returns the filled (days, slots) array and a per-day "incomplete" mask:
+    a day with a longer run, or with a gap before its first observation,
+    cannot be filled and its row is all NaN.
+    """
+    arr = np.asarray(speeds, dtype=float)
+    finite = np.isfinite(arr)
+    slots = np.arange(arr.shape[1])
+    last = np.maximum.accumulate(np.where(finite, slots, -1), axis=1)
+    gap = ~finite & ((last < 0) | (slots - last > max_ffill))
+    incomplete = gap.any(axis=1)
+    filled = np.take_along_axis(arr, np.maximum(last, 0), axis=1)
+    filled[incomplete] = np.nan
+    return filled, incomplete
 
 
 @dataclass(frozen=True)

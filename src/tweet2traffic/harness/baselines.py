@@ -8,6 +8,7 @@ in place of unseen lags; its quadruple comes from the predicted speeds.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,30 +29,55 @@ class HmPrediction:
     flagged: str = ""
 
 
+@dataclass(frozen=True)
+class WeekdayHistory:
+    """A chronological (date, quadruple) history indexed by weekday."""
+    dates: list
+    quads: list
+    by_weekday: dict          # weekday -> (dates, quads)
+    congested: tuple          # (dates, quads) of the congested entries
+
+
+def index_history(history) -> WeekdayHistory:
+    """Index a chronological list of (date, CongestionMeasurements) pairs."""
+    by_weekday: dict[int, tuple[list, list]] = {}
+    for d, q in history:
+        dates, quads = by_weekday.setdefault(d.weekday(), ([], []))
+        dates.append(d)
+        quads.append(q)
+    return WeekdayHistory([d for d, _q in history], [q for _d, q in history], by_weekday,
+                          ([d for d, q in history if q.cs], [q for _d, q in history if q.cs]))
+
+
 def hm_predict(history, date, window: int | None) -> HmPrediction:
     """Majority CS and congested-day means over the same-weekday window.
 
-    `history` is a chronological list of (date, CongestionMeasurements) pairs
-    strictly before `date`; `window` counts same-weekday occurrences
+    `history` is a WeekdayHistory or a chronological list of
+    (date, CongestionMeasurements) pairs (indexed on the call); only entries
+    strictly before `date` count. `window` counts same-weekday occurrences
     (None or 0 means unbounded).
     """
-    prior = [(d, q) for d, q in history if d < date]
-    if not prior:
+    if not isinstance(history, WeekdayHistory):
+        history = index_history(history)
+    n_prior = bisect_left(history.dates, date)
+    if not n_prior:
         return HmPrediction(0, 0.0, 0.0, 1.0, flagged="no_history")
-    same_dow = [(d, q) for d, q in prior if d.weekday() == date.weekday()]
+    same_dates, same_quads = history.by_weekday.get(date.weekday(), ([], []))
+    n_same = bisect_left(same_dates, date)
     flagged = ""
-    if same_dow:
-        pool = same_dow
+    if n_same:
+        pool = same_quads[:n_same]
     else:
-        pool = prior
+        pool = history.quads[:n_prior]
         flagged = "global_fallback"
     if window:
         pool = pool[-window:]
-    cs_votes = sum(q.cs for _d, q in pool)
+    cs_votes = sum(q.cs for q in pool)
     cs = 1 if 2 * cs_votes >= len(pool) else 0    # tie predicts congested
-    congested = [q for _d, q in pool if q.cs]
+    congested = [q for q in pool if q.cs]
     if not congested:
-        congested = [q for _d, q in prior if q.cs]
+        congested_dates, congested_quads = history.congested
+        congested = congested_quads[:bisect_left(congested_dates, date)]
         if congested:
             flagged = flagged or "no_congested_in_window"
     if congested:
@@ -116,32 +142,42 @@ def fit_sar(segment_id: str, speeds: np.ndarray, train_day_idx, p_lags: int,
     return SarModel(segment_id, p_lags, h, coef, r2)
 
 
-def sar_rollout(model: SarModel, speeds: np.ndarray, day_idx: int,
+def sar_rollout(model: SarModel, speeds: np.ndarray, day_idx,
                 morning_offset: int, cutoff_slot: int = 0) -> np.ndarray:
-    """Predicted morning speeds, substituting predictions for unseen lags."""
-    work = [float(v) for v in speeds[day_idx]]
+    """Predicted morning speeds, one row per day of `day_idx`.
+
+    The days roll out together, slot by slot, substituting predictions for
+    unseen lags. Each slot sums c + seasonal term + w_1 v_{t-1} + ... left to
+    right (`np.add.accumulate` is sequential), as a scalar loop would.
+    """
+    days = np.asarray(day_idx, dtype=np.intp)
+    work = speeds[days].T.copy()                         # (emit_slots, n_days)
     p = model.p_lags
-    w = [float(v) for v in model.weights]
+    w = model.weights
     # seasonal contribution is fixed per slot; fold it into the intercept
-    seasonal_term = np.zeros(N_SLOTS)
+    seasonal_term = np.zeros((N_SLOTS, days.size))
     for h in range(1, model.h_seasonal + 1):
-        seasonal_term += (w[1 + p + h - 1]
-                          * speeds[day_idx - 7 * h,
-                                   morning_offset:morning_offset + N_SLOTS])
-    out = np.empty(N_SLOTS)
+        seasonal_term += w[p + h] * speeds[days - 7 * h,
+                                           morning_offset:morning_offset + N_SLOTS].T
+    base = w[0] + seasonal_term
+    lag_w = w[1:1 + p, None]
+    # lag rows per slot, most recent first; under-length history clamps to slot 0
+    lag_rows = np.maximum(morning_offset + np.arange(N_SLOTS)[:, None]
+                          - np.arange(1, p + 1), 0)
+    terms = np.empty((1 + p, days.size))
+    sums = np.empty_like(terms)
+    out = np.empty((N_SLOTS, days.size))
     for t in range(N_SLOTS):
         col = morning_offset + t
         if t < cutoff_slot:
             out[t] = work[col]
             continue
-        v = w[0] + float(seasonal_term[t])
-        for i in range(p):
-            v += w[1 + i] * work[max(col - 1 - i, 0)]   # clamp under-length history
-        if v < 1.0:
-            v = 1.0     # speeds stay physical
-        out[t] = v
-        work[col] = v
-    return out
+        terms[0] = base[t]
+        np.multiply(lag_w, work[lag_rows[t]], out=terms[1:])
+        np.add.accumulate(terms, axis=0, out=sums)
+        np.maximum(sums[-1], 1.0, out=out[t])    # speeds stay physical; NaN stays NaN
+        work[col] = out[t]
+    return np.ascontiguousarray(out.T)
 
 
 def sar_quadruple(pred_speeds: np.ndarray, v_ref: float, params: CongestionParams,

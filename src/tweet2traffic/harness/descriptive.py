@@ -11,7 +11,6 @@ from ..clustering import (
     build_tweeting_profiles,
     chi_squared_cramers_v,
     elbow_select_k,
-    kmeans_fit,
     pca_fit,
     pca_transform,
 )
@@ -67,9 +66,9 @@ def run_descriptive_analysis(prepared: PreparedData, seed: int = 0) -> list[Asso
     pca = pca_fit(rows, cfg.pca_variance_target)
     reduced = pca_transform(pca, rows)
     k_range = list(range(cfg.k_min, min(cfg.k_max, len(profile_days) - 1) + 1))
-    k_tweet, _ = elbow_select_k(reduced, k_range, seed=seed, n_init=cfg.kmeans_n_init)
-    km = kmeans_fit(reduced, k_tweet, seed=seed, n_init=cfg.kmeans_n_init)
-    tweet_labels = {d: int(lab) for d, lab in zip(profile_days, km.labels)}
+    k_tweet, models = elbow_select_k(reduced, k_range, seed=seed, n_init=cfg.kmeans_n_init,
+                                     max_iter=cfg.kmeans_max_iter)
+    tweet_labels = {d: int(lab) for d, lab in zip(profile_days, models[k_tweet].labels)}
 
     out = []
     for road_id in prepared.roads:

@@ -1,11 +1,11 @@
 """End-to-end orchestration: dataset views, per-split artifacts, predictions.
 
-PreparedData caches everything split-independent (speed arrays, cleaned
-tweet text, tract and land-use joins, the weather index, sentiment labels,
-per-day tweet buckets, incident features). build_split
-refits every leakage-sensitive artifact (reference speeds, user set and
-homes, scalers, clustering, descriptors, segment models) from the training
-span only.
+PreparedData caches everything split-independent (the speed cube and its
+gap-filled mornings, cleaned tweet text, tract and land-use joins, the
+weather index, sentiment labels, per-day tweet buckets, incident features).
+build_split refits every leakage-sensitive artifact (reference speeds, user
+set and homes, scalers, clustering, descriptors, segment models) from the
+training span only.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from ..clustering import (
     pca_fit,
     pca_transform,
 )
-from ..errors import IncompleteDay, TooFewDays
+from ..errors import SchemaMismatch, TooFewDays
 from ..features.assemble import (
     FeatureMatrix,
     build_feature_matrix,
@@ -86,8 +86,9 @@ class PreparedData:
     tract_ids: list[str]
     holidays: set
     speeds: dict[str, np.ndarray]          # (n_days, emit_slots) NaN when absent
+    filled: dict[str, np.ndarray]          # (n_days, 72) gap-filled mornings, NaN when incomplete
+    incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
     morning_offset: int
-    emit_slots: int
     incidents: list                         # RCRS rows merged with tweet-parsed records
     incident_vectors: dict                  # segment -> day -> feature dict
     event_counts: dict
@@ -118,25 +119,34 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
     for s in segments:
         segs_by_road.setdefault(s.road_id, []).append(s)
 
-    speed_days = sorted({r.timestamp.date() for r in bundle.speed})
-    days = speed_days
+    table = bundle.speed
+    days = list(table.days)
     if not days:
         raise TooFewDays("no speed data")
     day_index = {d: i for i, d in enumerate(days)}
+    seg_pos = {s.segment_id: i for i, s in enumerate(segments)}
+    unknown = [sid for sid in table.segment_ids if sid not in seg_pos]
+    if unknown:
+        raise SchemaMismatch("segment_id", f"speed.csv segment {unknown[0]!r} "
+                             "is not in segments.csv")
 
-    # dense per-segment speed arrays over the emitted slot range
-    hours = sorted({r.timestamp.hour for r in bundle.speed})
-    emit_start = hours[0]
+    # one (segments, days, emit slots) speed cube, NaN when absent; the
+    # emitted range starts at the earliest hour in the data and ends at 11:00
+    emit_start = int(table.slot.min()) // 12
     emit_slots = (11 - emit_start) * 12
     morning_offset = (5 - emit_start) * 12
-    speeds = {s.segment_id: np.full((len(days), emit_slots), np.nan) for s in segments}
-    for rec in bundle.speed:
-        di = day_index.get(rec.timestamp.date())
-        if di is None:
-            continue
-        slot = (rec.timestamp.hour - emit_start) * 12 + rec.timestamp.minute // 5
-        if 0 <= slot < emit_slots:
-            speeds[rec.segment_id][di, slot] = rec.observed_speed
+    cube = np.full((len(segments), len(days), emit_slots), np.nan)
+    col = table.slot - emit_start * 12
+    emitted = col < emit_slots
+    cube_seg = np.array([seg_pos[sid] for sid in table.segment_ids], dtype=np.intp)
+    cube[cube_seg[table.segment[emitted]], table.day[emitted], col[emitted]] = \
+        table.speed[emitted]
+    speeds = {s.segment_id: cube[i] for i, s in enumerate(segments)}
+    # bounded gap-fill of every morning, once per run
+    filled, incomplete = {}, {}
+    for sid, arr in speeds.items():
+        filled[sid], incomplete[sid] = fill_speed_gaps(
+            arr[:, morning_offset:morning_offset + N_SLOTS], cfg.max_ffill_slots)
 
     holidays = {c.date for c in bundle.calendar if c.is_holiday}
     geocoder = TractGeocoder(bundle.tracts)
@@ -215,8 +225,8 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
     return PreparedData(
         bundle=bundle, config=cfg, days=days, day_index=day_index,
         segments=segments, segs_by_road=segs_by_road, tract_ids=tract_ids,
-        holidays=holidays, speeds=speeds, morning_offset=morning_offset,
-        emit_slots=emit_slots, incidents=incidents,
+        holidays=holidays, speeds=speeds, filled=filled, incomplete=incomplete,
+        morning_offset=morning_offset, incidents=incidents,
         incident_vectors=incident_vectors,
         event_counts=event_counts, event_neu=event_neu,
         sleep_buckets=sleep_buckets, clean_texts=clean_texts,
@@ -239,34 +249,27 @@ class SplitArtifacts:
     homes: dict[str, tuple[float, float]]
 
 
-def morning_speeds(prepared: PreparedData, seg_id: str, day: date_t) -> np.ndarray:
-    di = prepared.day_index[day]
-    off = prepared.morning_offset
-    return prepared.speeds[seg_id][di, off:off + N_SLOTS]
-
-
 def _split_quadruples(prepared: PreparedData, train_days, all_days):
     cfg = prepared.config
     train_idx = [prepared.day_index[d] for d in train_days]
+    all_idx = [prepared.day_index[d] for d in all_days]
     v_ref, quads, tti = {}, {}, {}
     for seg in prepared.segments:
-        arr = prepared.speeds[seg.segment_id]
-        train_vals = arr[train_idx].ravel()
+        sid = seg.segment_id
+        train_vals = prepared.speeds[sid][train_idx].ravel()
         train_vals = train_vals[np.isfinite(train_vals)]
         ref = percentile(train_vals, cfg.ref_quantile)
-        v_ref[seg.segment_id] = ref
-        quads[seg.segment_id] = {}
-        for d in all_days:
-            raw = morning_speeds(prepared, seg.segment_id, d)
-            try:
-                filled = fill_speed_gaps(raw, cfg.max_ffill_slots)
-            except IncompleteDay:
-                quads[seg.segment_id][d] = None
+        v_ref[sid] = ref
+        ratios = ref / prepared.filled[sid][all_idx]
+        incomplete = prepared.incomplete[sid][all_idx]
+        quads[sid] = {}
+        for d, row, skip in zip(all_days, ratios, incomplete):
+            if skip:
+                quads[sid][d] = None
                 continue
-            series = TtiSeries(seg.segment_id, d, ref / filled)
-            tti[(seg.segment_id, d)] = series.values
-            quads[seg.segment_id][d] = congestion_measurements(
-                series, cfg.congestion, cfg.pti_quantile)
+            series = TtiSeries(sid, d, row)
+            tti[(sid, d)] = series.values
+            quads[sid][d] = congestion_measurements(series, cfg.congestion, cfg.pti_quantile)
     return v_ref, quads, tti
 
 
@@ -359,12 +362,14 @@ def _split_clusters(prepared: PreparedData, tti, train_days, seed: int):
         k_max = min(cfg.k_max, max(2, len(profile.dates) - 1))
         k_range = list(range(cfg.k_min, k_max + 1))
         if len(k_range) >= 3:
-            k, _inertias = elbow_select_k(reduced, k_range, seed=seed,
-                                          n_init=cfg.kmeans_n_init)
+            k, models = elbow_select_k(reduced, k_range, seed=seed,
+                                       n_init=cfg.kmeans_n_init,
+                                       max_iter=cfg.kmeans_max_iter)
+            km = models[k]
         else:
             k = min(2, len(profile.dates))
-        km = kmeans_fit(reduced, k, seed=seed, n_init=cfg.kmeans_n_init,
-                        max_iter=cfg.kmeans_max_iter)
+            km = kmeans_fit(reduced, k, seed=seed, n_init=cfg.kmeans_n_init,
+                            max_iter=cfg.kmeans_max_iter)
         ordered = order_clusters_by_mean_tti(km, pca)
         out[road_id] = (profile.dates, ordered.labels, k)
     return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..congestion import N_SLOTS
 from ..errors import InsufficientHistory, TooFewDays, UnknownVariant
-from .baselines import fit_sar, hm_predict, sar_quadruple, sar_rollout
+from .baselines import fit_sar, hm_predict, index_history, sar_quadruple, sar_rollout
 from .metrics import compute_metrics, weighted_aggregate
 from .pipeline import PreparedData, build_split, fit_stack, stack_predictions
 
@@ -98,6 +98,11 @@ def _score_stack(prepared, art, stack, split_id, model_name, report):
         report.per_split[(model_name, sid, split_id)] = ms
 
 
+def _hm_history(art, sid, days):
+    return index_history([(d, art.quads[sid][d]) for d in days
+                          if art.quads[sid][d] is not None])
+
+
 def _tune_hm_window(prepared, art) -> int | None:
     """Window chosen by CS accuracy on the last quarter of the training span."""
     grid = prepared.config.harness.hm_window_grid
@@ -106,18 +111,17 @@ def _tune_hm_window(prepared, art) -> int | None:
         return grid[0] or None
     cut = max(len(train) * 3 // 4, 1)
     fit_days, val_days = train[:cut], train[cut:]
+    histories = {sid: _hm_history(art, sid, fit_days) for sid in sorted(art.quads)}
     best, best_acc = None, -1.0
     for w in grid:
         window = w or None
         correct = total = 0
         for sid in sorted(art.quads):
-            history = [(d, art.quads[sid][d]) for d in fit_days
-                       if art.quads[sid][d] is not None]
             for d in val_days:
                 truth = art.quads[sid][d]
                 if truth is None:
                     continue
-                pred = hm_predict(history, d, window)
+                pred = hm_predict(histories[sid], d, window)
                 correct += int(pred.cs == int(truth.cs))
                 total += 1
         acc = correct / total if total else 0.0
@@ -129,8 +133,7 @@ def _tune_hm_window(prepared, art) -> int | None:
 def _score_hm(prepared, art, split_id, report):
     window = _tune_hm_window(prepared, art)
     for sid in sorted(art.quads):
-        history = [(d, art.quads[sid][d]) for d in art.train_days
-                   if art.quads[sid][d] is not None]
+        history = _hm_history(art, sid, art.train_days)
         quads, days = _truth_rows(art, sid, art.test_days)
         if not quads:
             continue
@@ -150,19 +153,17 @@ def _tune_sar(prepared, art, sid) -> tuple[int, int]:
     cut = max(len(train_idx) * 3 // 4, 1)
     fit_idx, val_idx = train_idx[:cut], train_idx[cut:]
     speeds = prepared.speeds[sid]
+    off = prepared.morning_offset
     best, best_err = grid[0], np.inf
     for p_lags, h_seasonal in grid:
         try:
-            model = fit_sar(sid, speeds, fit_idx, p_lags, h_seasonal,
-                            prepared.morning_offset)
+            model = fit_sar(sid, speeds, fit_idx, p_lags, h_seasonal, off)
         except InsufficientHistory:
             continue
+        days = [di for di in val_idx if di - 7 * model.h_seasonal >= 0]
+        preds = sar_rollout(model, speeds, days, off)
         err, count = 0.0, 0
-        for di in val_idx:
-            if di - 7 * model.h_seasonal < 0:
-                continue
-            pred = sar_rollout(model, speeds, di, prepared.morning_offset)
-            actual = speeds[di, prepared.morning_offset:prepared.morning_offset + N_SLOTS]
+        for pred, actual in zip(preds, speeds[days, off:off + N_SLOTS]):
             ok = np.isfinite(actual)
             if ok.any():
                 err += float(((pred[ok] - actual[ok]) ** 2).sum())
@@ -174,30 +175,24 @@ def _tune_sar(prepared, art, sid) -> tuple[int, int]:
 
 def _score_sar(prepared, art, split_id, report):
     params = prepared.config.congestion
+    train_idx = [prepared.day_index[d] for d in art.train_days]
     for sid in sorted(art.quads):
         quads, days = _truth_rows(art, sid, art.test_days)
         if not quads:
             continue
         p_lags, h_seasonal = _tune_sar(prepared, art, sid)
-        train_idx = [prepared.day_index[d] for d in art.train_days]
         try:
             model = fit_sar(sid, prepared.speeds[sid], train_idx, p_lags,
                             h_seasonal, prepared.morning_offset)
         except InsufficientHistory:
             log.warning("SAR: insufficient history for %s split %d", sid, split_id)
             continue
-        cs_list, cst_list, cd_list, pti_list = [], [], [], []
-        for d in days:
-            di = prepared.day_index[d]
-            pred_speeds = sar_rollout(model, prepared.speeds[sid], di,
-                                      prepared.morning_offset)
-            cs, cst, cd, pti = sar_quadruple(pred_speeds, art.v_ref[sid], params,
-                                             prepared.config.pti_quantile)
-            cs_list.append(cs)
-            cst_list.append(cst)
-            cd_list.append(cd)
-            pti_list.append(pti)
-        ms = compute_metrics(quads, cs_list, cst_list, cd_list, pti_list, params.slot)
+        preds = sar_rollout(model, prepared.speeds[sid],
+                            [prepared.day_index[d] for d in days], prepared.morning_offset)
+        scored = [sar_quadruple(pred, art.v_ref[sid], params, prepared.config.pti_quantile)
+                  for pred in preds]
+        cs, cst, cd, pti = (list(col) for col in zip(*scored))
+        ms = compute_metrics(quads, cs, cst, cd, pti, params.slot)
         report.per_split[("sar", sid, split_id)] = ms
 
 

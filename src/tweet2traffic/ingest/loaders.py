@@ -1,7 +1,8 @@
 """CSV / GeoJSON loaders with schema validation and canonical writers.
 
-Every loader validates the header, parses row by row with row-indexed
-diagnostics, and returns records sorted by timestamp where one exists.
+Every loader validates the header, parses with row-indexed diagnostics,
+and returns records sorted by timestamp where one exists; speed.csv loads
+as one SpeedTable of columns rather than one record per row.
 Writers emit the canonical form, so write(load(x)) is a normalizing
 round trip.
 """
@@ -9,18 +10,22 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as date_t
 from datetime import datetime
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import MissingFile, ParseError, SchemaMismatch
 from .types import (
     LAND_USE_CLASSES,
     CalendarInfo,
     IncidentRecord,
+    SLOTS_PER_DAY,
     SegmentDescriptor,
-    SpeedRecord,
+    SpeedTable,
     TractPolygon,
     Tweet,
     WeatherRecord,
@@ -86,22 +91,104 @@ def _open_rows(path, kind):
     return fh, reader
 
 
-def _load_speed(path):
+def _off_grid(ts: datetime) -> bool:
+    return bool((ts.minute % 5) or ts.second or ts.microsecond)
+
+
+def _speed_row_error(i: int, row: list[str]) -> None:
+    """Raise the ParseError of speed row `i`, checking in a fixed order."""
+    if len(row) != 3:
+        raise ParseError(i, f"expected 3 fields, got {len(row)}")
+    ts = _parse_ts(row[1], i)
+    v = _parse_float(row[2], i, "speed")
+    if not v > 0:
+        raise ParseError(i, "nonpositive speed")
+    if _off_grid(ts):
+        raise ParseError(i, f"timestamp {row[1]} not on the 5-min grid")
+
+
+def _grid_stamp(text: str):
+    """(date, slot of the day) of an on-grid timestamp, else None."""
+    try:
+        ts = datetime.fromisoformat(text)
+    except ValueError:
+        return None
+    return None if _off_grid(ts) else (ts.date(), ts.hour * 12 + ts.minute // 5)
+
+
+def _speed_keys(segment, day, slot, n_segments: int) -> np.ndarray:
+    """One integer per row that orders rows by (timestamp, segment_id)."""
+    return (day.astype(np.int64) * SLOTS_PER_DAY + slot) * n_segments + segment
+
+
+_SPEED_CHUNK = 1 << 10
+
+
+def _load_speed(path) -> SpeedTable:
+    """Parse speed.csv into columns in (timestamp, segment_id) order.
+
+    Chunks of rows are checked as whole columns; a chunk that fails any
+    check is re-read row by row so the first bad row raises its ParseError.
+    Each distinct timestamp text is parsed once. A repeated
+    (segment_id, timestamp) key raises SchemaMismatch.
+    """
     fh, reader = _open_rows(path, "speed")
-    out = []
+    seg_code: dict[str, int] = {}
+    stamp_code: dict[str, int] = {}     # timestamp text -> index into stamps, -1 if bad
+    stamps: list[tuple[date_t, int]] = []
+    seg_parts, stamp_parts, speed_parts = [np.empty(0, np.intp)], [np.empty(0, np.intp)], \
+        [np.empty(0)]
+    first = 1                           # row number of the chunk's first row
     with fh:
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 3:
-                raise ParseError(i, f"expected 3 fields, got {len(row)}")
-            ts = _parse_ts(row[1], i)
-            v = _parse_float(row[2], i, "speed")
-            if not v > 0:
-                raise ParseError(i, "nonpositive speed")
-            if (ts.minute % 5) or ts.second or ts.microsecond:
-                raise ParseError(i, f"timestamp {row[1]} not on the 5-min grid")
-            out.append(SpeedRecord(row[0], ts, v))
-    out.sort(key=lambda r: (r.timestamp, r.segment_id))
-    return out
+        while rows := list(islice(reader, _SPEED_CHUNK)):
+            n = len(rows)
+            if set(map(len, rows)) == {3}:
+                segs, texts, values = zip(*rows)
+                for t in dict.fromkeys(texts):
+                    if t not in stamp_code:
+                        stamp = _grid_stamp(t)
+                        stamp_code[t] = -1 if stamp is None else len(stamps)
+                        if stamp is not None:
+                            stamps.append(stamp)
+                stamp_idx = np.fromiter(map(stamp_code.__getitem__, texts), np.intp, n)
+                try:
+                    speed = np.fromiter(map(float, values), float, n)
+                except ValueError:
+                    speed = None
+                if speed is not None and (stamp_idx >= 0).all() and (speed > 0).all():
+                    for s in dict.fromkeys(segs):
+                        seg_code.setdefault(s, len(seg_code))
+                    seg_parts.append(np.fromiter(map(seg_code.__getitem__, segs), np.intp, n))
+                    stamp_parts.append(stamp_idx)
+                    speed_parts.append(speed)
+                    first += n
+                    continue
+            for i, row in enumerate(rows, start=first):
+                _speed_row_error(i, row)
+            raise AssertionError(f"speed rows {first}-{first + n - 1} flagged but valid")
+
+    seg_ids = sorted(seg_code)
+    seg_rank = np.empty(len(seg_ids), np.intp)
+    seg_rank[[seg_code[s] for s in seg_ids]] = np.arange(len(seg_ids))
+    days = sorted({d for d, _slot in stamps})
+    day_pos = {d: i for i, d in enumerate(days)}
+    stamp_day = np.array([day_pos[d] for d, _slot in stamps], np.intp)
+    stamp_slot = np.array([slot for _d, slot in stamps], np.intp)
+    stamp_idx = np.concatenate(stamp_parts)
+    segment = seg_rank[np.concatenate(seg_parts)]
+    day, slot = stamp_day[stamp_idx], stamp_slot[stamp_idx]
+    speed = np.concatenate(speed_parts)
+
+    keys = _speed_keys(segment, day, slot, len(seg_ids))
+    order = np.argsort(keys, kind="stable")
+    repeats = np.flatnonzero(keys[order][1:] == keys[order][:-1]) + 1
+    if repeats.size:
+        i = int(order[repeats].min())   # first row whose key an earlier row holds
+        raise SchemaMismatch("timestamp", f"row {i + 1}: duplicate speed key "
+                             f"({seg_ids[segment[i]]}, {days[day[i]]}"
+                             f"{_SLOT_TEXT[slot[i]]})")
+    return SpeedTable(tuple(seg_ids), tuple(days), segment[order], day[order],
+                      slot[order], speed[order])
 
 
 def _load_incidents(path):
@@ -297,8 +384,23 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
+_SLOT_TEXT = [f"T{s // 12:02d}:{s % 12 * 5:02d}" for s in range(SLOTS_PER_DAY)]
+
+
+def _write_speed(table: SpeedTable, path: Path) -> None:
+    order = np.argsort(_speed_keys(table.segment, table.day, table.slot,
+                                   len(table.segment_ids)), kind="stable")
+    day_text = [d.isoformat() for d in table.days]
+    rows = ((table.segment_ids[g], day_text[d] + _SLOT_TEXT[t], _fmt_num(v))
+            for g, d, t, v in zip(table.segment[order].tolist(), table.day[order].tolist(),
+                                  table.slot[order].tolist(), table.speed[order].tolist()))
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SCHEMAS["speed"])
+        writer.writerows(rows)
+
+
 _SORT_KEYS = {
-    "speed": lambda r: (r.timestamp, r.segment_id),
     "incidents": lambda r: (r.closure_start_ts, r.incident_id),
     "weather": lambda r: r.timestamp,
     "tweets": lambda r: (r.timestamp, r.tweet_id),
@@ -312,6 +414,9 @@ _SORT_KEYS = {
 def write_dataset(kind: str, records, path) -> None:
     """Write records in canonical form and order (the inverse of load_dataset)."""
     p = Path(path)
+    if kind == "speed":
+        _write_speed(records, p)
+        return
     records = sorted(records, key=_SORT_KEYS[kind])
     if kind in ("tracts", "zones"):
         feats = []
@@ -328,9 +433,7 @@ def write_dataset(kind: str, records, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SCHEMAS[kind])
         for r in records:
-            if kind == "speed":
-                writer.writerow([r.segment_id, _fmt_ts(r.timestamp), _fmt_num(r.observed_speed)])
-            elif kind == "incidents":
+            if kind == "incidents":
                 writer.writerow([r.incident_id, r.source, r.road_id,
                                  _fmt_ts(r.closure_start_ts), _fmt_ts(r.closure_end_ts),
                                  _fmt_num(r.start_coord[0]), _fmt_num(r.start_coord[1]),
@@ -360,14 +463,14 @@ def write_dataset(kind: str, records, path) -> None:
 
 @dataclass
 class DatasetBundle:
-    segments: list = field(default_factory=list)
-    speed: list = field(default_factory=list)
-    incidents: list = field(default_factory=list)
-    weather: list = field(default_factory=list)
-    tweets: list = field(default_factory=list)
-    tracts: list = field(default_factory=list)
-    zones: list = field(default_factory=list)
-    calendar: list = field(default_factory=list)
+    segments: list
+    speed: SpeedTable
+    incidents: list
+    weather: list
+    tweets: list
+    tracts: list
+    zones: list
+    calendar: list
 
     @property
     def roads(self) -> list[str]:

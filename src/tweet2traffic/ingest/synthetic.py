@@ -30,7 +30,7 @@ from .types import (
     CalendarInfo,
     IncidentRecord,
     SegmentDescriptor,
-    SpeedRecord,
+    SpeedTable,
     TractPolygon,
     Tweet,
     WeatherRecord,
@@ -326,12 +326,12 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
             })
 
     # ---- speeds ----------------------------------------------------------
-    speed_records: list[SpeedRecord] = []
     emit_start_h, emit_end_h = 3, 11
     slots_per_day = (emit_end_h - emit_start_h) * 12
     morning_offset = (5 - emit_start_h) * 12
+    speed_cube = np.empty((len(segments), cfg.n_days, slots_per_day))
     tti_all = {}
-    for seg in segments:
+    for g, seg in enumerate(segments):
         ff = v_ff[seg.segment_id]
         for d in range(cfg.n_days):
             tti_target = np.ones(slots_per_day)
@@ -342,12 +342,13 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
                 tti_target[morning_offset + start: morning_offset + start + dur] = level
             noise = 1.0 + rng.uniform(-0.02, 0.02, size=slots_per_day)
             speeds = np.round(ff / tti_target * noise, 3)
-            base_ts = datetime.combine(days[d], time(emit_start_h, 0))
-            for i in range(slots_per_day):
-                speed_records.append(SpeedRecord(seg.segment_id,
-                                                 base_ts + timedelta(minutes=5 * i),
-                                                 float(speeds[i])))
+            speed_cube[g, d] = speeds
             tti_all[key] = speeds[morning_offset:morning_offset + N_SLOTS]
+    seg_ids = sorted(s.segment_id for s in segments)
+    seg_rank = np.array([seg_ids.index(s.segment_id) for s in segments])
+    seg_i, day_i, slot_i = np.indices(speed_cube.shape).reshape(3, -1)
+    speed_table = SpeedTable(tuple(seg_ids), tuple(days), seg_rank[seg_i], day_i,
+                             emit_start_h * 12 + slot_i, speed_cube.ravel())
 
     # ---- weather ---------------------------------------------------------
     weather_records: list[WeatherRecord] = []
@@ -441,7 +442,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
                                      (extra + timedelta(days=i)) in HOLIDAYS_2014))
 
     bundle = DatasetBundle(
-        segments=segments, speed=speed_records, incidents=incidents,
+        segments=segments, speed=speed_table, incidents=incidents,
         weather=weather_records, tweets=tweets, tracts=tracts, zones=zones,
         calendar=calendar,
     )
@@ -449,12 +450,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     # ---- sidecar quadruples (from the emitted, rounded speeds) -----------
     params = CongestionParams()
     quadruples: dict[str, dict[str, dict]] = {}
-    ref = {}
-    speeds_by_seg: dict[str, list[float]] = {s.segment_id: [] for s in segments}
-    for rec in speed_records:
-        speeds_by_seg[rec.segment_id].append(rec.observed_speed)
-    for seg in segments:
-        ref[seg.segment_id] = reference_speed(speeds_by_seg[seg.segment_id])
+    ref = {seg.segment_id: reference_speed(speed_cube[g].ravel())
+           for g, seg in enumerate(segments)}
     for seg in segments:
         quadruples[seg.segment_id] = {}
         for d in range(cfg.n_days):

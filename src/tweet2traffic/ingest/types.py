@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from datetime import date as date_t
 from datetime import datetime
 
+import numpy as np
+
 
 LAND_USE_CLASSES = ("residence", "downtown", "education", "industry", "mixed-use", "amenity")
 
@@ -20,11 +22,26 @@ class SegmentDescriptor:
     end_coord: tuple[float, float]
 
 
-@dataclass(frozen=True, slots=True)
-class SpeedRecord:
-    segment_id: str
-    timestamp: datetime         # 5-min grid
-    observed_speed: float       # mph, > 0
+SLOTS_PER_DAY = 288             # 5-minute slots from midnight
+
+
+@dataclass(frozen=True)
+class SpeedTable:
+    """speed.csv as columns, one entry per row.
+
+    `segment_ids` and `days` are the sorted distinct values the rows use;
+    `segment` and `day` index into them. `slot` counts 5-minute slots from
+    midnight (05:00 is slot 60).
+    """
+    segment_ids: tuple[str, ...]
+    days: tuple[date_t, ...]
+    segment: np.ndarray         # int, index into segment_ids
+    day: np.ndarray             # int, index into days
+    slot: np.ndarray            # int in [0, SLOTS_PER_DAY)
+    speed: np.ndarray           # mph, > 0
+
+    def __len__(self) -> int:
+        return len(self.speed)
 
 
 @dataclass(frozen=True, slots=True)

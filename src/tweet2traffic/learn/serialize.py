@@ -85,9 +85,14 @@ def bundle_from_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"model bundle is not JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise SchemaMismatch("format_version", "model bundle is not a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaMismatch("format_version", "unsupported model bundle version "
                              f"{doc.get('format_version')}, expected {FORMAT_VERSION}")
+    for key in ("meta", "descriptors", "segments"):
+        if key not in doc:
+            raise SchemaMismatch(key, "model bundle lacks this key")
     descriptors = {road: descriptor_from_dict(d) for road, d in doc["descriptors"].items()}
     segments = {sid: segment_from_dict(m) for sid, m in doc["segments"].items()}
     return descriptors, segments, doc["meta"]

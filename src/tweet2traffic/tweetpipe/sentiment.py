@@ -5,7 +5,7 @@ import csv
 import logging
 from pathlib import Path
 
-from ..errors import SchemaMismatch
+from ..errors import ParseError, SchemaMismatch
 
 log = logging.getLogger(__name__)
 
@@ -47,8 +47,13 @@ class PrecomputedSentimentProvider:
                 missing = [c for c in want if c not in (header or [])]
                 raise SchemaMismatch(missing[0] if missing else header[0],
                                      f"expected sentiment score header {want}, got {header}")
-            for row in reader:
-                self.scores[row[0]] = float(row[1])
+            for i, row in enumerate(reader, start=1):
+                if len(row) != 2:
+                    raise ParseError(i, f"expected 2 fields, got {len(row)}")
+                try:
+                    self.scores[row[0]] = float(row[1])
+                except ValueError:
+                    raise ParseError(i, f"bad sentiment score {row[1]!r}") from None
 
     def score(self, tweet_id: str, text: str) -> float:
         return self.scores.get(tweet_id, 0.5)

@@ -153,6 +153,56 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_speed_row_of_unknown_segment_exit_2(self, data_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        with (data / "speed.csv").open("a", encoding="utf-8") as fh:
+            fh.write("ZZ-99,2014-01-06T05:00,41.0\n")
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert rc == 2
+        assert "error: schema mismatch on column 'segment_id'" in capsys.readouterr().err
+
+    def test_duplicate_speed_key_exit_2(self, data_dir, tmp_path, capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        lines = (data / "speed.csv").read_text().splitlines(keepends=True)
+        (data / "speed.csv").write_text("".join(lines + [lines[5]]))
+        rc = main(["ingest", "--data", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"row {len(lines)}: duplicate speed key" in err
+
+    @pytest.mark.parametrize("row", ["t1,high\n", "t1\n"])
+    def test_bad_sentiment_row_exit_2(self, data_dir, tmp_path, capsys, row):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "sentiment_scores.csv").write_text("tweet_id,p\nt0,0.9\n" + row)
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "f")])
+        assert rc == 2
+        assert "error: row 2:" in capsys.readouterr().err
+
+    def test_config_not_json_exit_2(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("harness: {n_outer: 3}\n")
+        rc = main(["features", "--data", str(data_dir), "--config", str(cfg),
+                   "--out", str(tmp_path / "f")])
+        assert rc == 2
+        assert "is not JSON" in capsys.readouterr().err
+
+    def test_predict_bundle_missing_key_exit_2(self, data_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": 1}))
+        rc = main(["predict", "--data", str(data_dir), "--model", str(model),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        assert "schema mismatch on column 'meta'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides", [
         {"morning": {"start_hour": 6}},
         {"timezone": "UTC"},
@@ -167,6 +217,36 @@ class TestCli:
         assert rc == 2
         assert "error: unknown" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
+
+    def test_cluster_centroids_follow_configured_max_iter(self, data_dir, tmp_path):
+        import csv
+
+        import numpy as np
+
+        from tweet2traffic.clustering import build_road_profiles
+        from tweet2traffic.config import load_config
+        from tweet2traffic.harness.pipeline import build_split, prepare_data
+        from tweet2traffic.ingest.loaders import load_bundle
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"clustering": {"kmeans_max_iter": 1}}))
+        out = tmp_path / "clu"
+        assert main(["cluster", "--data", str(data_dir), "--config", str(cfg),
+                     "--seed", "5", "--out", str(out)]) == 0
+        prepared = prepare_data(load_bundle(data_dir), load_config(cfg))
+        art = build_split(prepared, prepared.days, [], seed=5)
+        for road in prepared.roads:
+            dates, labels, _k = art.cluster_labels[road]
+            seg_ids = [s.segment_id for s in prepared.segs_by_road[road]]
+            rows = build_road_profiles(road, seg_ids, {(s, d): art.tti[(s, d)] for d in dates
+                                                       for s in seg_ids}).rows
+            safe = road.replace(" ", "_").replace("/", "_")
+            with (out / f"centroids_{safe}.csv").open(newline="") as fh:
+                cents = {int(r.pop("cluster")): np.array([float(v) for v in r.values()])
+                         for r in csv.DictReader(fh)}
+            # a Lloyd step ends on an assignment, so each day sits nearest its own centroid
+            nearest = [min(cents, key=lambda c: ((row - cents[c]) ** 2).sum()) for row in rows]
+            assert nearest == [int(lab) for lab in labels], road
 
     def test_describe(self, data_dir, tmp_path, capsys):
         rc = main(["describe", "--data", str(data_dir), "--out", str(tmp_path / "d")])

@@ -163,7 +163,8 @@ class TestElbow:
     def test_three_blobs(self):
         rng = np.random.default_rng(10)
         X, _ = make_blobs(rng, [(0, 0), (20, 0), (0, 20)], 30, 0.5)
-        k, inertias = elbow_select_k(X, range(2, 9), seed=0)
+        k, models = elbow_select_k(X, range(2, 9), seed=0)
+        inertias = {kk: m.inertia for kk, m in models.items()}
         assert k == 3
         # inertia-curve oracle: the drop into k=3 dwarfs the drop out of it
         assert inertias[2] - inertias[3] > 10 * (inertias[3] - inertias[4])
@@ -171,11 +172,30 @@ class TestElbow:
     def test_linear_curve_tie_rule(self):
         # near-linear inertia curve: 1-d uniform grid; tie favors smaller interior k
         X = np.arange(64, dtype=float)[:, None]
-        k, inertias = elbow_select_k(X, [2, 3, 4, 5], seed=0)
+        k, models = elbow_select_k(X, [2, 3, 4, 5], seed=0)
+        inertias = {kk: m.inertia for kk, m in models.items()}
         assert k in (3, 4)  # tie favors the smaller interior candidate
         curvs = {kk: inertias[kk - 1] - 2 * inertias[kk] + inertias[kk + 1] for kk in (3, 4)}
         if abs(curvs[3] - curvs[4]) < 1e-9:
             assert k == 3
+
+    def test_returns_the_fit_of_every_k(self):
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        k, models = elbow_select_k(X, [2, 3, 4, 5], seed=7, n_init=3)
+        assert sorted(models) == [2, 3, 4, 5] and k in models
+        for kk, model in models.items():
+            refit = kmeans_fit(X, kk, seed=7, n_init=3)
+            assert np.array_equal(model.labels, refit.labels)
+            assert model.inertia == refit.inertia
+
+    def test_honours_max_iter(self):
+        X = np.random.default_rng(4).normal(size=(40, 3))
+        _k, capped = elbow_select_k(X, [2, 3, 4, 5], seed=7, n_init=3, max_iter=1)
+        _k, full = elbow_select_k(X, [2, 3, 4, 5], seed=7, n_init=3)
+        for kk, model in capped.items():
+            assert len(model.inertia_path) <= 2       # the init plus one Lloyd step
+            assert model.inertia == kmeans_fit(X, kk, seed=7, n_init=3, max_iter=1).inertia
+        assert any(len(m.inertia_path) > 2 for m in full.values())
 
     def test_range_too_small(self):
         X = np.random.default_rng(0).normal(size=(10, 2))

@@ -88,8 +88,27 @@ class TestReferenceSpeed:
 
 
 def tti_series(segment_id, day, speeds, v_ref):
-    """The two calls the split pipeline makes: bounded gap-fill, then the ratio."""
-    return TtiSeries(segment_id, day, v_ref / fill_speed_gaps(speeds))
+    """The split pipeline's path: the prepared gap-fill of one morning, then the ratio."""
+    filled, incomplete = fill_speed_gaps(np.asarray(speeds, dtype=float)[None, :])
+    assert not incomplete[0]
+    return TtiSeries(segment_id, day, v_ref / filled[0])
+
+
+def ffill_one_day(speeds, max_ffill=3):
+    """Reference gap-fill of one morning: a slot loop that raises on a long run."""
+    out = np.asarray(speeds, dtype=float).copy()
+    last = np.nan
+    run = 0
+    for i in range(out.size):
+        if np.isfinite(out[i]):
+            last = out[i]
+            run = 0
+        else:
+            run += 1
+            if run > max_ffill or not np.isfinite(last):
+                raise IncompleteDay(f"unfillable gap ending at slot {i}")
+            out[i] = last
+    return out
 
 
 class TestTtiSeries:
@@ -118,18 +137,52 @@ class TestTtiSeries:
     def test_gap_fill_too_long(self):
         speeds = np.full(N_SLOTS, 50.0)
         speeds[20:24] = np.nan
-        with pytest.raises(IncompleteDay):
-            tti_series("T1", "d", speeds, 60.0)
+        filled, incomplete = fill_speed_gaps(speeds[None, :])
+        assert incomplete.tolist() == [True]
+        assert np.isnan(filled).all()
 
     def test_leading_gap_rejected(self):
         speeds = np.full(N_SLOTS, 50.0)
         speeds[0] = np.nan
-        with pytest.raises(IncompleteDay):
-            fill_speed_gaps(speeds)
+        filled, incomplete = fill_speed_gaps(speeds[None, :])
+        assert incomplete.tolist() == [True]
+        assert np.isnan(filled).all()
 
     def test_wrong_length(self):
         with pytest.raises(IncompleteDay):
             tti_series("T1", "d", [50.0] * 10, 60.0)
+
+
+@st.composite
+def gappy_days(draw):
+    """(days, 72) speeds with NaN runs placed around the fill cap, and the cap."""
+    max_ffill = draw(st.integers(0, 4))
+    n_days = draw(st.integers(1, 6))
+    arr = np.asarray(draw(st.lists(st.floats(1.0, 90.0), min_size=n_days * N_SLOTS,
+                                   max_size=n_days * N_SLOTS))).reshape(n_days, N_SLOTS)
+    for _ in range(draw(st.integers(0, 3 * n_days))):
+        day = draw(st.integers(0, n_days - 1))
+        length = draw(st.sampled_from([1, max_ffill, max_ffill + 1, max_ffill + 2, 8]))
+        start = draw(st.sampled_from([0, 1, draw(st.integers(0, N_SLOTS - 1))]))
+        arr[day, start:start + length] = draw(st.sampled_from([np.nan, np.inf]))
+    return arr, max_ffill
+
+
+class TestFillMatchesOneDayLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(case=gappy_days())
+    def test_filled_and_incomplete(self, case):
+        arr, max_ffill = case
+        filled, incomplete = fill_speed_gaps(arr, max_ffill)
+        assert filled.shape == arr.shape and incomplete.shape == (arr.shape[0],)
+        for day, row in enumerate(arr):
+            try:
+                want = ffill_one_day(row, max_ffill)
+            except IncompleteDay:
+                assert incomplete[day] and np.isnan(filled[day]).all()
+                continue
+            assert not incomplete[day]
+            assert np.array_equal(filled[day], want)
 
 
 PARAMS = CongestionParams()

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweet2traffic.config import CongestionParams, PipelineConfig, TweetConfig
 from tweet2traffic.congestion import CongestionMeasurements, N_SLOTS
@@ -74,6 +76,42 @@ class TestHm:
         assert pred.cs == 1
 
 
+def one_day_rollout(model, speeds, day_idx, morning_offset, cutoff_slot=0):
+    """Reference SAR rollout of one day: scalar arithmetic, slot by slot."""
+    work = [float(v) for v in speeds[day_idx]]
+    p = model.p_lags
+    w = [float(v) for v in model.weights]
+    seasonal_term = np.zeros(N_SLOTS)
+    for h in range(1, model.h_seasonal + 1):
+        seasonal_term += (w[1 + p + h - 1]
+                          * speeds[day_idx - 7 * h, morning_offset:morning_offset + N_SLOTS])
+    out = np.empty(N_SLOTS)
+    for t in range(N_SLOTS):
+        col = morning_offset + t
+        if t < cutoff_slot:
+            out[t] = work[col]
+            continue
+        v = w[0] + float(seasonal_term[t])
+        for i in range(p):
+            v += w[1 + i] * work[max(col - 1 - i, 0)]
+        if v < 1.0:
+            v = 1.0
+        out[t] = v
+        work[col] = v
+    return out
+
+
+def drop_days(table, cut):
+    """The speed table without the rows of the days in `cut`."""
+    kept = [i for i, d in enumerate(table.days) if d not in cut]
+    recode = np.full(len(table.days), -1)
+    recode[kept] = np.arange(len(kept))
+    rows = recode[table.day] >= 0
+    return dataclasses.replace(table, days=tuple(table.days[i] for i in kept),
+                               segment=table.segment[rows], day=recode[table.day[rows]],
+                               slot=table.slot[rows], speed=table.speed[rows])
+
+
 def make_speed_array(n_days, emit_slots, value=60.0):
     return np.full((n_days, emit_slots), value)
 
@@ -85,7 +123,8 @@ class TestSar:
         speeds = make_speed_array(40, self.OFF + N_SLOTS)
         model = fit_sar("S", speeds, list(range(30, 40)), p_lags=4, h_seasonal=2,
                         morning_offset=self.OFF)
-        out = sar_rollout(model, speeds, 39, self.OFF)
+        out = sar_rollout(model, speeds, [39], self.OFF)
+        assert out.shape == (1, N_SLOTS)
         assert np.allclose(out, 60.0, atol=1e-6)
 
     def test_identity_recursion(self):
@@ -93,8 +132,29 @@ class TestSar:
         speeds[9, self.OFF - 1] = 47.0     # last observed value before the cutoff
         model = SarModel("S", p_lags=1, h_seasonal=0,
                          weights=np.array([0.0, 1.0]), in_sample_r2=1.0)
-        out = sar_rollout(model, speeds, 9, self.OFF)
+        out = sar_rollout(model, speeds, [9], self.OFF)
+        assert out.shape == (1, N_SLOTS)
         assert np.allclose(out, 47.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batched_rollout_matches_one_day_loop(self, data):
+        p_lags = data.draw(st.integers(1, 8))
+        h_seasonal = data.draw(st.integers(0, 2))
+        offset = data.draw(st.sampled_from([0, 3, self.OFF]))
+        cutoff = data.draw(st.sampled_from([0, 0, 5, N_SLOTS]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        speeds = 55 + 20 * rng.standard_normal((30, offset + N_SLOTS))
+        speeds[rng.random(speeds.shape) < data.draw(st.sampled_from([0.0, 0.05]))] = np.nan
+        # large negative weights drive some predictions under the 1.0 clamp
+        weights = rng.normal(0.0, data.draw(st.sampled_from([0.3, 3.0])),
+                             1 + p_lags + h_seasonal)
+        model = SarModel("S", p_lags, h_seasonal, weights, in_sample_r2=0.0)
+        days = data.draw(st.lists(st.integers(7 * h_seasonal, 29), min_size=1, max_size=12))
+        out = sar_rollout(model, speeds, days, offset, cutoff)
+        for row, di in zip(out, days):
+            want = one_day_rollout(model, speeds, di, offset, cutoff)
+            assert np.array_equal(row, want, equal_nan=True)
 
     def test_in_sample_r2_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -278,7 +338,7 @@ class TestLeakage:
         cut = set(test_days)
         pruned = dataclasses.replace(
             bundle,
-            speed=[r for r in bundle.speed if r.timestamp.date() not in cut],
+            speed=drop_days(bundle.speed, cut),
             tweets=[t for t in bundle.tweets if t.timestamp.date() not in cut],
             weather=[w for w in bundle.weather if w.timestamp.date() not in cut],
             incidents=[i for i in bundle.incidents

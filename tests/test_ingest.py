@@ -1,16 +1,74 @@
+import csv
+import dataclasses
+import io
 import json
+from collections import namedtuple
+from datetime import datetime, time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tweet2traffic.config import PipelineConfig
 from tweet2traffic.errors import InvalidConfig, MissingFile, ParseError, SchemaMismatch
+from tweet2traffic.harness.pipeline import prepare_data
 from tweet2traffic.ingest import (
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
     write_dataset,
 )
-from tweet2traffic.ingest.loaders import FILE_NAMES, load_bundle
+from tweet2traffic.ingest.loaders import FILE_NAMES, _open_rows, load_bundle
+
+SpeedRow = namedtuple("SpeedRow", "segment_id timestamp observed_speed")
+
+
+def speed_rows(table):
+    """The table's rows as (segment_id, timestamp, observed_speed), in table order."""
+    return [SpeedRow(table.segment_ids[g],
+                     datetime.combine(table.days[d], time(t // 12, t % 12 * 5)), v)
+            for g, d, t, v in zip(table.segment.tolist(), table.day.tolist(),
+                                  table.slot.tolist(), table.speed.tolist())]
+
+
+def row_by_row_load_speed(path):
+    """Reference loader: one record per row, each check in turn, sorted."""
+    fh, reader = _open_rows(path, "speed")
+    out = []
+    with fh:
+        for i, row in enumerate(reader, start=1):
+            if len(row) != 3:
+                raise ParseError(i, f"expected 3 fields, got {len(row)}")
+            try:
+                ts = datetime.fromisoformat(row[1])
+            except ValueError as exc:
+                raise ParseError(i, f"bad timestamp {row[1]!r}: {exc}") from None
+            try:
+                v = float(row[2])
+            except ValueError:
+                raise ParseError(i, f"bad speed {row[2]!r}") from None
+            if not v > 0:
+                raise ParseError(i, "nonpositive speed")
+            if (ts.minute % 5) or ts.second or ts.microsecond:
+                raise ParseError(i, f"timestamp {row[1]} not on the 5-min grid")
+            out.append(SpeedRow(row[0], ts, v))
+    out.sort(key=lambda r: (r.timestamp, r.segment_id))
+    return out
+
+
+def densify(records, segment_ids):
+    """Reference scatter: per-segment (days, emit slots) arrays, row by row."""
+    days = sorted({r.timestamp.date() for r in records})
+    day_index = {d: i for i, d in enumerate(days)}
+    emit_start = min(r.timestamp.hour for r in records)
+    emit_slots = (11 - emit_start) * 12
+    speeds = {sid: np.full((len(days), emit_slots), np.nan) for sid in segment_ids}
+    for rec in records:
+        slot = (rec.timestamp.hour - emit_start) * 12 + rec.timestamp.minute // 5
+        if 0 <= slot < emit_slots:
+            speeds[rec.segment_id][day_index[rec.timestamp.date()], slot] = rec.observed_speed
+    return days, (5 - emit_start) * 12, speeds
 
 
 def write(tmp_path, name, text):
@@ -23,7 +81,7 @@ class TestSpeedLoader:
     def test_basic_row(self, tmp_path):
         p = write(tmp_path, "speed.csv",
                   "segment_id,timestamp,observed_speed\nT1,2014-03-04T05:00,41.0\n")
-        recs = load_dataset("speed", p)
+        recs = speed_rows(load_dataset("speed", p))
         assert recs[0].segment_id == "T1"
         assert recs[0].observed_speed == 41.0
         assert recs[0].timestamp.hour == 5
@@ -53,8 +111,152 @@ class TestSpeedLoader:
         p = write(tmp_path, "speed.csv",
                   "segment_id,timestamp,observed_speed\n"
                   "T1,2014-03-04T05:10,41.0\nT1,2014-03-04T05:00,42.0\n")
-        recs = load_dataset("speed", p)
+        recs = speed_rows(load_dataset("speed", p))
         assert recs[0].timestamp < recs[1].timestamp
+
+    def test_duplicate_key(self, tmp_path):
+        p = write(tmp_path, "speed.csv",
+                  "segment_id,timestamp,observed_speed\n"
+                  "T1,2014-03-04T05:00,41.0\nT2,2014-03-04T05:00,40.0\n"
+                  "T1,2014-03-04 05:00,42.0\n")
+        with pytest.raises(SchemaMismatch, match=r"row 3: duplicate speed key "
+                                                 r"\(T1, 2014-03-04T05:00\)"):
+            load_dataset("speed", p)
+
+    def test_error_in_a_later_chunk_keeps_its_row_number(self, tmp_path):
+        rows = [f"T1,2014-03-04T05:00,{v}.0" for v in range(1, 3001)]
+        rows[2500] = "T1,2014-03-04T05:00"
+        p = write(tmp_path, "speed.csv",
+                  "segment_id,timestamp,observed_speed\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="row 2501: expected 3 fields, got 2"):
+            load_dataset("speed", p)
+
+
+SEGMENTS = ("S1", "S2", "a,b", "")
+DATES = ("2014-03-03", "2014-03-04", "2014-03-10")
+
+
+@st.composite
+def speed_row(draw, defect_percent):
+    """One speed.csv row as fields; with the given chance it carries a set of
+    defects, so one row can fail several checks."""
+    defects = set()
+    if draw(st.integers(0, 99)) < defect_percent:
+        defects = draw(st.sets(st.sampled_from(["stamp", "grid", "speed", "fields"]),
+                               min_size=1))
+    seg = draw(st.sampled_from(SEGMENTS))
+    hour = draw(st.integers(2, 12))
+    minute = 5 * draw(st.integers(0, 11))
+    stamp = f"{draw(st.sampled_from(DATES))}T{hour:02d}:{minute:02d}"
+    speed = repr(draw(st.floats(0.5, 90.0)))
+    if "grid" in defects:
+        stamp = draw(st.sampled_from([stamp[:-1] + "3", stamp + ":30", stamp + ":00.5"]))
+    if "stamp" in defects:
+        stamp = draw(st.sampled_from(["2014-02-30T05:00", "nope", "", "05:00"]))
+    if "speed" in defects:
+        speed = draw(st.sampled_from(["0", "-4.5", "nan", "-inf", "fast", "", " 7 "]))
+    if "fields" in defects:
+        return draw(st.sampled_from([[seg, stamp], [seg, stamp, speed, "x"], []]))
+    return [seg, stamp, speed]
+
+
+@st.composite
+def speed_file(draw):
+    rows = draw(st.lists(speed_row(draw(st.sampled_from([0, 5, 40]))), max_size=40))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=quoting, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(["segment_id", "timestamp", "observed_speed"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def load_both(path):
+    """(table or error, reference records or error) for one file."""
+    out = []
+    for load in (lambda: load_dataset("speed", path), lambda: row_by_row_load_speed(path)):
+        try:
+            out.append(load())
+        except (ParseError, SchemaMismatch) as exc:
+            out.append(exc)
+    return out
+
+
+class TestSpeedColumnsMatchRowByRow:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=speed_file())
+    def test_loader(self, tmp_path, text):
+        p = tmp_path / "speed.csv"
+        p.write_bytes(text.encode("utf-8"))
+        table, records = load_both(p)
+        if isinstance(records, ParseError):
+            assert isinstance(table, ParseError)
+            assert (table.row, str(table)) == (records.row, str(records))
+            return
+        keys = [(r.segment_id, r.timestamp) for r in records]
+        if len(set(keys)) < len(keys):
+            assert isinstance(table, SchemaMismatch) and "duplicate speed key" in str(table)
+            return
+        assert speed_rows(table) == records
+        assert table.segment_ids == tuple(sorted({r.segment_id for r in records}))
+        assert table.days == tuple(sorted({r.timestamp.date() for r in records}))
+
+    def test_loader_on_every_combination_of_defects(self, tmp_path):
+        """A row that fails several checks reports the first, in the fixed order."""
+        good = ["S1", "2014-03-03T05:00", "41.0"]
+        stamps = ["2014-03-03T05:05", "2014-03-03T05:03", "2014-03-03T05:05:00.5", "nope"]
+        speeds = ["42.0", "0", "nan", "fast"]
+        cases = [row for stamp in stamps for speed in speeds
+                 for row in (["S2", stamp, speed], ["S2", stamp], ["S2", stamp, speed, "x"])]
+        for i, row in enumerate(cases):
+            p = tmp_path / f"speed{i}.csv"
+            with p.open("w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([["segment_id", "timestamp", "observed_speed"],
+                                          good, row])
+            table, records = load_both(p)
+            if isinstance(records, ParseError):
+                assert (table.row, str(table)) == (records.row, str(records)), row
+            else:
+                assert speed_rows(table) == records, row
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_prepared_cube(self, tmp_path, data, small_bundle):
+        """prepare_data's cube equals the row-by-row scatter of the same file."""
+        seg_ids = [s.segment_id for s in small_bundle.segments]
+        picks = data.draw(st.lists(st.tuples(
+            st.sampled_from(seg_ids), st.integers(0, 3), st.integers(1, 11),
+            st.integers(0, 11), st.floats(1.0, 90.0)), min_size=1, max_size=80))
+        lines = {(g, f"2014-03-0{3 + d}T{h:02d}:{5 * m:02d}"): v for g, d, h, m, v in picks}
+        p = write(tmp_path, "speed.csv", "segment_id,timestamp,observed_speed\n" + "".join(
+            f"{g},{ts},{v!r}\n" for (g, ts), v in lines.items()))
+        bundle = dataclasses.replace(small_bundle, speed=load_dataset("speed", p))
+        days, offset, want = densify(row_by_row_load_speed(p), seg_ids)
+        prepared = prepare_data(bundle, PipelineConfig())
+        assert (prepared.days, prepared.morning_offset) == (days, offset)
+        for sid in seg_ids:
+            assert np.array_equal(prepared.speeds[sid], want[sid], equal_nan=True), sid
+
+
+@pytest.fixture(scope="module")
+def small_bundle():
+    cfg = SyntheticConfig(n_days=4, n_roads=1, segments_per_road=3, n_users=8, n_tracts=3)
+    return generate_synthetic(cfg, seed=11)[0]
+
+
+def test_prepared_cube_of_a_synthetic_world(tmp_path):
+    cfg = SyntheticConfig(n_days=9, n_roads=2, segments_per_road=3, n_users=8, n_tracts=3)
+    bundle, _ = generate_synthetic(cfg, seed=4)
+    write_dataset("speed", bundle.speed, tmp_path / "speed.csv")
+    seg_ids = [s.segment_id for s in bundle.segments]
+    days, offset, want = densify(row_by_row_load_speed(tmp_path / "speed.csv"), seg_ids)
+    for table in (bundle.speed, load_dataset("speed", tmp_path / "speed.csv")):
+        prepared = prepare_data(dataclasses.replace(bundle, speed=table), PipelineConfig())
+        assert (prepared.days, prepared.morning_offset) == (days, offset)
+        for sid in seg_ids:
+            assert np.array_equal(prepared.speeds[sid], want[sid], equal_nan=True)
 
 
 class TestWeatherLoader:
@@ -152,9 +354,13 @@ def test_write_load_round_trip(tmp_path, kind):
     p2 = tmp_path / f"b_{FILE_NAMES[kind]}"
     write_dataset(kind, records, p1)
     loaded = load_dataset(kind, p1)
-    assert loaded == sorted_records(kind, records)
+    assert as_records(kind, loaded) == sorted_records(kind, as_records(kind, records))
     write_dataset(kind, loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def as_records(kind, data):
+    return speed_rows(data) if kind == "speed" else data
 
 
 def sorted_records(kind, records):
@@ -212,7 +418,7 @@ class TestSyntheticGenerator:
             write_dataset(kind, getattr(bundle, kind), tmp_path / FILE_NAMES[kind])
         reloaded = load_bundle(tmp_path)
         by_seg = {}
-        for rec in reloaded.speed:
+        for rec in speed_rows(reloaded.speed):
             by_seg.setdefault(rec.segment_id, []).append(rec)
         params = CongestionParams()
         for seg_id, recs in by_seg.items():
