@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .errors import Tweet2TrafficError
+from .errors import InsufficientHistory, SchemaMismatch, Tweet2TrafficError
 from .harness.ablation import ABLATION_VARIANTS, run_ablation
 from .harness.descriptive import run_descriptive_analysis
 from .harness.pipeline import (
@@ -106,46 +106,27 @@ def cmd_cluster(args) -> int:
     art = build_split(prepared, prepared.days, [], seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .clustering import elbow_select_k, kmeans_fit, pca_fit, pca_transform
-    from .clustering import build_road_profiles, order_clusters_by_mean_tti
-
     for road_id in prepared.roads:
-        dates, labels, k = art.cluster_labels[road_id]
+        clusters = art.clusters[road_id]
+        ordered = clusters.ordered
         safe = road_id.replace(" ", "_").replace("/", "_")
         with (out / f"labels_{safe}.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["date", "cluster"])
-            for d, lab in zip(dates, labels):
+            for d, lab in zip(clusters.dates, ordered.labels):
                 w.writerow([d.isoformat(), int(lab)])
-        seg_ids = [s.segment_id for s in prepared.segs_by_road[road_id]]
-        tti_map = {(sid, d): art.tti[(sid, d)] for d in dates for sid in seg_ids
-                   if (sid, d) in art.tti}
-        profile = build_road_profiles(road_id, seg_ids, tti_map)
-        pca = pca_fit(profile.rows, cfg.clustering.pca_variance_target)
-        reduced = pca_transform(pca, profile.rows)
-        km = kmeans_fit(reduced, k, seed=args.seed, n_init=cfg.clustering.kmeans_n_init,
-                        max_iter=cfg.clustering.kmeans_max_iter)
-        ordered = order_clusters_by_mean_tti(km, pca)
-        from .clustering import pca_inverse_transform
-
-        centroids = pca_inverse_transform(pca, km.centroids)
         with (out / f"centroids_{safe}.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["cluster"] + [f"x{i}" for i in range(centroids.shape[1])])
-            for old_label, row in enumerate(centroids):
+            w.writerow(["cluster"] + [f"x{i}" for i in range(ordered.centroids.shape[1])])
+            for old_label, row in enumerate(ordered.centroids):
                 w.writerow([int(ordered.permutation[old_label])]
                            + [repr(float(v)) for v in row])
-        k_range = list(range(cfg.clustering.k_min,
-                             min(cfg.clustering.k_max, len(profile.dates) - 1) + 1))
-        if len(k_range) >= 3:
-            _k, models = elbow_select_k(reduced, k_range, seed=args.seed,
-                                        n_init=cfg.clustering.kmeans_n_init,
-                                        max_iter=cfg.clustering.kmeans_max_iter)
+        if clusters.elbow:
             with (out / f"inertia_{safe}.csv").open("w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh, lineterminator="\n")
                 w.writerow(["k", "inertia"])
-                for kk in sorted(models):
-                    w.writerow([kk, repr(float(models[kk].inertia))])
+                for kk in sorted(clusters.elbow):
+                    w.writerow([kk, repr(float(clusters.elbow[kk].inertia))])
     print(f"cluster outputs written to {out}")
     return 0
 
@@ -265,7 +246,8 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     text = bundle_to_json(stack.descriptors, stack.segment_models,
                           meta={"seed": args.seed, "variant": args.variant,
-                                "version": __version__})
+                                "version": __version__,
+                                "train_days": [d.isoformat() for d in art.train_days]})
     (out / "model.json").write_text(text, encoding="utf-8")
     from .harness.tscv import EvaluationReport
 
@@ -277,15 +259,22 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = _data_config(args)
+    descriptors, segments, meta = bundle_from_json(Path(args.model).read_text())
+    if "train_days" not in meta:
+        raise SchemaMismatch("train_days", "model bundle meta lacks its training days; "
+                             "retrain it with `t2t train`")
     bundle = load_bundle(args.data)
     prepared = prepare_data(bundle, cfg)
+    train_days = [date_t.fromisoformat(d) for d in meta["train_days"]]
+    absent = [d for d in train_days if d not in prepared.day_index]
+    if absent:
+        raise InsufficientHistory(f"--data lacks {len(absent)} of the model's training "
+                                  f"days, first {absent[0]}")
     target = date_t.fromisoformat(args.date) if args.date else prepared.days[-1]
     if target not in prepared.day_index:
-        print(f"date {target} not covered by the dataset", file=sys.stderr)
-        return 2
-    train_days = [d for d in prepared.days if d < target] or [target]
-    art = build_split(prepared, train_days, [target], seed=args.seed)
-    descriptors, segments, _meta = bundle_from_json(Path(args.model).read_text())
+        raise InsufficientHistory(f"date {target} not covered by the dataset")
+    test_days = [] if target in set(train_days) else [target]
+    art = build_split(prepared, train_days, test_days, seed=args.seed)
     scales = {road: (desc.predict_scales(art.road_matrix.values) if desc is not None
                      else np.zeros((len(art.road_matrix.days), 0)))
               for road, desc in descriptors.items()}

@@ -198,7 +198,7 @@ def elbow_select_k(rows, k_range, seed: int, n_init: int = 10,
 @dataclass
 class OrderedClusterLabels:
     labels: np.ndarray                # per-day label, 0 = lightest congestion
-    centroid_mean_tti: np.ndarray     # mean reconstructed TTI per (new) label
+    centroids: np.ndarray             # reconstructed TTI profile per k-means (old) label
     permutation: np.ndarray           # new_label = permutation[old_label]
 
 
@@ -211,7 +211,7 @@ def order_clusters_by_mean_tti(kmeans: KMeansModel, pca: PcaModel) -> OrderedClu
     perm[order] = np.arange(order.size)
     return OrderedClusterLabels(
         labels=perm[kmeans.labels],
-        centroid_mean_tti=means[order],
+        centroids=recon,
         permutation=perm,
     )
 

@@ -72,7 +72,7 @@ def run_descriptive_analysis(prepared: PreparedData, seed: int = 0) -> list[Asso
 
     out = []
     for road_id in prepared.roads:
-        dates, labels, k_traffic = art.cluster_labels[road_id]
+        dates, labels = art.clusters[road_id].dates, art.clusters[road_id].ordered.labels
         common = [d for d in dates if d in tweet_labels]
         if len(common) < 10:
             log.warning("descriptive: road %s has too few joint days", road_id)

@@ -50,10 +50,11 @@ def compute_metrics(truth_quads, pred_cs, pred_cst, pred_cd, pred_pti,
 
 
 def weighted_aggregate(entries) -> dict[str, float | None]:
-    """Sample-count weighted mean of metric sets over (weight, MetricSet) pairs.
+    """Sample-count weighted mean of each metric over an iterable of MetricSets.
 
-    Classification metrics weight by test-day counts, regression metrics by
-    congested-day counts; metrics undefined everywhere stay absent.
+    Classification metrics weight by each set's test-day count, regression
+    metrics by its congested-day count; metrics undefined everywhere stay
+    absent.
     """
     out: dict[str, float | None] = {}
     for name in METRIC_NAMES:

@@ -26,6 +26,8 @@ from ..congestion import (
     percentile,
 )
 from ..clustering import (
+    KMeansModel,
+    OrderedClusterLabels,
     build_road_profiles,
     elbow_select_k,
     kmeans_fit,
@@ -237,6 +239,14 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
 
 
 @dataclass
+class RoadClusters:
+    """One road's congestion clustering of a split's training days."""
+    dates: list[date_t]
+    ordered: OrderedClusterLabels       # the chosen K's labels and centroids
+    elbow: dict[int, KMeansModel]       # every candidate K's fit; empty if the elbow did not run
+
+
+@dataclass
 class SplitArtifacts:
     train_days: list[date_t]
     test_days: list[date_t]
@@ -245,7 +255,7 @@ class SplitArtifacts:
     tti: dict[tuple[str, date_t], np.ndarray]
     road_matrix: FeatureMatrix
     incident_vectors: dict[str, dict[date_t, dict]]
-    cluster_labels: dict[str, tuple[list[date_t], np.ndarray, int]]
+    clusters: dict[str, RoadClusters]
     homes: dict[str, tuple[float, float]]
 
 
@@ -367,11 +377,10 @@ def _split_clusters(prepared: PreparedData, tti, train_days, seed: int):
                                        max_iter=cfg.kmeans_max_iter)
             km = models[k]
         else:
-            k = min(2, len(profile.dates))
-            km = kmeans_fit(reduced, k, seed=seed, n_init=cfg.kmeans_n_init,
-                            max_iter=cfg.kmeans_max_iter)
-        ordered = order_clusters_by_mean_tti(km, pca)
-        out[road_id] = (profile.dates, ordered.labels, k)
+            models = {}
+            km = kmeans_fit(reduced, min(2, len(profile.dates)), seed=seed,
+                            n_init=cfg.kmeans_n_init, max_iter=cfg.kmeans_max_iter)
+        out[road_id] = RoadClusters(profile.dates, order_clusters_by_mean_tti(km, pca), models)
     return out
 
 
@@ -388,9 +397,9 @@ def build_split(prepared: PreparedData, train_days, test_days, seed: int) -> Spl
                  for d in all_days}
     per_day = {d: {**tweet_vecs[d], **weather_vecs[d], **time_vecs[d]} for d in all_days}
     road_matrix = build_feature_matrix(all_days, per_day, prepared.road_layout)
-    cluster_labels = _split_clusters(prepared, tti, list(train_days), seed)
+    clusters = _split_clusters(prepared, tti, list(train_days), seed)
     return SplitArtifacts(list(train_days), list(test_days), v_ref, quads, tti,
-                          road_matrix, prepared.incident_vectors, cluster_labels, homes)
+                          road_matrix, prepared.incident_vectors, clusters, homes)
 
 
 @dataclass
@@ -456,11 +465,12 @@ def fit_stack(prepared: PreparedData, art: SplitArtifacts, variant: str = "linea
             descriptors[road_id] = None
             scales[road_id] = np.zeros((len(all_days), 0))
             continue
-        dates, labels, _k = art.cluster_labels[road_id]
-        pos = [day_pos[d] for d in dates if d in day_pos]
-        keep = [i for i, d in enumerate(dates) if d in day_pos]
+        clusters = art.clusters[road_id]
+        pos = [day_pos[d] for d in clusters.dates if d in day_pos]
+        keep = [i for i, d in enumerate(clusters.dates) if d in day_pos]
         X = road_matrix.values[pos]
-        desc = fit_ordered_descriptor(X, labels[keep], road_matrix.names, cfg.model)
+        desc = fit_ordered_descriptor(X, clusters.ordered.labels[keep], road_matrix.names,
+                                      cfg.model)
         descriptors[road_id] = desc
         scales[road_id] = desc.predict_scales(road_matrix.values)
 

@@ -58,10 +58,15 @@ FILE_NAMES = {
 
 
 def _parse_ts(value: str, row: int) -> datetime:
+    """A local wall-clock timestamp; one with a UTC offset is rejected."""
     try:
-        return datetime.fromisoformat(value)
+        ts = datetime.fromisoformat(value)
     except ValueError as exc:
         raise ParseError(row, f"bad timestamp {value!r}: {exc}") from None
+    if ts.tzinfo is not None:
+        raise ParseError(row, f"timestamp {value!r} carries a UTC offset; "
+                         "dataset timestamps are local wall-clock time")
+    return ts
 
 
 def _parse_float(value: str, row: int, name: str) -> float:
@@ -108,12 +113,14 @@ def _speed_row_error(i: int, row: list[str]) -> None:
 
 
 def _grid_stamp(text: str):
-    """(date, slot of the day) of an on-grid timestamp, else None."""
+    """(date, slot of the day) of an on-grid local timestamp, else None."""
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
         return None
-    return None if _off_grid(ts) else (ts.date(), ts.hour * 12 + ts.minute // 5)
+    if ts.tzinfo is not None or _off_grid(ts):
+        return None
+    return ts.date(), ts.hour * 12 + ts.minute // 5
 
 
 def _speed_keys(segment, day, slot, n_segments: int) -> np.ndarray:
@@ -471,10 +478,6 @@ class DatasetBundle:
     tracts: list
     zones: list
     calendar: list
-
-    @property
-    def roads(self) -> list[str]:
-        return sorted({s.road_id for s in self.segments})
 
 
 def load_bundle(data_dir) -> DatasetBundle:

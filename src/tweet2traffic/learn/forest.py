@@ -6,22 +6,21 @@ selected; with nothing selected the caller falls back to the linear model.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-log = logging.getLogger(__name__)
+# A tree is a flat node table: node 0 is the root, and each node is the row
+# [feature, threshold, left, right, value]; feature -1 marks a leaf, whose
+# value is the majority fraction (clf) or the mean (reg).
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0          # majority fraction (clf) or mean (reg)
-    is_leaf: bool = True
+def _predict_tree(tree: list, row) -> float:
+    feature, threshold, left, right, value = tree[0]
+    while feature >= 0:
+        feature, threshold, left, right, value = tree[left if row[feature] <= threshold
+                                                      else right]
+    return value
 
 
 def _best_split(X, y, feat_idx, task):
@@ -61,9 +60,10 @@ def _best_split(X, y, feat_idx, task):
     return best
 
 
-def _grow(X, y, task, rng, n_candidates, max_depth, depth=0):
-    node = _Node()
-    node.value = float(y.mean()) if len(y) else 0.0
+def _grow(tree: list, X, y, task, rng, n_candidates, max_depth, depth=0) -> int:
+    """Append the subtree fitted to (X, y) to `tree`; returns its root node."""
+    node = len(tree)
+    tree.append([-1, 0.0, -1, -1, float(y.mean()) if len(y) else 0.0])
     if len(y) <= 1 or (max_depth is not None and depth >= max_depth):
         return node
     if task == "clf" and (y == y[0]).all():
@@ -84,38 +84,32 @@ def _grow(X, y, task, rng, n_candidates, max_depth, depth=0):
     left = X[:, j] <= thr
     if not left.any() or left.all():
         return node
-    node.is_leaf = False
-    node.feature, node.threshold = j, thr
-    node.left = _grow(X[left], y[left], task, rng, n_candidates, max_depth, depth + 1)
-    node.right = _grow(X[~left], y[~left], task, rng, n_candidates, max_depth, depth + 1)
+    tree[node][:2] = int(j), float(thr)
+    tree[node][2] = _grow(tree, X[left], y[left], task, rng, n_candidates, max_depth, depth + 1)
+    tree[node][3] = _grow(tree, X[~left], y[~left], task, rng, n_candidates, max_depth,
+                          depth + 1)
     return node
-
-
-def _predict_node(node: _Node, row) -> float:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
 
 
 @dataclass
 class RandomForestModel:
-    task: str                    # "clf" | "reg"
-    trees: list = field(default_factory=list)
-    feature_names: list[str] = field(default_factory=list)
-    seed: int = 0
+    columns: list[int]           # the design-row columns the trees read
+    trees: list[list] = field(default_factory=list)
 
     def predict_values(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        """Mean tree output per design row of X: a congested share or an estimate."""
+        X = np.asarray(X, dtype=float)[:, self.columns]
         votes = np.zeros(len(X))
         for tree in self.trees:
-            votes += np.array([_predict_node(tree, row) for row in X])
+            votes += np.array([_predict_tree(tree, row) for row in X])
         return votes / max(len(self.trees), 1)
 
-    def predict(self, X) -> np.ndarray:
-        vals = self.predict_values(X)
-        if self.task == "clf":
-            return (vals >= 0.5).astype(int)   # mean-probability tie goes congested
-        return vals
+    def to_dict(self) -> dict:
+        return {"kind": "rf", "columns": self.columns, "trees": self.trees}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> RandomForestModel:
+        return cls(list(doc["columns"]), doc["trees"])
 
 
 def _n_candidates(p: int, feature_frac) -> int:
@@ -126,18 +120,20 @@ def _n_candidates(p: int, feature_frac) -> int:
     return max(1, int(round(float(feature_frac) * p)))
 
 
-def rf_fit(X, y, task: str, n_trees: int = 100, max_depth=None,
-           feature_frac="sqrt", seed: int = 0, bootstrap: bool = True,
-           feature_names=None) -> RandomForestModel:
-    X = np.asarray(X, dtype=float)
+def rf_fit(X, y, task: str, columns, n_trees: int = 100, max_depth=None,
+           feature_frac="sqrt", seed: int = 0, bootstrap: bool = True) -> RandomForestModel:
+    """A forest on the `columns` of the design rows X."""
+    columns = [int(c) for c in columns]
+    X = np.asarray(X, dtype=float)[:, columns]
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
     master = np.random.default_rng(seed)
-    model = RandomForestModel(task=task, feature_names=names, seed=seed)
+    model = RandomForestModel(columns)
     cand = _n_candidates(p, feature_frac)
     for _t in range(n_trees):
         rng = np.random.default_rng(int(master.integers(0, 2 ** 63 - 1)))
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        model.trees.append(_grow(X[idx], y[idx], task, rng, cand, max_depth))
+        tree = []
+        _grow(tree, X[idx], y[idx], task, rng, cand, max_depth)
+        model.trees.append(tree)
     return model

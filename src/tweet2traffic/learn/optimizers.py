@@ -59,11 +59,6 @@ class LinearModel:
             raise ValueError("predict_proba is for logistic models")
         return sigmoid(self.decision(X))
 
-    def predict(self, X) -> np.ndarray:
-        if self.task == "LOGISTIC":
-            return (self.predict_proba(X) >= 0.5).astype(int)
-        return self.decision(X)
-
     def coef_map(self) -> dict[str, float]:
         return {n: float(w) for n, w in zip(self.feature_names, self.weights)}
 

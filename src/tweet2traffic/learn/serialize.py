@@ -7,10 +7,13 @@ import json
 import numpy as np
 
 from ..errors import ParseError, SchemaMismatch
+from .forest import RandomForestModel
+from .knn import KnnModel
 from .optimizers import LinearModel
 from .stack import OrderedDescriptor, SegmentModelSet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+HEAD_KINDS = {"knn": KnnModel, "rf": RandomForestModel}
 
 
 def _linear_to_dict(model: LinearModel) -> dict:
@@ -49,11 +52,11 @@ def descriptor_from_dict(doc: dict) -> OrderedDescriptor:
 def segment_to_dict(model: SegmentModelSet) -> dict:
     return {
         "segment_id": model.segment_id,
-        "variant": model.variant,
         "classifier": _linear_to_dict(model.classifier),
         "regressors": {k: _linear_to_dict(v) for k, v in sorted(model.regressors.items())},
         "fallbacks": {k: float(v) for k, v in sorted(model.fallbacks.items())},
         "feature_names": model.feature_names,
+        "heads": {k: h.to_dict() for k, h in sorted(model.heads.items())},
         "flags": sorted(model.flags),
     }
 
@@ -65,7 +68,7 @@ def segment_from_dict(doc: dict) -> SegmentModelSet:
         regressors={k: _linear_from_dict(v) for k, v in doc["regressors"].items()},
         fallbacks=dict(doc["fallbacks"]),
         feature_names=doc["feature_names"],
-        variant=doc["variant"],
+        heads={k: HEAD_KINDS[h["kind"]].from_dict(h) for k, h in doc["heads"].items()},
         flags=list(doc["flags"]),
     )
 
@@ -89,12 +92,16 @@ def bundle_from_json(text: str):
         raise SchemaMismatch("format_version", "model bundle is not a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise SchemaMismatch("format_version", "unsupported model bundle version "
-                             f"{doc.get('format_version')}, expected {FORMAT_VERSION}")
+                             f"{doc.get('format_version')}, expected {FORMAT_VERSION}; "
+                             "retrain it with `t2t train`")
     for key in ("meta", "descriptors", "segments"):
         if key not in doc:
             raise SchemaMismatch(key, "model bundle lacks this key")
-    descriptors = {road: descriptor_from_dict(d) for road, d in doc["descriptors"].items()}
-    segments = {sid: segment_from_dict(m) for sid, m in doc["segments"].items()}
+    try:
+        descriptors = {road: descriptor_from_dict(d) for road, d in doc["descriptors"].items()}
+        segments = {sid: segment_from_dict(m) for sid, m in doc["segments"].items()}
+    except KeyError as exc:
+        raise SchemaMismatch(str(exc.args[0]), "a model bundle entry lacks this key") from None
     return descriptors, segments, doc["meta"]
 
 

@@ -5,8 +5,8 @@ classifiers over ordered congestion-cluster labels; its sigmoid outputs are
 appended to each segment's features. Per segment, an L1 logistic classifier
 predicts congestion status on all days and three Lasso regressors predict
 start time, duration and planning index on congested days only. KNN and
-random-forest variant heads ride on the descriptor outputs / the selected
-feature columns.
+random-forest heads, fitted in place of the linear ones for the rf and knn
+variants, ride on the descriptor outputs / the selected feature columns.
 """
 from __future__ import annotations
 
@@ -39,10 +39,6 @@ class OrderedDescriptor:
         out = np.column_stack([m.predict_proba(X) for m in self.classifiers])
         return out
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.classifiers)
-
 
 def descriptor_targets(labels: np.ndarray, level: int) -> np.ndarray:
     return (np.asarray(labels) > level).astype(float)
@@ -70,6 +66,11 @@ def fit_ordered_descriptor(X, labels, feature_names, cfg: ModelConfig) -> Ordere
     return OrderedDescriptor(n_clusters, classifiers, list(feature_names))
 
 
+# A head is a fitted non-linear model that reads its own columns of a design
+# row: predict_values(X) gives one value per row, to_dict/from_dict persist it.
+Head = KnnModel | RandomForestModel
+
+
 @dataclass
 class SegmentModelSet:
     segment_id: str
@@ -77,15 +78,8 @@ class SegmentModelSet:
     regressors: dict[str, LinearModel]              # may be empty: fallback path
     fallbacks: dict[str, float]
     feature_names: list[str]
-    variant: str = "linear"                          # linear | rf | knn
-    knn_heads: dict[str, KnnModel] = field(default_factory=dict)
-    rf_heads: dict[str, RandomForestModel] = field(default_factory=dict)
-    rf_columns: dict[str, list[int]] = field(default_factory=dict)
+    heads: dict[str, Head] = field(default_factory=dict)   # used in place of the linear model
     flags: list[str] = field(default_factory=list)
-
-
-def _scale_columns(feature_names) -> list[int]:
-    return [i for i, n in enumerate(feature_names) if n.startswith("c_")]
 
 
 def fit_segment_models(segment_id: str, X, quadruples, feature_names,
@@ -129,43 +123,44 @@ def fit_segment_models(segment_id: str, X, quadruples, feature_names,
                 max_iter=cfg.lasso_max_iter, feature_names=feature_names)
 
     model = SegmentModelSet(segment_id, classifier, regressors, fallbacks,
-                            list(feature_names), variant=variant, flags=flags)
-
-    if variant == "knn":
-        cols = _scale_columns(feature_names)
-        scales = X[:, cols] if cols else X[:, :1] * 0.0
-        model.knn_heads["cs"] = knn_fit(scales, cs, cfg.knn_k, "clf")
-        if congested.size:
-            for name in REGRESSION_TARGETS:
-                model.knn_heads[name] = knn_fit(scales[congested],
-                                                targets[name][congested],
-                                                cfg.knn_k, "reg")
-    elif variant == "rf":
-        sel = [i for i, w in enumerate(classifier.weights) if abs(w) > 1e-12]
-        if not sel:
-            flags.append("rf_no_selected_features_cs")
-            log.warning("segment %s: classifier selected no features; linear fallback",
-                        segment_id)
-        else:
-            model.rf_columns["cs"] = sel
-            model.rf_heads["cs"] = rf_fit(X[:, sel], cs, "clf",
-                                          n_trees=cfg.rf_n_trees,
-                                          feature_frac=cfg.rf_feature_frac, seed=seed)
-        if congested.size:
-            for name in REGRESSION_TARGETS:
-                reg = regressors.get(name)
-                sel = ([i for i, w in enumerate(reg.weights) if abs(w) > 1e-12]
-                       if reg is not None else [])
-                if not sel:
-                    flags.append(f"rf_no_selected_features_{name}")
-                    continue
-                model.rf_columns[name] = sel
-                model.rf_heads[name] = rf_fit(X[congested][:, sel],
-                                              targets[name][congested], "reg",
-                                              n_trees=cfg.rf_n_trees,
-                                              feature_frac=cfg.rf_feature_frac,
-                                              seed=seed + 1)
+                            list(feature_names), flags=flags)
+    model.heads = _HEAD_FITTERS[variant](model, X, cs, congested, targets, cfg, seed)
     return model
+
+
+def _knn_heads(model: SegmentModelSet, X, cs, congested, targets, cfg: ModelConfig,
+               seed: int) -> dict[str, Head]:
+    cols = [i for i, n in enumerate(model.feature_names) if n.startswith("c_")]
+    heads: dict[str, Head] = {"cs": knn_fit(X, cs, cfg.knn_k, "clf", cols)}
+    if congested.size:
+        for name in REGRESSION_TARGETS:
+            heads[name] = knn_fit(X[congested], targets[name][congested], cfg.knn_k,
+                                  "reg", cols)
+    return heads
+
+
+def _rf_heads(model: SegmentModelSet, X, cs, congested, targets, cfg: ModelConfig,
+              seed: int) -> dict[str, Head]:
+    """Forests on the columns each linear model selected; none where it selected none."""
+    fits = [("cs", model.classifier, np.arange(len(cs)), cs, "clf", seed)]
+    if congested.size:
+        fits += [(name, model.regressors[name], congested, targets[name], "reg", seed + 1)
+                 for name in REGRESSION_TARGETS]
+    heads: dict[str, Head] = {}
+    for name, linear, rows, y, task, head_seed in fits:
+        sel = [i for i, w in enumerate(linear.weights) if abs(w) > 1e-12]
+        if not sel:
+            model.flags.append(f"rf_no_selected_features_{name}")
+            if name == "cs":
+                log.warning("segment %s: classifier selected no features; linear fallback",
+                            model.segment_id)
+            continue
+        heads[name] = rf_fit(X[rows], y[rows], task, sel, n_trees=cfg.rf_n_trees,
+                             feature_frac=cfg.rf_feature_frac, seed=head_seed)
+    return heads
+
+
+_HEAD_FITTERS = {"linear": lambda *_: {}, "knn": _knn_heads, "rf": _rf_heads}
 
 
 @dataclass(frozen=True)
@@ -179,13 +174,9 @@ class DayPrediction:
 
 
 def _regression_estimate(model: SegmentModelSet, name: str, row: np.ndarray) -> float:
-    if model.variant == "knn" and name in model.knn_heads:
-        cols = _scale_columns(model.feature_names)
-        q = row[cols] if cols else row[:1] * 0.0
-        return float(model.knn_heads[name].predict_one(q))
-    if model.variant == "rf" and name in model.rf_heads:
-        sel = model.rf_columns[name]
-        return float(model.rf_heads[name].predict_values(row[None, sel])[0])
+    head = model.heads.get(name)
+    if head is not None:
+        return float(head.predict_values(row[None, :])[0])
     reg = model.regressors.get(name)
     if reg is None:
         return model.fallbacks[name]
@@ -196,13 +187,10 @@ def predict_day(model: SegmentModelSet, row, cs_threshold: float = 0.5) -> DayPr
     """One segment-day quadruple with range clamps; raw estimates kept for scoring."""
     row = np.asarray(row, dtype=float)
     p = float(model.classifier.predict_proba(row[None, :])[0])
-    if model.variant == "knn" and "cs" in model.knn_heads:
-        cols = _scale_columns(model.feature_names)
-        q = row[cols] if cols else row[:1] * 0.0
-        cs = int(model.knn_heads["cs"].predict_one(q))
-    elif model.variant == "rf" and "cs" in model.rf_heads:
-        sel = model.rf_columns["cs"]
-        cs = int(model.rf_heads["cs"].predict(row[None, sel])[0])
+    head = model.heads.get("cs")
+    if head is not None:
+        # a head's congested share: a tie goes congested
+        cs = int(head.predict_values(row[None, :])[0] >= 0.5)
     else:
         cs = int(p >= cs_threshold)
     raw = {

@@ -2,6 +2,7 @@ import json
 import pytest
 
 from tweet2traffic.cli import main
+from tweet2traffic.learn.serialize import FORMAT_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -197,11 +198,99 @@ class TestCli:
 
     def test_predict_bundle_missing_key_exit_2(self, data_dir, tmp_path, capsys):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"format_version": 1}))
+        model.write_text(json.dumps({"format_version": FORMAT_VERSION}))
         rc = main(["predict", "--data", str(data_dir), "--model", str(model),
                    "--out", str(tmp_path / "pred")])
         assert rc == 2
         assert "schema mismatch on column 'meta'" in capsys.readouterr().err
+
+    def test_predict_version_1_bundle_asks_for_retrain_exit_2(self, data_dir, tmp_path,
+                                                              capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": 1, "meta": {}, "descriptors": {},
+                                     "segments": {}}))
+        rc = main(["predict", "--data", str(data_dir), "--model", str(model),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        assert "retrain it with `t2t train`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta,message", [
+        ({}, "schema mismatch on column 'train_days'"),
+        ({"train_days": ["1999-01-01"]}, "lacks 1 of the model's training days, "
+                                         "first 1999-01-01"),
+    ])
+    def test_predict_without_the_training_days_exit_2(self, data_dir, tmp_path, capsys,
+                                                      meta, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": FORMAT_VERSION, "meta": meta,
+                                     "descriptors": {}, "segments": {}}))
+        rc = main(["predict", "--data", str(data_dir), "--model", str(model),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("variant", ["linear", "rf", "knn"])
+    def test_saved_bundle_serves_the_trained_stack(self, data_dir, tmp_path, variant):
+        import csv
+
+        from tweet2traffic.config import load_config
+        from tweet2traffic.harness.pipeline import build_split, fit_stack, prepare_data
+        from tweet2traffic.ingest.loaders import load_bundle
+        from tweet2traffic.learn.serialize import bundle_from_json
+        from tweet2traffic.learn.stack import predict_day
+
+        cfg_path = data_dir / "config.json"
+        common = ["--data", str(data_dir), "--config", str(cfg_path), "--seed", "2"]
+        assert main(["train", "--variant", variant, "--out", str(tmp_path / "m")]
+                    + common) == 0
+        cfg = load_config(cfg_path)
+        prepared = prepare_data(load_bundle(data_dir), cfg)
+        art = build_split(prepared, prepared.days, [], seed=2)
+        stack = fit_stack(prepared, art, variant=variant, seed=2)
+
+        _desc, segments, meta = bundle_from_json((tmp_path / "m" / "model.json").read_text())
+        assert meta["train_days"] == [d.isoformat() for d in prepared.days]
+        assert segments.keys() == stack.segment_models.keys()
+        if variant != "linear":
+            assert any(m.heads for m in segments.values())
+        for sid, fitted in stack.segment_models.items():
+            _names, X_all, _pos = stack.designs[sid]
+            for row in X_all:
+                assert predict_day(segments[sid], row) == predict_day(fitted, row), sid
+
+        # an in-sample day is served from its training-time design row
+        day = prepared.days[len(prepared.days) // 2]
+        assert main(["predict", "--model", str(tmp_path / "m" / "model.json"),
+                     "--date", day.isoformat(), "--out", str(tmp_path / "p")] + common) == 0
+        with (tmp_path / "p" / f"predictions_{day}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["segment_id"] for r in rows] == sorted(stack.segment_models)
+        for r in rows:
+            sid = r["segment_id"]
+            _names, X_all, pos = stack.designs[sid]
+            p = predict_day(stack.segment_models[sid], X_all[pos[day]], cfg.model.cs_threshold)
+            assert r == {"segment_id": sid, "date": day.isoformat(), "cs": str(p.cs),
+                         "cst_slots": repr(p.cst), "cd_slots": "" if p.cd is None else repr(p.cd),
+                         "pti": "" if p.pti is None else repr(p.pti),
+                         "p_congested": repr(p.p_congested)}
+
+    @pytest.mark.parametrize("fname,column", [("tweets.csv", 2), ("weather.csv", 0),
+                                              ("incidents.csv", 3), ("speed.csv", 1)])
+    def test_utc_offset_timestamp_exit_2(self, data_dir, tmp_path, capsys, fname, column):
+        import csv
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        with (broken / fname).open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][column] += "+00:00"
+        with (broken / fname).open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["ingest", "--data", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "row 2:" in err and "carries a UTC offset" in err, err
 
     @pytest.mark.parametrize("overrides", [
         {"morning": {"start_hour": 6}},
@@ -236,7 +325,7 @@ class TestCli:
         prepared = prepare_data(load_bundle(data_dir), load_config(cfg))
         art = build_split(prepared, prepared.days, [], seed=5)
         for road in prepared.roads:
-            dates, labels, _k = art.cluster_labels[road]
+            dates, labels = art.clusters[road].dates, art.clusters[road].ordered.labels
             seg_ids = [s.segment_id for s in prepared.segs_by_road[road]]
             rows = build_road_profiles(road, seg_ids, {(s, d): art.tti[(s, d)] for d in dates
                                                        for s in seg_ids}).rows

@@ -216,7 +216,9 @@ class TestOrdering:
         assert ordered.permutation[0] == 1
         assert ordered.permutation[1] == 0
         assert np.array_equal(ordered.labels, [1, 1, 0])
-        assert np.all(np.diff(ordered.centroid_mean_tti) >= 0)
+        by_label = ordered.centroids[np.argsort(ordered.permutation)]
+        assert np.all(np.diff(by_label.mean(axis=1)) >= 0)
+        assert np.allclose(ordered.centroids, pca_inverse_transform(pca, km.centroids))
 
     def test_partition_unchanged(self):
         rng = np.random.default_rng(11)

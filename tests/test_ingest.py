@@ -44,6 +44,9 @@ def row_by_row_load_speed(path):
                 ts = datetime.fromisoformat(row[1])
             except ValueError as exc:
                 raise ParseError(i, f"bad timestamp {row[1]!r}: {exc}") from None
+            if ts.tzinfo is not None:
+                raise ParseError(i, f"timestamp {row[1]!r} carries a UTC offset; "
+                                 "dataset timestamps are local wall-clock time")
             try:
                 v = float(row[2])
             except ValueError:
@@ -152,7 +155,8 @@ def speed_row(draw, defect_percent):
     if "grid" in defects:
         stamp = draw(st.sampled_from([stamp[:-1] + "3", stamp + ":30", stamp + ":00.5"]))
     if "stamp" in defects:
-        stamp = draw(st.sampled_from(["2014-02-30T05:00", "nope", "", "05:00"]))
+        stamp = draw(st.sampled_from(["2014-02-30T05:00", "nope", "", "05:00",
+                                      stamp + "+01:00", stamp + "Z"]))
     if "speed" in defects:
         speed = draw(st.sampled_from(["0", "-4.5", "nan", "-inf", "fast", "", " 7 "]))
     if "fields" in defects:
@@ -205,7 +209,8 @@ class TestSpeedColumnsMatchRowByRow:
     def test_loader_on_every_combination_of_defects(self, tmp_path):
         """A row that fails several checks reports the first, in the fixed order."""
         good = ["S1", "2014-03-03T05:00", "41.0"]
-        stamps = ["2014-03-03T05:05", "2014-03-03T05:03", "2014-03-03T05:05:00.5", "nope"]
+        stamps = ["2014-03-03T05:05", "2014-03-03T05:03", "2014-03-03T05:05:00.5", "nope",
+                  "2014-03-03T05:05+00:00", "2014-03-03T05:03-05:00"]
         speeds = ["42.0", "0", "nan", "fast"]
         cases = [row for stamp in stamps for speed in speeds
                  for row in (["S2", stamp, speed], ["S2", stamp], ["S2", stamp, speed, "x"])]

@@ -144,8 +144,8 @@ def test_build_split_equals_per_call_joins(world, n_train):
     sleep_wake = [i for i, g in enumerate(got.road_matrix.groups)
                   if g in ("tweet_sleep", "tweet_wake")]
     assert np.any(got.road_matrix.values[:, sleep_wake] != 0.0)
-    assert got.cluster_labels.keys() == want.cluster_labels.keys()
-    for road, (dates, labels, k) in got.cluster_labels.items():
-        w_dates, w_labels, w_k = want.cluster_labels[road]
-        assert (dates, k) == (w_dates, w_k)
-        assert np.array_equal(labels, w_labels)
+    assert got.clusters.keys() == want.clusters.keys()
+    for road, c in got.clusters.items():
+        w = want.clusters[road]
+        assert (c.dates, len(c.ordered.centroids)) == (w.dates, len(w.ordered.centroids))
+        assert np.array_equal(c.ordered.labels, w.ordered.labels)

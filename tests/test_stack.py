@@ -3,8 +3,8 @@ import pytest
 
 from tweet2traffic.config import ModelConfig
 from tweet2traffic.congestion import CongestionMeasurements
-from tweet2traffic.learn.forest import rf_fit
-from tweet2traffic.learn.knn import knn_fit
+from tweet2traffic.learn.forest import RandomForestModel, rf_fit
+from tweet2traffic.learn.knn import KnnModel, knn_fit
 from tweet2traffic.learn.selection import contiguous_folds, fit_lasso_cv, penalty_grid
 from tweet2traffic.learn.serialize import (
     bundle_from_json,
@@ -52,14 +52,14 @@ class TestDescriptor:
         labels = np.clip((X[:, 0] * 1.5 + 1.5).astype(int), 0, 3)
         desc = fit_ordered_descriptor(X, labels, [f"f{i}" for i in range(5)], CFG)
         assert desc.n_clusters == 4
-        assert desc.n_levels == 3
+        assert len(desc.classifiers) == 3
 
     def test_two_clusters_single_classifier(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(40, 3))
         labels = (X[:, 0] > 0).astype(int)
         desc = fit_ordered_descriptor(X, labels, ["a", "b", "c"], CFG)
-        assert desc.n_levels == 1
+        assert len(desc.classifiers) == 1
         scales = desc.predict_scales(X)
         assert scales.shape == (40, 1)
         assert ((scales > 0) & (scales < 1)).all()
@@ -190,52 +190,67 @@ class TestSegmentModels:
 
 class TestKnn:
     def test_exact_match_k1(self):
-        m = knn_fit([[0.2], [0.8]], [5.0, 9.0], k=1, task="reg")
-        assert m.predict_one([0.8]) == 9.0
+        m = knn_fit([[0.2], [0.8]], [5.0, 9.0], k=1, task="reg", columns=[0])
+        assert m.predict_values([[0.8]]).tolist() == [9.0]
 
     def test_uniform_mean(self):
-        m = knn_fit([[0.0], [0.5], [1.0]], [2.0, 4.0, 6.0], k=3, task="reg")
-        assert m.predict_one([0.5]) == pytest.approx(4.0)
+        m = knn_fit([[0.0], [0.5], [1.0]], [2.0, 4.0, 6.0], k=3, task="reg", columns=[0])
+        assert m.predict_values([[0.5]])[0] == pytest.approx(4.0)
 
     def test_tie_vote_goes_congested(self):
-        m = knn_fit([[0.0], [1.0]], [0.0, 1.0], k=2, task="clf")
-        assert m.predict_one([0.5]) == 1.0
+        m = knn_fit([[0.0], [1.0]], [0.0, 1.0], k=2, task="clf", columns=[0])
+        assert m.predict_values([[0.5]]).tolist() == [1.0]
 
     def test_k_clipped_to_train_size(self):
-        m = knn_fit([[0.0]], [3.0], k=5, task="reg")
+        m = knn_fit([[0.0]], [3.0], k=5, task="reg", columns=[0])
         assert m.k == 1
+
+    def test_reads_only_its_columns(self):
+        m = knn_fit([[9.0, 0.0], [9.0, 1.0]], [2.0, 4.0], k=1, task="reg", columns=[1])
+        assert m.predict_values([[-5.0, 0.9], [100.0, 0.1]]).tolist() == [4.0, 2.0]
 
 
 class TestForest:
     def test_pure_node_no_split(self):
         X = np.array([[1.0], [2.0], [3.0]])
-        m = rf_fit(X, np.array([1, 1, 1]), "clf", n_trees=3, bootstrap=False, seed=0)
-        assert all(t.is_leaf for t in m.trees)
+        m = rf_fit(X, np.array([1, 1, 1]), "clf", [0], n_trees=3, bootstrap=False, seed=0)
+        assert all(len(t) == 1 and t[0][0] == -1 for t in m.trees)
 
     def test_single_tree_zero_training_error(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(10, 3))
         y = (rng.random(10) < 0.5).astype(float)
-        m = rf_fit(X, y, "clf", n_trees=1, bootstrap=False, feature_frac="all", seed=0)
-        assert np.array_equal(m.predict(X), y.astype(int))
+        m = rf_fit(X, y, "clf", range(3), n_trees=1, bootstrap=False, feature_frac="all",
+                   seed=0)
+        assert np.array_equal((m.predict_values(X) >= 0.5).astype(int), y.astype(int))
         yr = rng.normal(size=10)
-        mr = rf_fit(X, yr, "reg", n_trees=1, bootstrap=False, feature_frac="all", seed=0)
-        assert np.abs(mr.predict(X) - yr).max() < 1e-9
+        mr = rf_fit(X, yr, "reg", range(3), n_trees=1, bootstrap=False, feature_frac="all",
+                    seed=0)
+        assert np.abs(mr.predict_values(X) - yr).max() < 1e-9
 
     def test_same_seed_identical_forest(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 4))
         y = (X[:, 0] > 0).astype(float)
-        m1 = rf_fit(X, y, "clf", n_trees=10, seed=7)
-        m2 = rf_fit(X, y, "clf", n_trees=10, seed=7)
+        m1 = rf_fit(X, y, "clf", range(4), n_trees=10, seed=7)
+        m2 = rf_fit(X, y, "clf", range(4), n_trees=10, seed=7)
         assert np.array_equal(m1.predict_values(X), m2.predict_values(X))
 
     def test_learns_simple_signal(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(200, 5))
         y = (X[:, 2] > 0).astype(float)
-        m = rf_fit(X, y, "clf", n_trees=30, seed=1)
-        assert (m.predict(X) == y).mean() > 0.95
+        m = rf_fit(X, y, "clf", range(5), n_trees=30, seed=1)
+        assert ((m.predict_values(X) >= 0.5) == y).mean() > 0.95
+
+    def test_reads_only_its_columns(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(40, 4))
+        y = (X[:, 2] > 0).astype(float)
+        m = rf_fit(X, y, "clf", [2], n_trees=5, seed=1)
+        noisy = X.copy()
+        noisy[:, [0, 1, 3]] = rng.normal(size=(40, 3)) * 100
+        assert np.array_equal(m.predict_values(noisy), m.predict_values(X))
 
 
 class TestSerialize:
@@ -286,7 +301,7 @@ class TestVariantHeads:
     def test_knn_variant_predicts(self):
         X, names, quads = self.make_data()
         model = fit_segment_models("S1", X, quads, names, CFG, variant="knn")
-        assert "cs" in model.knn_heads
+        assert isinstance(model.heads["cs"], KnnModel)
         pred = predict_day(model, X[0])
         assert pred.cs in (0, 1)
 
@@ -307,11 +322,39 @@ class TestVariantHeads:
     def test_rf_restricted_to_selected_columns(self):
         X, names, quads = self.make_data()
         model = fit_segment_models("S1", X, quads, names, CFG, variant="rf", seed=3)
-        if "cs" in model.rf_columns:
-            sel = {model.feature_names[i] for i in model.rf_columns["cs"]}
+        if "cs" in model.heads:
+            assert isinstance(model.heads["cs"], RandomForestModel)
+            sel = {model.feature_names[i] for i in model.heads["cs"].columns}
             nonzero = {n for n, w in zip(model.feature_names, model.classifier.weights)
                        if w != 0.0}
             assert sel == nonzero
+
+    @pytest.mark.parametrize("variant", ["linear", "rf", "knn"])
+    def test_bundle_round_trip_predicts_the_same(self, variant):
+        X, names, quads = self.make_data()
+        rng = np.random.default_rng(14)
+        quads = [q if not q.cs else CongestionMeasurements(
+            True, int(30 + 8 * X[i, 0]), int(10 + 4 * X[i, 1]), 1.5 + 0.2 * rng.random())
+            for i, q in enumerate(quads)]
+        model = fit_segment_models("S1", X, quads, names, CFG, variant=variant, seed=3)
+        assert variant == "linear" or set(model.heads) > {"cs"}
+        _desc, segments, _meta = bundle_from_json(bundle_to_json({}, {"S1": model}))
+        reloaded = segments["S1"]
+        assert reloaded.heads.keys() == model.heads.keys()
+        for row in X:
+            assert predict_day(reloaded, row) == predict_day(model, row)
+
+    @pytest.mark.parametrize("variant", ["rf", "knn"])
+    def test_bundle_hash_covers_heads(self, variant):
+        X, names, quads = self.make_data()
+        model = fit_segment_models("S1", X, quads, names, CFG, variant=variant, seed=3)
+        h = bundle_hash({}, {"S1": model})
+        head = model.heads["cs"]
+        if variant == "knn":
+            head.targets[0] = 1.0 - head.targets[0]
+        else:
+            head.trees[0][0][4] += 0.5
+        assert bundle_hash({}, {"S1": model}) != h
 
     def test_rf_falls_back_without_selection(self):
         rng = np.random.default_rng(13)
@@ -337,8 +380,8 @@ def test_rf_training_error_not_worse_than_linear():
     linear = fit_l1_logistic(X, y, lam=2.0)
     sel = [i for i, w in enumerate(linear.weights) if abs(w) > 1e-12]
     assert sel, "the linear model must select something for this check"
-    linear_err = float((linear.predict(X) != y).mean())
-    tree = rf_fit(X[:, sel], y, "clf", n_trees=1, bootstrap=False,
+    linear_err = float(((linear.predict_proba(X) >= 0.5) != y).mean())
+    tree = rf_fit(X, y, "clf", sel, n_trees=1, bootstrap=False,
                   feature_frac="all", max_depth=None, seed=0)
-    tree_err = float((tree.predict(X[:, sel]) != y).mean())
+    tree_err = float(((tree.predict_values(X) >= 0.5) != y).mean())
     assert tree_err <= linear_err + 1e-12
