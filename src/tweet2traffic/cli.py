@@ -36,15 +36,8 @@ from .ingest.loaders import FILE_NAMES, load_bundle, write_dataset
 from .ingest.synthetic import AGENCY_USER, SyntheticConfig, generate_synthetic
 from .learn.serialize import bundle_from_json, bundle_to_json
 from .learn.stack import predict_day
-from .tweetpipe.geocode import MilepostGeocoder
-from .tweetpipe.incidents import assemble_incident_records, parse_incident_tweet
 from .tweetpipe.textclean import clean_text, load_slang, load_wordlist
-from .tweetpipe.users import (
-    filter_influential_users,
-    geotag_timeline,
-    infer_home,
-    landuse_table,
-)
+from .tweetpipe.users import geotag_timeline
 
 log = logging.getLogger("t2t")
 
@@ -69,6 +62,12 @@ def _data_config(args) -> PipelineConfig:
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
     return cfg
+
+
+def _full_span(args):
+    """Prepared data and the artifacts of one split that trains on every day."""
+    prepared = prepare_data(load_bundle(args.data), _data_config(args))
+    return prepared, build_split(prepared, prepared.days, [], seed=args.seed)
 
 
 def cmd_synth(args) -> int:
@@ -100,10 +99,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    cfg = _data_config(args)
-    bundle = load_bundle(args.data)
-    prepared = prepare_data(bundle, cfg)
-    art = build_split(prepared, prepared.days, [], seed=args.seed)
+    prepared, art = _full_span(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for road_id in prepared.roads:
@@ -132,43 +128,28 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_tweets(args) -> int:
-    cfg = _data_config(args)
-    bundle = load_bundle(args.data)
+    if not (args.augment or args.clean or args.parse_incidents or args.encode):
+        print("no stage flags given; use --augment/--clean/--parse-incidents/--encode",
+              file=sys.stderr)
+        return 2
+    if args.augment or args.parse_incidents or args.encode:
+        prepared, art = _full_span(args)
+        cfg, bundle = prepared.config, prepared.bundle
+    else:
+        cfg, bundle = _data_config(args), load_bundle(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    slang = load_slang(cfg.slang_path)
-    wordlist = load_wordlist(cfg.wordlist_path)
-    ran_any = False
     if args.augment:
-        ran_any = True
-        homes = {}
-        from .tweetpipe.users import detect_bots, load_resident_lexicon
-
-        lex = load_resident_lexicon(cfg.resident_lexicon_path)
-        users = filter_influential_users(bundle.tweets, cfg.tweets, lexicon=lex)
-        bots = detect_bots(users, cfg.tweets)
-        geo_by_user = {}
-        for t in bundle.tweets:
-            if t.kind == "GEOCODED" and t.coord is not None:
-                geo_by_user.setdefault(t.user_id, []).append(t)
-        landuse = landuse_table([t.coord for ts in geo_by_user.values() for t in ts],
-                                bundle.zones)
-        for uid in sorted(users):
-            if not users[uid].is_resident or uid in bots:
-                continue
-            home = infer_home(uid, geo_by_user.get(uid, []), landuse, cfg.tweets)
-            if home:
-                homes[uid] = home
-        augmented = geotag_timeline(bundle.tweets, homes, cfg.tweets)
+        augmented = geotag_timeline(bundle.tweets, art.homes, cfg.tweets)
         write_dataset("tweets", augmented, out / "tweets_augmented.csv")
         with (out / "homes.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["user_id", "lat", "lon"])
-            for uid in sorted(homes):
-                w.writerow([uid, repr(homes[uid][0]), repr(homes[uid][1])])
-        print(f"augmented {len(homes)} users' timelines -> {out/'tweets_augmented.csv'}")
+            for uid in sorted(art.homes):
+                w.writerow([uid, repr(art.homes[uid][0]), repr(art.homes[uid][1])])
+        print(f"augmented {len(art.homes)} users' timelines -> {out/'tweets_augmented.csv'}")
     if args.clean:
-        ran_any = True
+        slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
         cleaned = {text: clean_text(text, slang=slang, wordlist=wordlist)
                    for text in dict.fromkeys(t.text for t in bundle.tweets)}
         with (out / "tweets_clean.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -178,20 +159,10 @@ def cmd_tweets(args) -> int:
                 w.writerow([t.tweet_id, cleaned[t.text]])
         print(f"cleaned {len(bundle.tweets)} tweets -> {out/'tweets_clean.csv'}")
     if args.parse_incidents:
-        ran_any = True
-        parsed = []
-        for t in bundle.tweets:
-            if not cfg.tweets.agency_user_ids or t.user_id in cfg.tweets.agency_user_ids:
-                p = parse_incident_tweet(t.text, t.timestamp)
-                if p is not None:
-                    parsed.append(p)
-        records = assemble_incident_records(parsed, MilepostGeocoder(bundle.segments))
-        write_dataset("incidents", records, out / "incidents_from_tweets.csv")
-        print(f"parsed {len(parsed)} incident tweets into {len(records)} records")
+        write_dataset("incidents", prepared.tweet_incidents, out / "incidents_from_tweets.csv")
+        print(f"parsed {len(prepared.tweet_incidents)} incident records from agency "
+              f"tweets -> {out/'incidents_from_tweets.csv'}")
     if args.encode:
-        ran_any = True
-        prepared = prepare_data(bundle, cfg)
-        art = build_split(prepared, prepared.days, [], seed=args.seed)
         fm = art.road_matrix
         with (out / "tweet_features.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -201,18 +172,11 @@ def cmd_tweets(args) -> int:
                 w.writerow([d.isoformat()] + [repr(float(fm.values[di, i]))
                                               for i in tweet_cols])
         print(f"encoded tweet features -> {out/'tweet_features.csv'}")
-    if not ran_any:
-        print("no stage flags given; use --augment/--clean/--parse-incidents/--encode",
-              file=sys.stderr)
-        return 2
     return 0
 
 
 def cmd_features(args) -> int:
-    cfg = _data_config(args)
-    bundle = load_bundle(args.data)
-    prepared = prepare_data(bundle, cfg)
-    art = build_split(prepared, prepared.days, [], seed=args.seed)
+    _prepared, art = _full_span(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fm = art.road_matrix
@@ -237,10 +201,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _data_config(args)
-    bundle = load_bundle(args.data)
-    prepared = prepare_data(bundle, cfg)
-    art = build_split(prepared, prepared.days, [], seed=args.seed)
+    prepared, art = _full_span(args)
     stack = fit_stack(prepared, art, variant=args.variant, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -306,17 +267,9 @@ def cmd_evaluate(args) -> int:
     models = tuple(args.models.split(","))
     plan = TsCvPlan(cfg.harness.n_outer, cfg.model.inner_folds)
     report = run_nested_tscv(prepared, models=models, plan=plan, seed=args.seed)
-    out = Path(args.out)
     geo_tweets = [t for t in bundle.tweets if t.coord is not None]
-    # prepare_data cleaned the in-box tweets; only out-of-box text is left
-    texts = dict(prepared.clean_texts)
-    missing = dict.fromkeys(t.text for t in geo_tweets if t.text not in texts)
-    if missing:
-        slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
-        texts.update({text: clean_text(text, slang=slang, wordlist=wordlist)
-                      for text in missing})
-    tokens = token_frequency(geo_tweets, texts, cfg.tweets.periods)
-    emit_report(report, out, token_counts=tokens)
+    tokens = token_frequency(geo_tweets, prepared.clean_texts, cfg.tweets.periods)
+    emit_report(report, Path(args.out), token_counts=tokens)
     for m in models:
         agg = report.aggregate.get((m, "ALL"), {})
         line = " ".join(f"{k}={v:.4f}" for k, v in agg.items() if v is not None)

@@ -8,15 +8,12 @@ combine by elementwise maximum.
 """
 from __future__ import annotations
 
-import logging
 from datetime import date as date_t
 from datetime import datetime, time, timedelta
 
 import numpy as np
 
 from ..tweetpipe.geo import haversine_km
-
-log = logging.getLogger(__name__)
 
 LOCATION_CODES = ("ds", "in", "us")
 N_HOURS = 11
@@ -130,15 +127,9 @@ def bulk_incident_features(incidents, road_segments, days, day_filter,
     orientation = road_orientation(road_segments)
     for rec in incidents:
         geom = _IncidentGeometry(rec, road_segments)
-        triples = {}
-        for seg in road_segments:
-            try:
-                triples[seg.segment_id] = incident_location_impact(
-                    geom, seg, orientation, d_thres_km)
-            except Exception as exc:
-                log.warning("cannot orient incident %s vs %s: %s; zeros used",
-                            rec.incident_id, seg.segment_id, exc)
-                triples[seg.segment_id] = (0.0, 0.0, 0.0)
+        triples = {seg.segment_id: incident_location_impact(geom, seg, orientation,
+                                                            d_thres_km)
+                   for seg in road_segments}
         prefix = "p" if rec.closure_type == "PARTIAL" else "f"
         for day in incident_days(rec):
             if day not in day_set or not day_filter(rec, day):

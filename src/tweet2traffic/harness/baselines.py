@@ -52,13 +52,10 @@ def index_history(history) -> WeekdayHistory:
 def hm_predict(history, date, window: int | None) -> HmPrediction:
     """Majority CS and congested-day means over the same-weekday window.
 
-    `history` is a WeekdayHistory or a chronological list of
-    (date, CongestionMeasurements) pairs (indexed on the call); only entries
-    strictly before `date` count. `window` counts same-weekday occurrences
+    `history` is a WeekdayHistory (`index_history`); only entries strictly
+    before `date` count. `window` counts same-weekday occurrences
     (None or 0 means unbounded).
     """
-    if not isinstance(history, WeekdayHistory):
-        history = index_history(history)
     n_prior = bisect_left(history.dates, date)
     if not n_prior:
         return HmPrediction(0, 0.0, 0.0, 1.0, flagged="no_history")

@@ -2,7 +2,8 @@
 
 PreparedData caches everything split-independent (the speed cube and its
 gap-filled mornings, cleaned tweet text, tract and land-use joins, the
-weather index, sentiment labels, per-day tweet buckets, incident features).
+weather index, sentiment labels, per-day tweet buckets, agency-tweet incident
+records and incident features).
 build_split refits every leakage-sensitive artifact (reference speeds, user
 set and homes, scalers, clustering, descriptors, segment models) from the
 training span only.
@@ -91,12 +92,12 @@ class PreparedData:
     filled: dict[str, np.ndarray]          # (n_days, 72) gap-filled mornings, NaN when incomplete
     incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
     morning_offset: int
-    incidents: list                         # RCRS rows merged with tweet-parsed records
-    incident_vectors: dict                  # segment -> day -> feature dict
+    tweet_incidents: list                   # records parsed from agency tweets
+    incident_vectors: dict                  # segment -> day -> features, RCRS + tweet records
     event_counts: dict
     event_neu: dict
     sleep_buckets: dict                     # day -> user -> [tweets in the night window]
-    clean_texts: dict[str, str]             # in-box geocoded tweet text -> clean_text
+    clean_texts: dict[str, str]             # text of every tweet with coordinates -> clean_text
     coord_tracts: dict                      # in-box geocoded coordinate -> tract
     geocoder: TractGeocoder
     user_geo: dict[str, list]
@@ -113,8 +114,7 @@ def _in_bbox(coord, bbox) -> bool:
     return bbox[0] <= coord[0] <= bbox[2] and bbox[1] <= coord[1] <= bbox[3]
 
 
-def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
-                 sentiment_provider=None, slang=None, wordlist=None) -> PreparedData:
+def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
     cfg = config
     segments = sorted(bundle.segments, key=lambda s: (s.road_id, s.order_on_road))
     segs_by_road: dict[str, list] = {}
@@ -155,22 +155,21 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
     tract_ids = [t.tract_id for t in geocoder.tracts]
 
     # tract join for every distinct in-box geocoded coordinate, once
-    geo_tweets = [t for t in bundle.tweets
-                  if t.coord is not None and _in_bbox(t.coord, cfg.tweets.bbox)]
+    coord_tweets = [t for t in bundle.tweets if t.coord is not None]
+    geo_tweets = [t for t in coord_tweets if _in_bbox(t.coord, cfg.tweets.bbox)]
     geo_coords = list(dict.fromkeys(t.coord for t in geo_tweets))
     located = geocoder.locate_many(geo_coords) if geo_coords else []
     coord_tracts = dict(zip(geo_coords, located))
 
-    # sentiment labels for event indicators, once (cleaner + provider)
-    if sentiment_provider is None:
-        if cfg.sentiment_scores_path:
-            sentiment_provider = PrecomputedSentimentProvider(cfg.sentiment_scores_path)
-        else:
-            sentiment_provider = LexiconSentimentProvider()
-    slang = slang if slang is not None else load_slang(cfg.slang_path)
-    wordlist = wordlist if wordlist is not None else load_wordlist(cfg.wordlist_path)
+    # cleaned text of every tweet with coordinates (the report's token
+    # counts read all of them), and in-box sentiment labels for event indicators
+    if cfg.sentiment_scores_path:
+        sentiment_provider = PrecomputedSentimentProvider(cfg.sentiment_scores_path)
+    else:
+        sentiment_provider = LexiconSentimentProvider()
+    slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
     clean_texts = {text: clean_text(text, slang=slang, wordlist=wordlist)
-                   for text in dict.fromkeys(t.text for t in geo_tweets)}
+                   for text in dict.fromkeys(t.text for t in coord_tweets)}
     labels = {}
     for t in geo_tweets:
         _p, lab = sentiment_label(t.tweet_id, clean_texts[t.text], sentiment_provider,
@@ -208,27 +207,22 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig,
     landuse = landuse_table([t.coord for ts in user_geo.values() for t in ts],
                             bundle.zones)
 
-    # merge RCRS incidents with records parsed from agency tweets
-    incidents = list(bundle.incidents)
-    if cfg.tweets.agency_user_ids:
-        parsed = []
-        for t in bundle.tweets:
-            if t.user_id in cfg.tweets.agency_user_ids:
-                p = parse_incident_tweet(t.text, t.timestamp)
-                if p is not None:
-                    parsed.append(p)
-        mp_geocoder = MilepostGeocoder(segments)
-        incidents += assemble_incident_records(parsed, mp_geocoder)
+    # records parsed from agency tweets, merged with the RCRS rows
+    parsed = [parse_incident_tweet(t.text, t.timestamp) for t in bundle.tweets
+              if t.user_id in cfg.tweets.agency_user_ids]
+    tweet_incidents = assemble_incident_records([p for p in parsed if p is not None],
+                                                MilepostGeocoder(segments))
 
     road_layout = (tweet_feature_layout(tract_ids, cfg.tweets)
                    + weather_feature_layout() + time_feature_layout())
-    incident_vectors = _incident_vectors(cfg, segs_by_road, incidents, days)
+    incident_vectors = _incident_vectors(cfg, segs_by_road,
+                                         list(bundle.incidents) + tweet_incidents, days)
 
     return PreparedData(
         bundle=bundle, config=cfg, days=days, day_index=day_index,
         segments=segments, segs_by_road=segs_by_road, tract_ids=tract_ids,
         holidays=holidays, speeds=speeds, filled=filled, incomplete=incomplete,
-        morning_offset=morning_offset, incidents=incidents,
+        morning_offset=morning_offset, tweet_incidents=tweet_incidents,
         incident_vectors=incident_vectors,
         event_counts=event_counts, event_neu=event_neu,
         sleep_buckets=sleep_buckets, clean_texts=clean_texts,

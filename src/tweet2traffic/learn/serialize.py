@@ -80,7 +80,7 @@ def bundle_to_json(descriptors: dict, segment_models: dict, meta: dict | None = 
         "descriptors": {road: descriptor_to_dict(d) for road, d in sorted(descriptors.items())},
         "segments": {sid: segment_to_dict(m) for sid, m in sorted(segment_models.items())},
     }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def bundle_from_json(text: str):

@@ -84,7 +84,6 @@ class SegmentModelSet:
 
 def fit_segment_models(segment_id: str, X, quadruples, feature_names,
                        cfg: ModelConfig, variant: str = "linear",
-                       road_fallbacks: dict[str, float] | None = None,
                        seed: int = 0) -> SegmentModelSet:
     """Classifier on all days; regressors (and variant heads) on congested days."""
     X = np.asarray(X, dtype=float)
@@ -106,7 +105,7 @@ def fit_segment_models(segment_id: str, X, quadruples, feature_names,
         "cd": np.array([float(q.cd) if q.cd is not None else 0.0 for q in quadruples]),
         "pti": np.array([float(q.pti) if q.pti is not None else 1.0 for q in quadruples]),
     }
-    fallbacks = dict(road_fallbacks or FALLBACK_DEFAULTS)
+    fallbacks = dict(FALLBACK_DEFAULTS)
     regressors: dict[str, LinearModel] = {}
     if congested.size == 0:
         flags.append("no_congested_days")

@@ -42,22 +42,17 @@ class TractGeocoder:
 class MilepostGeocoder:
     """Maps (road name, direction, milepost) to a segment-interpolated coordinate.
 
-    Road naming follows 'I-376 eastbound' -> road_id 'I-376 E' style; the
-    alias table can override that convention per dataset.
+    Road naming follows 'I-376 eastbound' -> road_id 'I-376 E' style.
     """
 
-    def __init__(self, segments, aliases: dict[tuple[str, str], str] | None = None):
+    def __init__(self, segments):
         self.by_road: dict[str, list] = {}
         for seg in segments:
             self.by_road.setdefault(seg.road_id, []).append(seg)
         for road in self.by_road.values():
             road.sort(key=lambda s: s.order_on_road)
-        self.aliases = aliases or {}
 
     def road_id_for(self, road_name: str, direction: str) -> str | None:
-        key = (road_name.upper(), direction.lower())
-        if key in self.aliases:
-            return self.aliases[key]
         guess = f"{road_name.upper()} {direction[0].upper()}"
         return guess if guess in self.by_road else None
 

@@ -55,7 +55,6 @@ class UserProfile:
     is_resident: bool
     location_range_m: float
     bot_score: float | None = None
-    home: tuple[float, float] | None = None
 
 
 def filter_influential_users(tweets, cfg: TweetConfig, lexicon=None) -> dict[str, UserProfile]:
@@ -195,14 +194,12 @@ def landuse_table(coords, zones) -> dict[tuple[float, float], str | None]:
     return dict(zip(distinct, landuse_of_points(distinct, zones)))
 
 
-def build_checkin_clusters(user_id: str, geocoded_tweets, landuse, cfg: TweetConfig,
-                           home_keywords=None) -> list[CheckinCluster]:
+def build_checkin_clusters(user_id: str, geocoded_tweets, landuse,
+                           cfg: TweetConfig) -> list[CheckinCluster]:
     """Cluster one user's check-ins and compute the six home-rule features.
 
     `landuse` maps each check-in coordinate to its land use (`landuse_table`).
     """
-    if home_keywords is None:
-        home_keywords = cfg.home_keywords
     tweets = sorted(geocoded_tweets, key=lambda t: (t.timestamp, t.tweet_id))
     if not tweets:
         return []
@@ -230,7 +227,8 @@ def build_checkin_clusters(user_id: str, geocoded_tweets, landuse, cfg: TweetCon
         if total > 0:
             mix = {k: v / total for k, v in mix.items()}
         midnight = any(0 <= t.timestamp.hour < 6 for t in members)
-        home_tw = any(any(kw in t.text.lower() for kw in home_keywords) for t in members)
+        home_tw = any(any(kw in t.text.lower() for kw in cfg.home_keywords)
+                      for t in members)
         clusters.append(CheckinCluster(
             user_id=user_id, coords=coords[idx], land_use_mix=mix,
             checkin_rank=0, midnight_activity=midnight, home_tweet=home_tw,

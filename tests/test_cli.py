@@ -72,7 +72,7 @@ class TestCli:
         from tweet2traffic.ingest.types import Tweet
         from tweet2traffic.tweetpipe.textclean import clean_text
 
-        # one geocoded tweet outside the box: prepare_data never cleans it
+        # one geocoded tweet outside the box: its tokens are still counted
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         bundle = load_bundle(data)
@@ -113,6 +113,56 @@ class TestCli:
     def test_tweets_requires_stage_flag(self, data_dir, tmp_path):
         rc = main(["tweets", "--data", str(data_dir), "--out", str(tmp_path / "t")])
         assert rc == 2
+
+    def test_tweets_augment_exports_the_model_homes(self, data_dir, tmp_path):
+        import csv
+
+        from tweet2traffic.config import load_config
+        from tweet2traffic.harness.pipeline import build_split, prepare_data
+        from tweet2traffic.ingest.loaders import load_bundle, write_dataset
+        from tweet2traffic.tweetpipe.users import geotag_timeline
+
+        cfg_path = data_dir / "config.json"
+        out = tmp_path / "t"
+        assert main(["tweets", "--augment", "--data", str(data_dir), "--config",
+                     str(cfg_path), "--seed", "2", "--out", str(out)]) == 0
+        cfg = load_config(cfg_path)
+        bundle = load_bundle(data_dir)
+        prepared = prepare_data(bundle, cfg)
+        homes = build_split(prepared, prepared.days, [], seed=2).homes
+        assert homes
+        with (out / "homes.csv").open(newline="") as fh:
+            assert {r["user_id"]: (float(r["lat"]), float(r["lon"]))
+                    for r in csv.DictReader(fh)} == homes
+        write_dataset("tweets", geotag_timeline(bundle.tweets, homes, cfg.tweets),
+                      tmp_path / "augmented.csv")
+        assert ((out / "tweets_augmented.csv").read_bytes()
+                == (tmp_path / "augmented.csv").read_bytes())
+
+    def test_parse_incidents_writes_the_merged_records(self, data_dir, tmp_path):
+        from tweet2traffic.config import load_config
+        from tweet2traffic.harness.pipeline import prepare_data
+        from tweet2traffic.ingest.loaders import load_bundle, write_dataset
+
+        cfg_path = data_dir / "config.json"
+        out = tmp_path / "t"
+        assert main(["tweets", "--parse-incidents", "--data", str(data_dir), "--config",
+                     str(cfg_path), "--out", str(out)]) == 0
+        prepared = prepare_data(load_bundle(data_dir), load_config(cfg_path))
+        assert prepared.tweet_incidents
+        write_dataset("incidents", prepared.tweet_incidents, tmp_path / "incidents.csv")
+        assert ((out / "incidents_from_tweets.csv").read_bytes()
+                == (tmp_path / "incidents.csv").read_bytes())
+
+    def test_parse_incidents_without_agency_accounts_is_header_only(self, data_dir,
+                                                                      tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tweets": {"agency_user_ids": []}}))
+        out = tmp_path / "t"
+        assert main(["tweets", "--parse-incidents", "--data", str(data_dir),
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "incidents_from_tweets.csv").read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("incident_id,")
 
     def test_predict_unknown_bundle_version_exit_2(self, data_dir, tmp_path, capsys):
         model = tmp_path / "model.json"

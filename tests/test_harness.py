@@ -16,6 +16,7 @@ from tweet2traffic.harness.baselines import (
     SarModel,
     fit_sar,
     hm_predict,
+    index_history,
     sar_quadruple,
     sar_rollout,
 )
@@ -44,7 +45,7 @@ class TestHm:
         hist = [(d, quad(1, cst=40)) for d in days[:21]]
         target = days[21]
         same_dow = [d for d, _q in hist if d.weekday() == target.weekday()]
-        pred = hm_predict(hist, target, window=3)
+        pred = hm_predict(index_history(hist), target, window=3)
         assert pred.cs == 1 and pred.cst == 40.0
         assert len(same_dow) >= 3
 
@@ -53,12 +54,12 @@ class TestHm:
         target = days[28]
         hist = [(d, quad(1 if i < 2 else 0)) for i, d in enumerate(
             [dd for dd in days[:28] if dd.weekday() == target.weekday()])]
-        pred = hm_predict(hist, target, window=None)
+        pred = hm_predict(index_history(hist), target, window=None)
         # history cs = {1,1,0,0}: tie -> congested
         assert pred.cs == 1
 
     def test_cold_start(self):
-        pred = hm_predict([], date(2014, 3, 3), window=4)
+        pred = hm_predict(index_history([]), date(2014, 3, 3), window=4)
         assert pred.cs == 0 and pred.flagged == "no_history"
 
     def test_unbounded_window_equals_all_history_mean(self):
@@ -66,12 +67,12 @@ class TestHm:
         target = days[69]
         same = [d for d in days[:69] if d.weekday() == target.weekday()]
         hist = [(d, quad(1, cst=10 + i)) for i, d in enumerate(same)]
-        pred = hm_predict(hist, target, window=None)
+        pred = hm_predict(index_history(hist), target, window=None)
         assert pred.cst == pytest.approx(np.mean([10 + i for i in range(len(same))]))
 
     def test_global_fallback_when_no_same_weekday(self):
         hist = [(date(2014, 3, 3), quad(1))]     # Monday only
-        pred = hm_predict(hist, date(2014, 3, 5), window=4)
+        pred = hm_predict(index_history(hist), date(2014, 3, 5), window=4)
         assert pred.flagged == "global_fallback"
         assert pred.cs == 1
 
