@@ -17,21 +17,22 @@ import sys
 from datetime import date as date_t
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import PipelineConfig, load_config
 from .errors import InsufficientHistory, SchemaMismatch, Tweet2TrafficError
-from .harness.ablation import ABLATION_VARIANTS, run_ablation
+from .harness.ablation import run_ablation
 from .harness.descriptive import run_descriptive_analysis
 from .harness.pipeline import (
+    ABLATION_VARIANTS,
+    StackModel,
     build_split,
+    descriptor_scales,
     fit_stack,
     prepare_data,
     segment_design,
 )
 from .harness.report import emit_report, token_frequency
-from .harness.tscv import TsCvPlan, run_nested_tscv
+from .harness.tscv import EvaluationReport, run_nested_tscv
 from .ingest.loaders import FILE_NAMES, load_bundle, write_dataset
 from .ingest.synthetic import AGENCY_USER, SyntheticConfig, generate_synthetic
 from .learn.serialize import bundle_from_json, bundle_to_json
@@ -64,9 +65,14 @@ def _data_config(args) -> PipelineConfig:
     return cfg
 
 
+def _prepare(args):
+    """The --data directory loaded and prepared under the resolved config."""
+    return prepare_data(load_bundle(args.data), _data_config(args))
+
+
 def _full_span(args):
     """Prepared data and the artifacts of one split that trains on every day."""
-    prepared = prepare_data(load_bundle(args.data), _data_config(args))
+    prepared = _prepare(args)
     return prepared, build_split(prepared, prepared.days, [], seed=args.seed)
 
 
@@ -132,8 +138,11 @@ def cmd_tweets(args) -> int:
         print("no stage flags given; use --augment/--clean/--parse-incidents/--encode",
               file=sys.stderr)
         return 2
-    if args.augment or args.parse_incidents or args.encode:
+    if args.augment or args.encode:
         prepared, art = _full_span(args)
+        cfg, bundle = prepared.config, prepared.bundle
+    elif args.parse_incidents:
+        prepared = _prepare(args)
         cfg, bundle = prepared.config, prepared.bundle
     else:
         cfg, bundle = _data_config(args), load_bundle(args.data)
@@ -202,7 +211,7 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     prepared, art = _full_span(args)
-    stack = fit_stack(prepared, art, variant=args.variant, seed=args.seed)
+    stack = fit_stack(prepared, art, StackModel(head=args.variant), seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     text = bundle_to_json(stack.descriptors, stack.segment_models,
@@ -210,8 +219,6 @@ def cmd_train(args) -> int:
                                 "version": __version__,
                                 "train_days": [d.isoformat() for d in art.train_days]})
     (out / "model.json").write_text(text, encoding="utf-8")
-    from .harness.tscv import EvaluationReport
-
     emit_report(EvaluationReport().finalize(), out,
                 descriptors=stack.descriptors, segment_models=stack.segment_models)
     print(f"model bundle -> {out/'model.json'}")
@@ -219,13 +226,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _data_config(args)
     descriptors, segments, meta = bundle_from_json(Path(args.model).read_text())
     if "train_days" not in meta:
         raise SchemaMismatch("train_days", "model bundle meta lacks its training days; "
                              "retrain it with `t2t train`")
-    bundle = load_bundle(args.data)
-    prepared = prepare_data(bundle, cfg)
+    prepared = _prepare(args)
     train_days = [date_t.fromisoformat(d) for d in meta["train_days"]]
     absent = [d for d in train_days if d not in prepared.day_index]
     if absent:
@@ -236,10 +241,8 @@ def cmd_predict(args) -> int:
         raise InsufficientHistory(f"date {target} not covered by the dataset")
     test_days = [] if target in set(train_days) else [target]
     art = build_split(prepared, train_days, test_days, seed=args.seed)
-    scales = {road: (desc.predict_scales(art.road_matrix.values) if desc is not None
-                     else np.zeros((len(art.road_matrix.days), 0)))
-              for road, desc in descriptors.items()}
-    designs = segment_design(prepared, art, art.road_matrix, scales)
+    designs = segment_design(prepared, art, art.road_matrix,
+                             descriptor_scales(descriptors, art.road_matrix))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with (out / f"predictions_{target.isoformat()}.csv").open("w", newline="",
@@ -252,7 +255,7 @@ def cmd_predict(args) -> int:
                 continue
             _names, X_all, pos = designs[sid]
             p = predict_day(segments[sid], X_all[pos[target]],
-                            cfg.model.cs_threshold)
+                            prepared.config.model.cs_threshold)
             w.writerow([sid, target.isoformat(), p.cs, repr(p.cst),
                         "" if p.cd is None else repr(p.cd),
                         "" if p.pti is None else repr(p.pti), repr(p.p_congested)])
@@ -261,14 +264,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _data_config(args)
-    bundle = load_bundle(args.data)
-    prepared = prepare_data(bundle, cfg)
+    prepared = _prepare(args)
     models = tuple(args.models.split(","))
-    plan = TsCvPlan(cfg.harness.n_outer, cfg.model.inner_folds)
-    report = run_nested_tscv(prepared, models=models, plan=plan, seed=args.seed)
-    geo_tweets = [t for t in bundle.tweets if t.coord is not None]
-    tokens = token_frequency(geo_tweets, prepared.clean_texts, cfg.tweets.periods)
+    report = run_nested_tscv(prepared, models=models, seed=args.seed)
+    geo_tweets = [t for t in prepared.bundle.tweets if t.coord is not None]
+    tokens = token_frequency(geo_tweets, prepared.clean_texts, prepared.config.tweets.periods)
     emit_report(report, Path(args.out), token_counts=tokens)
     for m in models:
         agg = report.aggregate.get((m, "ALL"), {})
@@ -278,13 +278,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _data_config(args)
-    bundle = load_bundle(args.data)
-    prepared = prepare_data(bundle, cfg)
-    plan = TsCvPlan(cfg.harness.n_outer, cfg.model.inner_folds)
-    base = run_nested_tscv(prepared, models=("t2t",), plan=plan, seed=args.seed)
-    var_report, deltas = run_ablation(prepared, args.variant, base_report=base,
-                                      plan=plan, seed=args.seed)
+    var_report, deltas = run_ablation(_prepare(args), args.variant, seed=args.seed)
     out = Path(args.out)
     emit_report(var_report, out)
     with (Path(args.out) / "deltas.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -299,12 +293,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    cfg = _data_config(args)
-    bundle = load_bundle(args.data)
-    prepared = prepare_data(bundle, cfg)
-    rows = run_descriptive_analysis(prepared, seed=args.seed)
-    from .harness.tscv import EvaluationReport
-
+    prepared, art = _full_span(args)
+    rows = run_descriptive_analysis(prepared, art, seed=args.seed)
     emit_report(EvaluationReport().finalize(), Path(args.out), association_rows=rows)
     for r in rows:
         print(f"{r.road_id}: {r.n_traffic_clusters} x {r.n_tweet_clusters} clusters, "

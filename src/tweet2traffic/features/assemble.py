@@ -70,7 +70,7 @@ class FeatureMatrix:
 
     def drop_groups(self, groups: set[str]) -> "FeatureMatrix":
         keep = [i for i, g in enumerate(self.groups) if g not in groups]
-        return self._take(keep)
+        return self if len(keep) == len(self.groups) else self._take(keep)
 
     def before_cutoff(self, cutoff_hour: float) -> "FeatureMatrix":
         """Drop tweet/weather columns whose data completes after the cutoff."""

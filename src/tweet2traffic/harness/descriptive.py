@@ -14,7 +14,7 @@ from ..clustering import (
     pca_fit,
     pca_transform,
 )
-from .pipeline import PreparedData, build_split
+from .pipeline import PreparedData, SplitArtifacts
 
 log = logging.getLogger(__name__)
 
@@ -48,11 +48,11 @@ def _tweet_profile_hours(prepared: PreparedData):
     return out
 
 
-def run_descriptive_analysis(prepared: PreparedData, seed: int = 0) -> list[AssociationRow]:
-    """Cluster traffic and tweeting profiles on the full span; test association."""
+def run_descriptive_analysis(prepared: PreparedData, art: SplitArtifacts,
+                             seed: int = 0) -> list[AssociationRow]:
+    """Test association of tweeting clusters with `art`'s full-span traffic clusters."""
     cfg = prepared.config.clustering
     days = prepared.days
-    art = build_split(prepared, days, [], seed=seed)
 
     hour_map = _tweet_profile_hours(prepared)
     n_bins = int(round((cfg.profile_end_hour - cfg.profile_start_hour)

@@ -430,47 +430,61 @@ def segment_design(prepared: PreparedData, art: SplitArtifacts,
     return out
 
 
-def fit_stack(prepared: PreparedData, art: SplitArtifacts, variant: str = "linear",
-              mask: str | None = None, cutoff: float | None = None,
-              use_cluster: bool = True, seed: int = 0) -> FittedStack:
-    """Fit descriptor + segment models on the training span of one split.
+@dataclass(frozen=True)
+class StackModel:
+    """One stack model: its segment heads, the feature groups it drops and
+    the forecast-horizon cutoff hour it applies (None for none)."""
+    head: str = "linear"                # "linear", "rf" or "knn"
+    drop: frozenset = frozenset()       # feature groups, "incident" and "cluster" included
+    cutoff: float | None = None
 
-    `mask` drops a feature family (tweet/incident/weather); `cutoff` applies
-    a forecast-horizon restriction; `use_cluster=False` removes the road
-    descriptor entirely.
-    """
+
+ABLATION_VARIANTS = {
+    "NO_TWEET": StackModel(drop=frozenset({"tweet_sleep", "tweet_wake", "tweet_period",
+                                           "tweet_sentiment"})),
+    "NO_INCIDENT": StackModel(drop=frozenset({"incident"})),
+    "NO_WEATHER": StackModel(drop=frozenset({"weather"})),
+    "NO_CLUSTER": StackModel(drop=frozenset({"cluster"})),
+    "BEFORE_3AM": StackModel(cutoff=3.0),
+    "BEFORE_MIDNIGHT": StackModel(cutoff=0.0),
+}
+
+STACK_MODELS = {"t2t": StackModel(), "t2t_rf": StackModel(head="rf"),
+                "t2t_knn": StackModel(head="knn"), **ABLATION_VARIANTS}
+
+
+def descriptor_scales(descriptors, road_matrix: FeatureMatrix) -> dict[str, np.ndarray]:
+    """Each road's cluster-scale columns; none for a road without a descriptor."""
+    return {road: (desc.predict_scales(road_matrix.values) if desc is not None
+                   else np.zeros((len(road_matrix.days), 0)))
+            for road, desc in descriptors.items()}
+
+
+def fit_stack(prepared: PreparedData, art: SplitArtifacts, model: StackModel = StackModel(),
+              seed: int = 0) -> FittedStack:
+    """Fit descriptor + segment models of one stack model on one split's training span."""
     cfg = prepared.config
-    road_matrix = art.road_matrix
-    if mask == "tweet":
-        road_matrix = road_matrix.drop_groups(
-            {"tweet_sleep", "tweet_wake", "tweet_period", "tweet_sentiment"})
-    elif mask == "weather":
-        road_matrix = road_matrix.drop_groups({"weather"})
-    if cutoff is not None:
-        road_matrix = road_matrix.before_cutoff(cutoff)
+    road_matrix = art.road_matrix.drop_groups(model.drop)
+    if model.cutoff is not None:
+        road_matrix = road_matrix.before_cutoff(model.cutoff)
 
-    all_days = road_matrix.days
-    day_pos = {d: i for i, d in enumerate(all_days)}
-
+    day_pos = {d: i for i, d in enumerate(road_matrix.days)}
     descriptors: dict[str, OrderedDescriptor | None] = {}
-    scales: dict[str, np.ndarray] = {}
     for road_id in prepared.roads:
-        if not use_cluster:
+        if "cluster" in model.drop:
             descriptors[road_id] = None
-            scales[road_id] = np.zeros((len(all_days), 0))
             continue
         clusters = art.clusters[road_id]
         pos = [day_pos[d] for d in clusters.dates if d in day_pos]
         keep = [i for i, d in enumerate(clusters.dates) if d in day_pos]
-        X = road_matrix.values[pos]
-        desc = fit_ordered_descriptor(X, clusters.ordered.labels[keep], road_matrix.names,
-                                      cfg.model)
-        descriptors[road_id] = desc
-        scales[road_id] = desc.predict_scales(road_matrix.values)
+        descriptors[road_id] = fit_ordered_descriptor(
+            road_matrix.values[pos], clusters.ordered.labels[keep], road_matrix.names,
+            cfg.model)
 
     segment_models: dict[str, SegmentModelSet] = {}
-    designs = segment_design(prepared, art, road_matrix, scales,
-                             use_incidents=mask != "incident")
+    designs = segment_design(prepared, art, road_matrix,
+                             descriptor_scales(descriptors, road_matrix),
+                             use_incidents="incident" not in model.drop)
     for sid in sorted(designs):
         names, X_all, pos = designs[sid]
         train_rows, train_quads = [], []
@@ -481,16 +495,13 @@ def fit_stack(prepared: PreparedData, art: SplitArtifacts, variant: str = "linea
             train_rows.append(X_all[pos[d]])
             train_quads.append(q)
         segment_models[sid] = fit_segment_models(sid, np.asarray(train_rows), train_quads,
-                                                 names, cfg.model, variant=variant, seed=seed)
+                                                 names, cfg.model, variant=model.head,
+                                                 seed=seed)
     return FittedStack(descriptors, segment_models, designs)
 
 
-def stack_predictions(prepared: PreparedData, art: SplitArtifacts, stack: FittedStack,
-                      days) -> dict[str, dict[date_t, object]]:
-    cfg = prepared.config
-    out: dict[str, dict] = {}
-    for sid, model in stack.segment_models.items():
-        _names, X_all, pos = stack.designs[sid]
-        out[sid] = {d: predict_day(model, X_all[pos[d]], cfg.model.cs_threshold)
-                    for d in days}
-    return out
+def stack_predictions(prepared: PreparedData, stack: FittedStack, sid: str, days) -> list:
+    """One segment's day predictions from its split design rows."""
+    _names, X_all, pos = stack.designs[sid]
+    return [predict_day(stack.segment_models[sid], X_all[pos[d]],
+                        prepared.config.model.cs_threshold) for d in days]

@@ -17,17 +17,20 @@ from ..congestion import N_SLOTS
 from ..errors import InsufficientHistory, TooFewDays, UnknownVariant
 from .baselines import fit_sar, hm_predict, index_history, sar_quadruple, sar_rollout
 from .metrics import compute_metrics, weighted_aggregate
-from .pipeline import PreparedData, build_split, fit_stack, stack_predictions
+from .pipeline import (
+    STACK_MODELS,
+    PreparedData,
+    build_split,
+    fit_stack,
+    stack_predictions,
+)
 
 log = logging.getLogger(__name__)
-
-_STACK_VARIANTS = {"t2t": "linear", "t2t_rf": "rf", "t2t_knn": "knn"}
 
 
 @dataclass(frozen=True)
 class TsCvPlan:
     n_outer: int = 10
-    n_inner: int = 4
 
     def folds(self, n_days: int) -> list[list[int]]:
         k = self.n_outer + 1
@@ -71,31 +74,21 @@ class EvaluationReport:
         return self.aggregate.get((model, segment), {}).get(metric)
 
 
-def _truth_rows(art, sid, days):
-    quads, keep = [], []
-    for d in days:
-        q = art.quads[sid][d]
-        if q is not None:
-            quads.append(q)
-            keep.append(d)
-    return quads, keep
+def _score(prepared, art, report, model_name, split_id, predict):
+    """Score a model on each segment's test days that have truth.
 
-
-def _score_stack(prepared, art, stack, split_id, model_name, report):
-    preds = stack_predictions(prepared, art, stack, art.test_days)
-    for sid in sorted(preds):
-        quads, days = _truth_rows(art, sid, art.test_days)
-        if not quads:
-            continue
-        rows = [preds[sid][d] for d in days]
-        ms = compute_metrics(
-            quads,
-            [p.cs for p in rows],
-            [p.raw["cst"] for p in rows],
-            [p.raw["cd"] for p in rows],
-            [p.raw["pti"] for p in rows],
-            prepared.config.congestion.slot)
-        report.per_split[(model_name, sid, split_id)] = ms
+    `predict(sid, days)` returns one (cs, cst, cd, pti) row per day, or None
+    when the segment's model cannot be fit; a segment without a truth day is
+    not scored.
+    """
+    for sid in sorted(art.quads):
+        days = [d for d in art.test_days if art.quads[sid][d] is not None]
+        rows = predict(sid, days) if days else None
+        if rows:
+            cs, cst, cd, pti = (list(col) for col in zip(*rows))
+            report.per_split[(model_name, sid, split_id)] = compute_metrics(
+                [art.quads[sid][d] for d in days], cs, cst, cd, pti,
+                prepared.config.congestion.slot)
 
 
 def _hm_history(art, sid, days):
@@ -130,18 +123,14 @@ def _tune_hm_window(prepared, art) -> int | None:
     return best
 
 
-def _score_hm(prepared, art, split_id, report):
+def _hm_predictor(prepared, art):
     window = _tune_hm_window(prepared, art)
-    for sid in sorted(art.quads):
+
+    def predict(sid, days):
         history = _hm_history(art, sid, art.train_days)
-        quads, days = _truth_rows(art, sid, art.test_days)
-        if not quads:
-            continue
         preds = [hm_predict(history, d, window) for d in days]
-        ms = compute_metrics(quads, [p.cs for p in preds], [p.cst for p in preds],
-                             [p.cd for p in preds], [p.pti for p in preds],
-                             prepared.config.congestion.slot)
-        report.per_split[("hm", sid, split_id)] = ms
+        return [(p.cs, p.cst, p.cd, p.pti) for p in preds]
+    return predict
 
 
 def _tune_sar(prepared, art, sid) -> tuple[int, int]:
@@ -173,42 +162,41 @@ def _tune_sar(prepared, art, sid) -> tuple[int, int]:
     return best
 
 
-def _score_sar(prepared, art, split_id, report):
+def _sar_predictor(prepared, art, split_id):
     params = prepared.config.congestion
     train_idx = [prepared.day_index[d] for d in art.train_days]
-    for sid in sorted(art.quads):
-        quads, days = _truth_rows(art, sid, art.test_days)
-        if not quads:
-            continue
+
+    def predict(sid, days):
         p_lags, h_seasonal = _tune_sar(prepared, art, sid)
         try:
             model = fit_sar(sid, prepared.speeds[sid], train_idx, p_lags,
                             h_seasonal, prepared.morning_offset)
         except InsufficientHistory:
             log.warning("SAR: insufficient history for %s split %d", sid, split_id)
-            continue
+            return None
         preds = sar_rollout(model, prepared.speeds[sid],
                             [prepared.day_index[d] for d in days], prepared.morning_offset)
-        scored = [sar_quadruple(pred, art.v_ref[sid], params, prepared.config.pti_quantile)
-                  for pred in preds]
-        cs, cst, cd, pti = (list(col) for col in zip(*scored))
-        ms = compute_metrics(quads, cs, cst, cd, pti, params.slot)
-        report.per_split[("sar", sid, split_id)] = ms
+        return [sar_quadruple(pred, art.v_ref[sid], params, prepared.config.pti_quantile)
+                for pred in preds]
+    return predict
+
+
+def _stack_predictor(prepared, stack):
+    def predict(sid, days):
+        return [(p.cs, p.raw["cst"], p.raw["cd"], p.raw["pti"])
+                for p in stack_predictions(prepared, stack, sid, days)]
+    return predict
 
 
 def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
-                    plan: TsCvPlan | None = None, seed: int = 0,
-                    variant_masks: dict | None = None) -> EvaluationReport:
+                    plan: TsCvPlan | None = None, seed: int = 0) -> EvaluationReport:
     """Evaluate the requested models over every outer split.
 
-    `models` may include t2t, t2t_rf, t2t_knn, hm, sar, and any key of
-    `variant_masks` mapping a name to fit_stack keyword arguments (feature
-    masks, cutoffs, no-cluster).
+    `models` may name hm, sar and any key of `STACK_MODELS`.
     """
     plan = plan or TsCvPlan(prepared.config.harness.n_outer)
     report = EvaluationReport()
-    variant_masks = variant_masks or {}
-    known = {"hm", "sar", *_STACK_VARIANTS, *variant_masks}
+    known = {"hm", "sar", *STACK_MODELS}
     unknown = [name for name in models if name not in known]
     if unknown:
         raise UnknownVariant(f"unknown model(s) {', '.join(map(repr, unknown))}; "
@@ -219,17 +207,13 @@ def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
         art = build_split(prepared, train_days, test_days, seed=seed + split_id)
         for name in models:
             if name == "hm":
-                _score_hm(prepared, art, split_id, report)
+                predict = _hm_predictor(prepared, art)
             elif name == "sar":
-                _score_sar(prepared, art, split_id, report)
-            elif name in _STACK_VARIANTS:
-                stack = fit_stack(prepared, art, variant=_STACK_VARIANTS[name],
-                                  seed=seed + split_id)
-                _score_stack(prepared, art, stack, split_id, name, report)
+                predict = _sar_predictor(prepared, art, split_id)
             else:
-                stack = fit_stack(prepared, art, seed=seed + split_id,
-                                  **variant_masks[name])
-                _score_stack(prepared, art, stack, split_id, name, report)
+                predict = _stack_predictor(prepared, fit_stack(
+                    prepared, art, STACK_MODELS[name], seed=seed + split_id))
+            _score(prepared, art, report, name, split_id, predict)
         log.info("split %d scored (%d train days, %d test days)",
                  split_id, len(train_days), len(test_days))
     return report.finalize()

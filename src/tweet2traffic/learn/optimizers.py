@@ -235,12 +235,12 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
         working = np.flatnonzero(in_set).tolist()
         obj = objective()
         inner_ok = False
-        n_inner = 0
+        round_sweeps = 0
         while sweeps < max_iter:
             sweeps += 1
-            n_inner += 1
+            round_sweeps += 1
             sweep(working)
-            if n_inner == 3:
+            if round_sweeps == 3:
                 # shrink to the surviving support; dropped coordinates are
                 # re-admitted by the full KKT verification below if needed
                 working = np.flatnonzero(w != 0.0).tolist()

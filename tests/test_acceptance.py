@@ -22,7 +22,6 @@ from tweet2traffic.config import (
     PipelineConfig,
     TweetConfig,
 )
-from tweet2traffic.harness.ablation import ABLATION_VARIANTS
 from tweet2traffic.harness.baselines import fit_sar, sar_quadruple, sar_rollout
 from tweet2traffic.harness.pipeline import (
     _split_quadruples,
@@ -309,16 +308,13 @@ def big_world():
         plan = TsCvPlan(n_outer=10)
         report = run_nested_tscv(
             prepared, plan=plan, seed=0,
-            models=("t2t", "hm", "sar", "NO_TWEET", "BEFORE_MIDNIGHT"),
-            variant_masks={k: ABLATION_VARIANTS[k]
-                           for k in ("NO_TWEET", "BEFORE_MIDNIGHT")})
+            models=("t2t", "hm", "sar", "NO_TWEET", "BEFORE_MIDNIGHT"))
         sar_recall_late = _sar_restricted_recall(prepared, sidecar, plan)
 
         null_bundle, _null_sidecar = generate_synthetic(NULL_SYNTH, seed=MAIN_SEED)
         null_prepared = prepare_data(null_bundle, PIPELINE_CFG)
         null_report = run_nested_tscv(
-            null_prepared, plan=plan, seed=0, models=("t2t", "NO_TWEET"),
-            variant_masks={"NO_TWEET": ABLATION_VARIANTS["NO_TWEET"]})
+            null_prepared, plan=plan, seed=0, models=("t2t", "NO_TWEET"))
 
         interp_cfg = dataclasses.replace(
             PIPELINE_CFG, harness=HarnessConfig(assume_all_known=True))

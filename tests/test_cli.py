@@ -54,6 +54,17 @@ class TestCli:
         assert (out / "token_frequencies.csv").exists()
         assert "t2t:" in capsys.readouterr().out
 
+    def test_evaluate_takes_an_ablation_name(self, data_dir, tmp_path):
+        import csv
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"harness": {"n_outer": 3}}))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--data", str(data_dir), "--config", str(cfg),
+                     "--models", "NO_CLUSTER", "--out", str(out)]) == 0
+        with (out / "aggregates.csv").open(newline="") as fh:
+            assert {r["model"] for r in csv.DictReader(fh)} == {"NO_CLUSTER"}
+
     def test_evaluate_unknown_model_exit_2(self, data_dir, tmp_path, capsys):
         rc = main(["evaluate", "--data", str(data_dir), "--models", "hm,bogus",
                    "--out", str(tmp_path / "eval")])
@@ -153,6 +164,20 @@ class TestCli:
         write_dataset("incidents", prepared.tweet_incidents, tmp_path / "incidents.csv")
         assert ((out / "incidents_from_tweets.csv").read_bytes()
                 == (tmp_path / "incidents.csv").read_bytes())
+
+    def test_parse_incidents_alone_builds_no_split(self, data_dir, tmp_path, monkeypatch):
+        common = ["--data", str(data_dir), "--config", str(data_dir / "config.json")]
+        assert main(["tweets", "--augment", "--parse-incidents", "--out",
+                     str(tmp_path / "full")] + common) == 0
+
+        def no_split(*_a, **_k):
+            raise AssertionError("--parse-incidents alone ran build_split")
+
+        monkeypatch.setattr("tweet2traffic.cli.build_split", no_split)
+        assert main(["tweets", "--parse-incidents", "--out", str(tmp_path / "t")]
+                    + common) == 0
+        assert ((tmp_path / "t" / "incidents_from_tweets.csv").read_bytes()
+                == (tmp_path / "full" / "incidents_from_tweets.csv").read_bytes())
 
     def test_parse_incidents_without_agency_accounts_is_header_only(self, data_dir,
                                                                       tmp_path):
@@ -285,7 +310,12 @@ class TestCli:
         import csv
 
         from tweet2traffic.config import load_config
-        from tweet2traffic.harness.pipeline import build_split, fit_stack, prepare_data
+        from tweet2traffic.harness.pipeline import (
+            StackModel,
+            build_split,
+            fit_stack,
+            prepare_data,
+        )
         from tweet2traffic.ingest.loaders import load_bundle
         from tweet2traffic.learn.serialize import bundle_from_json
         from tweet2traffic.learn.stack import predict_day
@@ -297,7 +327,7 @@ class TestCli:
         cfg = load_config(cfg_path)
         prepared = prepare_data(load_bundle(data_dir), cfg)
         art = build_split(prepared, prepared.days, [], seed=2)
-        stack = fit_stack(prepared, art, variant=variant, seed=2)
+        stack = fit_stack(prepared, art, StackModel(head=variant), seed=2)
 
         _desc, segments, meta = bundle_from_json((tmp_path / "m" / "model.json").read_text())
         assert meta["train_days"] == [d.isoformat() for d in prepared.days]

@@ -7,7 +7,7 @@ import pytest
 from tweet2traffic.config import PipelineConfig, TweetConfig
 from tweet2traffic.clustering import chi_squared_cramers_v
 from tweet2traffic.harness.descriptive import run_descriptive_analysis
-from tweet2traffic.harness.pipeline import prepare_data
+from tweet2traffic.harness.pipeline import build_split, prepare_data
 from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
 
 PC = PipelineConfig(tweets=TweetConfig(agency_user_ids=("agency511",)))
@@ -21,7 +21,8 @@ def run_world(sleep_effect, seed=77):
     prepared = prepare_data(bundle, PC)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_descriptive_analysis(prepared, seed=0)
+        art = build_split(prepared, prepared.days, [], seed=0)
+        return run_descriptive_analysis(prepared, art, seed=0)
 
 
 @pytest.fixture(scope="module")

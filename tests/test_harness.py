@@ -360,7 +360,6 @@ class TestAblation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             var_report, deltas = run_ablation(prepared, "NO_TWEET",
-                                              base_report=small_report,
                                               plan=TsCvPlan(n_outer=3), seed=0)
         assert ("NO_TWEET", "ALL") in var_report.aggregate
         assert deltas["accuracy"] is not None
