@@ -185,7 +185,7 @@ def cmd_tweets(args) -> int:
 
 
 def cmd_features(args) -> int:
-    _prepared, art = _full_span(args)
+    prepared, art = _full_span(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fm = art.road_matrix
@@ -200,11 +200,11 @@ def cmd_features(args) -> int:
     with (out / "segment_incident_features.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["segment_id", "date"] + inc_names)
-        for sid in sorted(art.incident_vectors):
+        for sid in sorted(prepared.incident_features):
+            block = prepared.incident_features[sid]
             for d in fm.days:
-                vec = art.incident_vectors[sid][d]
-                w.writerow([sid, d.isoformat()] + [repr(float(vec.get(n, 0.0)))
-                                                   for n in inc_names])
+                w.writerow([sid, d.isoformat()] + [repr(float(v))
+                                                   for v in block[prepared.day_index[d]]])
     print(f"feature matrices written to {out}")
     return 0
 

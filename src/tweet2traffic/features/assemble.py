@@ -6,8 +6,7 @@ incidents "p_ds_7", time features "dow_mon", cluster scales "c_2".
 
 Each column carries the clock hour (prediction-day frame) at which its input
 data is complete, so forecast-horizon ablations can drop everything not yet
-available at an earlier cutoff. Time features and incident features carry
--inf (known a priori / kept by design).
+available at an earlier cutoff. Time features carry -inf (known a priori).
 """
 from __future__ import annotations
 
@@ -17,29 +16,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import TweetConfig
-from .incident import incident_feature_names
 from .timefeat import TIME_FEATURE_NAMES
 from .weather import weather_feature_names
 
 ALWAYS = -math.inf
 
 
+def pulse_keys(tract_ids, hours) -> list[tuple[int, str]]:
+    """(hour, tract) keys of one sleep/wake pulse family, in column order."""
+    return [(hour, tract) for hour in hours for tract in sorted(tract_ids)]
+
+
 def tweet_feature_layout(tract_ids, cfg: TweetConfig):
-    """(name, group, avail_hour) triples for the tweet feature family."""
-    cols = []
-    for hour in cfg.sleep_hours:
-        avail = 0.0 if hour >= 12 else float(hour + 1)
-        for tract in sorted(tract_ids):
-            cols.append((f"{hour}_{tract}", "tweet_sleep", avail))
-    for hour in cfg.wake_hours:
-        for tract in sorted(tract_ids):
-            cols.append((f"{hour}_{tract}", "tweet_wake", float(hour + 1)))
-    for name, _start, end in cfg.periods:
-        avail = 0.0 if _start >= 5 or name in ("EV", "LN") else float(end)
-        cols.append((name, "tweet_period", avail))
-    for name, _start, end in cfg.periods:
-        avail = 0.0 if _start >= 5 or name in ("EV", "LN") else float(end)
-        cols.append((f"Neu_{name}", "tweet_sentiment", avail))
+    """(name, group, avail_hour) triples for the tweet feature family.
+
+    Periods starting at or after 05:00 are counted on the evening before
+    the prediction day (see `encode_event_indicators`), so they are complete
+    by midnight; earlier periods complete at their end hour.
+    """
+    cols = [(f"{hour}_{tract}", "tweet_sleep", 0.0 if hour >= 12 else float(hour + 1))
+            for hour, tract in pulse_keys(tract_ids, cfg.sleep_hours)]
+    cols += [(f"{hour}_{tract}", "tweet_wake", float(hour + 1))
+             for hour, tract in pulse_keys(tract_ids, cfg.wake_hours)]
+    avail = [0.0 if start >= 5 else float(end) for _name, start, end in cfg.periods]
+    cols += [(name, "tweet_period", a) for (name, _s, _e), a in zip(cfg.periods, avail)]
+    cols += [(f"Neu_{name}", "tweet_sentiment", a)
+             for (name, _s, _e), a in zip(cfg.periods, avail)]
     return cols
 
 
@@ -50,10 +52,6 @@ def weather_feature_layout():
 
 def time_feature_layout():
     return [(name, "time", ALWAYS) for name in TIME_FEATURE_NAMES]
-
-
-def incident_feature_layout():
-    return [(name, "incident", ALWAYS) for name in incident_feature_names()]
 
 
 def cluster_feature_layout(n_levels: int):
@@ -89,17 +87,16 @@ class FeatureMatrix:
         )
 
 
-def build_feature_matrix(days, per_day_vectors: dict, layout) -> FeatureMatrix:
-    names = [c[0] for c in layout]
-    rows = np.zeros((len(days), len(names)))
-    for i, day in enumerate(days):
-        vec = per_day_vectors[day]
-        for j, name in enumerate(names):
-            rows[i, j] = float(vec.get(name, 0.0))
+def build_feature_matrix(days, blocks, layout) -> FeatureMatrix:
+    """Concatenate (n_days, k) family blocks whose columns follow `layout`."""
+    values = np.hstack(blocks)
+    if values.shape != (len(days), len(layout)):
+        raise ValueError(f"feature blocks are {values.shape}, layout needs "
+                         f"{(len(days), len(layout))}")
     return FeatureMatrix(
-        names=names,
+        names=[c[0] for c in layout],
         groups=[c[1] for c in layout],
         avail_hours=[c[2] for c in layout],
         days=list(days),
-        values=rows,
+        values=values,
     )

@@ -92,12 +92,9 @@ class _IncidentGeometry:
 
 
 def incident_feature_names() -> list[str]:
-    names = []
-    for prefix in ("p", "f"):
-        for loc in LOCATION_CODES:
-            for h in range(N_HOURS):
-                names.append(f"{prefix}_{loc}_{h}")
-    return names
+    """Partial then full closures, each location-major then hour."""
+    return [f"{prefix}_{loc}_{h}" for prefix in ("p", "f") for loc in LOCATION_CODES
+            for h in range(N_HOURS)]
 
 
 def incident_days(record) -> list[date_t]:
@@ -112,16 +109,17 @@ def incident_days(record) -> list[date_t]:
 
 
 def bulk_incident_features(incidents, road_segments, days, day_filter,
-                           d_thres_km: float = 5.0) -> dict[str, dict]:
-    """Per (segment, day) feature dicts for one road, looping per incident.
+                           d_thres_km: float = 5.0) -> dict[str, np.ndarray]:
+    """Per-segment (n_days, n_cols) blocks for one road, looping per incident.
 
     `day_filter(record, day)` decides whether the record is usable for that
-    prediction day (the data-feed cutoff rule). Each segment-day holds the
-    p_*/f_* features with a positive value, max-combined over the usable
-    incidents whose closure overlaps hours 0..10 of that day.
+    prediction day (the data-feed cutoff rule). Columns follow
+    `incident_feature_names`; each segment-day holds the max over the usable
+    incidents whose closure overlaps hours 0..10 of that day, 0 elsewhere.
     """
-    day_set = set(days)
-    out = {seg.segment_id: {d: {} for d in days} for seg in road_segments}
+    day_pos = {d: i for i, d in enumerate(days)}
+    out = {seg.segment_id: np.zeros((len(days), 2 * len(LOCATION_CODES) * N_HOURS))
+           for seg in road_segments}
     if not incidents:
         return out
     orientation = road_orientation(road_segments)
@@ -130,21 +128,18 @@ def bulk_incident_features(incidents, road_segments, days, day_filter,
         triples = {seg.segment_id: incident_location_impact(geom, seg, orientation,
                                                             d_thres_km)
                    for seg in road_segments}
-        prefix = "p" if rec.closure_type == "PARTIAL" else "f"
+        plane = 0 if rec.closure_type == "PARTIAL" else len(LOCATION_CODES)
         for day in incident_days(rec):
-            if day not in day_set or not day_filter(rec, day):
+            if day not in day_pos or not day_filter(rec, day):
                 continue
             hours = incident_time_window(rec, day)
             if not hours.any():
                 continue
             hour_idx = np.flatnonzero(hours)
             for seg in road_segments:
-                vec = out[seg.segment_id][day]
-                for loc, impact in zip(LOCATION_CODES, triples[seg.segment_id]):
-                    if impact <= 0:
-                        continue
-                    for h in hour_idx:
-                        key = f"{prefix}_{loc}_{h}"
-                        if impact > vec.get(key, 0.0):
-                            vec[key] = impact
+                row = out[seg.segment_id][day_pos[day]]
+                for loc, impact in enumerate(triples[seg.segment_id]):
+                    if impact > 0:
+                        cols = (plane + loc) * N_HOURS + hour_idx
+                        row[cols] = np.maximum(row[cols], impact)
     return out

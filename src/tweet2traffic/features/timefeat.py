@@ -5,6 +5,8 @@ import math
 from datetime import date as date_t
 from datetime import timedelta
 
+import numpy as np
+
 TIME_FEATURE_NAMES = (
     "mon_sin", "mon_cos", "week_sin", "week_cos",
     "dow_mon", "dow_tue_thu", "dow_fri", "dow_wkd_holiday",
@@ -30,23 +32,16 @@ def _days_to_rest(day: date_t, holidays: set, step: int) -> int:
     return 370
 
 
-def time_features(day: date_t, holidays: set,
-                  weeks_per_year: int = 52, months_per_year: int = 12) -> dict[str, float]:
-    mon_sin, mon_cos = cyclic_encode(day.month - 1, months_per_year)
-    week_sin, week_cos = cyclic_encode(day.isocalendar().week - 1, weeks_per_year)
-    out = {
-        "mon_sin": mon_sin, "mon_cos": mon_cos,
-        "week_sin": week_sin, "week_cos": week_cos,
-        "dow_mon": 0.0, "dow_tue_thu": 0.0, "dow_fri": 0.0, "dow_wkd_holiday": 0.0,
-    }
-    if _is_rest(day, holidays):
-        out["dow_wkd_holiday"] = 1.0
-    elif day.weekday() == 0:
-        out["dow_mon"] = 1.0
-    elif day.weekday() <= 3:
-        out["dow_tue_thu"] = 1.0
-    else:
-        out["dow_fri"] = 1.0
-    out["nxt_rest"] = float(_days_to_rest(day, holidays, +1))
-    out["lst_rest"] = float(_days_to_rest(day, holidays, -1))
-    return out
+def time_features(days, holidays: set,
+                  weeks_per_year: int = 52, months_per_year: int = 12) -> np.ndarray:
+    """(n_days, n_cols) calendar block in `TIME_FEATURE_NAMES` order."""
+    rows = []
+    for day in days:
+        # one of mon, tue_thu, fri, wkd_holiday
+        kind = 3 if _is_rest(day, holidays) else (0, 1, 1, 1, 2)[day.weekday()]
+        dow = [1.0 if k == kind else 0.0 for k in range(4)]
+        rows.append([*cyclic_encode(day.month - 1, months_per_year),
+                     *cyclic_encode(day.isocalendar().week - 1, weeks_per_year), *dow,
+                     float(_days_to_rest(day, holidays, +1)),
+                     float(_days_to_rest(day, holidays, -1))])
+    return np.array(rows, dtype=float)

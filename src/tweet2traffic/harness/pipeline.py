@@ -1,17 +1,19 @@
 """End-to-end orchestration: dataset views, per-split artifacts, predictions.
 
 PreparedData caches everything split-independent (the speed cube and its
-gap-filled mornings, cleaned tweet text, tract and land-use joins, the
-weather index, sentiment labels, per-day tweet buckets, agency-tweet incident
-records and incident features).
+gap-filled mornings, cleaned tweet text, tract and land-use joins, per-day
+tweet buckets, agency-tweet incident records) and the split-independent
+feature blocks, one (n_days, n_cols) array per family in layout order: period
+counts and neutral shares, unscaled weather hours, time features and each
+segment's incident features.
 build_split refits every leakage-sensitive artifact (reference speeds, user
-set and homes, scalers, clustering, descriptors, segment models) from the
-training span only.
+set and homes, the weather scaling, clustering, descriptors, segment models)
+from the training span only.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as date_t
 from datetime import datetime, time, timedelta
 
@@ -41,14 +43,14 @@ from ..features.assemble import (
     FeatureMatrix,
     build_feature_matrix,
     cluster_feature_layout,
-    incident_feature_layout,
+    pulse_keys,
     time_feature_layout,
     tweet_feature_layout,
     weather_feature_layout,
 )
-from ..features.incident import bulk_incident_features
+from ..features.incident import bulk_incident_features, incident_feature_names
 from ..features.timefeat import time_features
-from ..features.weather import WeatherScaler, weather_features, weather_index
+from ..features.weather import weather_features, weather_hours
 from ..ingest.loaders import DatasetBundle
 from ..learn.stack import (
     OrderedDescriptor,
@@ -87,23 +89,22 @@ class PreparedData:
     segments: list
     segs_by_road: dict[str, list]
     tract_ids: list[str]
-    holidays: set
     speeds: dict[str, np.ndarray]          # (n_days, emit_slots) NaN when absent
     filled: dict[str, np.ndarray]          # (n_days, 72) gap-filled mornings, NaN when incomplete
     incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
     morning_offset: int
     tweet_incidents: list                   # records parsed from agency tweets
-    incident_vectors: dict                  # segment -> day -> features, RCRS + tweet records
-    event_counts: dict
-    event_neu: dict
-    sleep_buckets: dict                     # day -> user -> [tweets in the night window]
+    incident_features: dict[str, np.ndarray]  # segment -> (n_days, 66), RCRS + tweet records
+    event_features: np.ndarray              # (n_days, 2 * periods) counts, then neutral shares
+    weather_hours: np.ndarray               # (n_days, 88) unscaled, NaN rows when unusable
+    time_features: np.ndarray               # (n_days, 10)
+    sleep_buckets: dict                     # day -> user -> [tweets in the sleep/wake windows]
     clean_texts: dict[str, str]             # text of every tweet with coordinates -> clean_text
     coord_tracts: dict                      # in-box geocoded coordinate -> tract
     geocoder: TractGeocoder
     user_geo: dict[str, list]
     landuse: dict                           # user_geo coordinate -> land use
-    weather_by_ts: dict                     # hourly timestamp -> WeatherRecord
-    road_layout: list = field(default_factory=list)
+    road_layout: list
 
     @property
     def roads(self) -> list[str]:
@@ -177,27 +178,28 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
         labels[t.tweet_id] = lab
 
     # day-window event indicators are split-independent
-    window_days = days
-    geo_by_window: dict[date_t, list] = {d: [] for d in window_days}
+    geo_by_window: dict[date_t, list] = {d: [] for d in days}
     for t in geo_tweets:
         anchor = t.timestamp.date() + timedelta(days=1) if t.timestamp.hour >= 5 \
             else t.timestamp.date()
         if anchor in geo_by_window:
             geo_by_window[anchor].append(t)
-    event_counts, event_neu = {}, {}
-    for d in window_days:
+    period_names = [name for name, _s, _e in cfg.tweets.periods]
+    event_features = np.zeros((len(days), 2 * len(period_names)))
+    for i, d in enumerate(days):
         counts, neu = encode_event_indicators(d, geo_by_window[d], labels, cfg.tweets)
-        event_counts[d] = counts
-        event_neu[d] = neu
+        event_features[i] = [counts[n] for n in period_names] + [neu[n] for n in period_names]
 
-    # night-window tweet buckets for sleep/wake encoding (any kind, any user)
-    sleep_buckets: dict[date_t, dict[str, list]] = {d: {} for d in window_days}
+    # tweet buckets over the sleep and wake windows for sleep/wake encoding
+    # (any kind, any user)
+    pulse_hours = set(cfg.tweets.sleep_hours + cfg.tweets.wake_hours)
+    sleep_buckets: dict[date_t, dict[str, list]] = {d: {} for d in days}
     for t in bundle.tweets:
         if t.kind not in cfg.tweets.timeline_kinds_for_sleep:
             continue
         h = t.timestamp.hour
         anchor = t.timestamp.date() + timedelta(days=1) if h >= 12 else t.timestamp.date()
-        if anchor in sleep_buckets and (h >= 21 or h < 5):
+        if anchor in sleep_buckets and h in pulse_hours:
             sleep_buckets[anchor].setdefault(t.user_id, []).append(t)
 
     user_geo: dict[str, list] = {}
@@ -215,20 +217,21 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
 
     road_layout = (tweet_feature_layout(tract_ids, cfg.tweets)
                    + weather_feature_layout() + time_feature_layout())
-    incident_vectors = _incident_vectors(cfg, segs_by_road,
-                                         list(bundle.incidents) + tweet_incidents, days)
+    incident_features = _incident_features(cfg, segs_by_road,
+                                           list(bundle.incidents) + tweet_incidents, days)
 
     return PreparedData(
         bundle=bundle, config=cfg, days=days, day_index=day_index,
         segments=segments, segs_by_road=segs_by_road, tract_ids=tract_ids,
-        holidays=holidays, speeds=speeds, filled=filled, incomplete=incomplete,
+        speeds=speeds, filled=filled, incomplete=incomplete,
         morning_offset=morning_offset, tweet_incidents=tweet_incidents,
-        incident_vectors=incident_vectors,
-        event_counts=event_counts, event_neu=event_neu,
+        incident_features=incident_features, event_features=event_features,
+        weather_hours=weather_hours(bundle.weather, days),
+        time_features=time_features(days, holidays, cfg.features.weeks_per_year,
+                                    cfg.features.months_per_year),
         sleep_buckets=sleep_buckets, clean_texts=clean_texts,
         coord_tracts=coord_tracts, geocoder=geocoder, user_geo=user_geo,
-        landuse=landuse, weather_by_ts=weather_index(bundle.weather),
-        road_layout=road_layout,
+        landuse=landuse, road_layout=road_layout,
     )
 
 
@@ -248,7 +251,6 @@ class SplitArtifacts:
     quads: dict[str, dict[date_t, CongestionMeasurements | None]]
     tti: dict[tuple[str, date_t], np.ndarray]
     road_matrix: FeatureMatrix
-    incident_vectors: dict[str, dict[date_t, dict]]
     clusters: dict[str, RoadClusters]
     homes: dict[str, tuple[float, float]]
 
@@ -278,7 +280,8 @@ def _split_quadruples(prepared: PreparedData, train_days, all_days):
 
 
 def _split_tweet_features(prepared: PreparedData, train_days, all_days):
-    """Influential residents, homes and the per-day sleep/wake histograms."""
+    """Influential residents' homes and the (n_days, n_cols) sleep/wake pulse
+    block, sleep columns then wake columns as `pulse_keys` orders them."""
     cfg = prepared.config.tweets
     train_set = set(train_days)
     train_tweets = [t for u in sorted(prepared.user_geo)
@@ -307,29 +310,24 @@ def _split_tweet_features(prepared: PreparedData, train_days, all_days):
             coord_cache[key] = prepared.geocoder.locate(lat, lon)
         return coord_cache[key]
 
-    per_day = {}
-    for d in all_days:
+    sleep_col = {k: j for j, k in enumerate(pulse_keys(prepared.tract_ids, cfg.sleep_hours))}
+    wake_col = {k: len(sleep_col) + j
+                for j, k in enumerate(pulse_keys(prepared.tract_ids, cfg.wake_hours))}
+    pulses = np.zeros((len(all_days), len(sleep_col) + len(wake_col)))
+    for i, d in enumerate(all_days):
         bucket = prepared.sleep_buckets.get(d, {})
-        tweets_by_user = {}
-        for u in homes:
-            tweets = bucket.get(u)
-            if not tweets:
-                continue
-            tweets_by_user[u] = geotag_timeline(tweets, homes, cfg)
+        tweets_by_user = {u: geotag_timeline(bucket[u], homes, cfg)
+                          for u in homes if bucket.get(u)}
         sleep, wake = encode_sleep_wake(d, tweets_by_user, tract_of, cfg)
-        vec = {}
-        for (hour, tract), v in sleep.items():
-            vec[f"{hour}_{tract}"] = v
-        for (hour, tract), v in wake.items():
-            vec[f"{hour}_{tract}"] = v
-        vec.update(prepared.event_counts[d])
-        vec.update({f"Neu_{k}": v for k, v in prepared.event_neu[d].items()})
-        per_day[d] = vec
-    return per_day, homes
+        for key, v in sleep.items():
+            pulses[i, sleep_col[key]] = v
+        for key, v in wake.items():
+            pulses[i, wake_col[key]] = v
+    return pulses, homes
 
 
-def _incident_vectors(prepared_config, segs_by_road, incidents, days):
-    """Per (segment, day) incident feature dicts under the configured mode."""
+def _incident_features(prepared_config, segs_by_road, incidents, days):
+    """Per-segment (n_days, n_cols) incident blocks under the configured mode."""
     cfg = prepared_config
     cutoff = cfg.harness.cutoff_hour
 
@@ -341,7 +339,7 @@ def _incident_vectors(prepared_config, segs_by_road, incidents, days):
     by_road: dict[str, list] = {}
     for rec in incidents:
         by_road.setdefault(rec.road_id, []).append(rec)
-    out: dict[str, dict] = {}
+    out: dict[str, np.ndarray] = {}
     for road_id, segs in sorted(segs_by_road.items()):
         out.update(bulk_incident_features(by_road.get(road_id, []), segs, days,
                                           usable, cfg.features.d_thres_km))
@@ -379,21 +377,17 @@ def _split_clusters(prepared: PreparedData, tti, train_days, seed: int):
 
 
 def build_split(prepared: PreparedData, train_days, test_days, seed: int) -> SplitArtifacts:
-    cfg = prepared.config
     all_days = list(train_days) + list(test_days)
+    rows = [prepared.day_index[d] for d in all_days]
     v_ref, quads, tti = _split_quadruples(prepared, train_days, all_days)
-    tweet_vecs, homes = _split_tweet_features(prepared, train_days, all_days)
-    scaler = WeatherScaler().fit(prepared.weather_by_ts, list(train_days))
-    weather_vecs = {d: weather_features(prepared.weather_by_ts, d, scaler)
-                    for d in all_days}
-    time_vecs = {d: time_features(d, prepared.holidays,
-                                  cfg.features.weeks_per_year, cfg.features.months_per_year)
-                 for d in all_days}
-    per_day = {d: {**tweet_vecs[d], **weather_vecs[d], **time_vecs[d]} for d in all_days}
-    road_matrix = build_feature_matrix(all_days, per_day, prepared.road_layout)
+    pulses, homes = _split_tweet_features(prepared, train_days, all_days)
+    weather = weather_features(prepared.weather_hours[rows], all_days, len(train_days))
+    road_matrix = build_feature_matrix(
+        all_days, [pulses, prepared.event_features[rows], weather,
+                   prepared.time_features[rows]], prepared.road_layout)
     clusters = _split_clusters(prepared, tti, list(train_days), seed)
     return SplitArtifacts(list(train_days), list(test_days), v_ref, quads, tti,
-                          road_matrix, prepared.incident_vectors, clusters, homes)
+                          road_matrix, clusters, homes)
 
 
 @dataclass
@@ -406,10 +400,13 @@ class FittedStack:
 def segment_design(prepared: PreparedData, art: SplitArtifacts,
                    road_matrix: FeatureMatrix, scales: dict[str, np.ndarray],
                    use_incidents: bool = True):
-    """Per-segment design matrices over all split days: road + incident + scales."""
-    all_days = road_matrix.days
-    day_pos = {d: i for i, d in enumerate(all_days)}
-    inc_names = [c[0] for c in incident_feature_layout()]
+    """Per-segment design matrices over all split days: road + incident + scales.
+
+    The incident columns are the segment's prepared block; `art` is not read.
+    """
+    day_pos = {d: i for i, d in enumerate(road_matrix.days)}
+    rows = [prepared.day_index[d] for d in road_matrix.days]
+    inc_names = incident_feature_names()
     out = {}
     for road_id in prepared.roads:
         road_scales = scales[road_id]
@@ -419,10 +416,8 @@ def segment_design(prepared: PreparedData, art: SplitArtifacts,
             names = list(road_matrix.names)
             blocks = [road_matrix.values]
             if use_incidents:
-                inc_rows = np.array([[art.incident_vectors[sid][d].get(n, 0.0)
-                                      for n in inc_names] for d in all_days])
                 names += inc_names
-                blocks.append(inc_rows)
+                blocks.append(prepared.incident_features[sid][rows])
             if n_levels:
                 names += [c[0] for c in cluster_feature_layout(n_levels)]
                 blocks.append(road_scales)

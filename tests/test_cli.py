@@ -229,6 +229,28 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_weather_hours_warn_once_per_run(self, data_dir, tmp_path, caplog):
+        import logging
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        header, *rows = (data / "weather.csv").read_text().splitlines(keepends=True)
+        days = sorted({row.split("T")[0] for row in rows})
+        gone = [f"{days[5]}T04:00", f"{days[-3]}T07:00"]
+        kept = [row for row in rows if row.split(",")[0] not in gone]
+        assert len(kept) == len(rows) - 2
+        (data / "weather.csv").write_text(header + "".join(kept))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"harness": {"n_outer": 3}}))
+        logger = "tweet2traffic.features.weather"
+        with caplog.at_level(logging.WARNING, logger=logger):
+            assert main(["evaluate", "--data", str(data), "--config", str(cfg),
+                         "--models", "hm", "--out", str(tmp_path / "eval")]) == 0
+        warned = [r.getMessage() for r in caplog.records if r.name == logger]
+        assert sorted(warned) == [f"weather: missing hour {stamp.replace('T', ' ')}:00 "
+                                  "carried forward" for stamp in gone]
+
     def test_speed_row_of_unknown_segment_exit_2(self, data_dir, tmp_path, capsys):
         import shutil
 

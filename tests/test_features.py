@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from tweet2traffic.config import HarnessConfig, PipelineConfig, TweetConfig
+from tweet2traffic.errors import EmptyInput
 from tweet2traffic.features import (
-    WeatherScaler,
     cyclic_encode,
     incident_location_impact,
     incident_time_window,
     road_orientation,
     time_features,
     weather_features,
-    weather_index,
+    weather_hours,
 )
 from tweet2traffic.features.assemble import (
     build_feature_matrix,
@@ -29,7 +29,9 @@ from tweet2traffic.features.incident import (
     bulk_incident_features,
     incident_feature_names,
 )
-from tweet2traffic.harness.pipeline import _incident_vectors, segment_design
+from tweet2traffic.features.timefeat import TIME_FEATURE_NAMES
+from tweet2traffic.features.weather import weather_feature_names
+from tweet2traffic.harness.pipeline import _incident_features, segment_design
 from tweet2traffic.ingest.types import (
     IncidentRecord,
     SegmentDescriptor,
@@ -154,14 +156,14 @@ def always(_rec, _day):
     return True
 
 
-def dense(vec):
-    """A bulk feature dict with every p_*/f_* column present."""
-    return {name: vec.get(name, 0.0) for name in incident_feature_names()}
+def dense(row):
+    """One segment-day row of a bulk incident block, by column name."""
+    return dict(zip(incident_feature_names(), row))
 
 
 def bulk_features(incidents, segment, road_segments, day):
     out = bulk_incident_features(incidents, road_segments, [day], always)
-    return dense(out[segment.segment_id][day])
+    return dense(out[segment.segment_id][0])
 
 
 class TestIncidentFeatures:
@@ -193,12 +195,12 @@ class TestIncidentFeatures:
         rec = incident(3.0, 3.5, datetime(2014, 3, 5, 7, 0), datetime(2014, 3, 5, 8, 0),
                        road="R9")
         cfg = PipelineConfig(harness=HarnessConfig(assume_all_known=True))
-        out = _incident_vectors(cfg, {"R1": ROAD}, [rec], [self.DAY])
-        feats = dense(out[ROAD[1].segment_id][self.DAY])
+        out = _incident_features(cfg, {"R1": ROAD}, [rec], [self.DAY])
+        feats = dense(out[ROAD[1].segment_id][0])
         assert all(v == 0.0 for v in feats.values())
         on_road = dataclasses.replace(rec, road_id="R1")
-        out = _incident_vectors(cfg, {"R1": ROAD}, [on_road], [self.DAY])
-        assert any(v > 0.0 for v in out[ROAD[1].segment_id][self.DAY].values())
+        out = _incident_features(cfg, {"R1": ROAD}, [on_road], [self.DAY])
+        assert any(v > 0.0 for v in dense(out[ROAD[1].segment_id][0]).values())
 
     def test_orientation_detected(self):
         assert road_orientation(ROAD) == 1
@@ -222,9 +224,9 @@ class TestIncidentFeatures:
             for n_recs in (1, 3, 40):
                 bulk = bulk_incident_features(recs[:n_recs], road, days, always)
                 for s in road:
-                    for d in days:
+                    for di, d in enumerate(days):
                         want = scalar_incident_features(recs[:n_recs], s, road, d)
-                        assert dense(bulk[s.segment_id][d]) == want
+                        assert dense(bulk[s.segment_id][di]) == want
 
 
 def wrec(day, hour, **kw):
@@ -235,8 +237,15 @@ def wrec(day, hour, **kw):
                          **defaults)
 
 
+def scaled_weather(recs, train_days, test_days=()):
+    """Scaled weather features of each split day by name, bounds from `train_days`."""
+    split = list(train_days) + list(test_days)
+    block = weather_features(weather_hours(recs, split), split, len(train_days))
+    return [dict(zip(weather_feature_names(), row)) for row in block]
+
+
 class TestWeather:
-    D1, D2 = date(2014, 3, 4), date(2014, 3, 5)
+    D1, D2, D3 = date(2014, 3, 4), date(2014, 3, 5), date(2014, 3, 6)
 
     def make(self):
         recs = []
@@ -246,45 +255,48 @@ class TestWeather:
         return recs
 
     def test_endpoints(self):
-        recs = weather_index(self.make())
-        scaler = WeatherScaler().fit(recs, [self.D1, self.D2])
-        f1 = weather_features(recs, self.D1, scaler)
-        f2 = weather_features(recs, self.D2, scaler)
+        f1, f2 = scaled_weather(self.make(), [self.D1, self.D2])
         assert f1["temp_0"] == 0.0 and f2["temp_0"] == 1.0
 
     def test_constant_field_zero(self):
-        recs = weather_index(self.make())
-        scaler = WeatherScaler().fit(recs, [self.D1, self.D2])
-        f1 = weather_features(recs, self.D1, scaler)
+        f1, _f2 = scaled_weather(self.make(), [self.D1, self.D2])
         assert f1["pressure_4"] == 0.0
 
     def test_test_value_unclipped(self):
-        d3 = date(2014, 3, 6)
-        recs = weather_index(self.make()
-                             + [wrec(d3, h, temperature=80.0 + h) for h in range(24)])
-        scaler = WeatherScaler().fit(recs, [self.D1, self.D2])
-        f3 = weather_features(recs, d3, scaler)
+        recs = self.make() + [wrec(self.D3, h, temperature=80.0 + h) for h in range(24)]
+        _f1, _f2, f3 = scaled_weather(recs, [self.D1, self.D2], [self.D3])
         assert f3["temp_3"] > 1.0
 
     def test_missing_hour_carried_forward(self):
-        recs = weather_index([wrec(self.D1, h, wx_severity=h) for h in range(24) if h != 4])
-        scaler = WeatherScaler().fit(recs, [self.D1])
-        feats = weather_features(recs, self.D1, scaler)
+        recs = [wrec(self.D1, h, wx_severity=h) for h in range(24) if h != 4]
+        (feats,) = scaled_weather(recs, [self.D1])
         assert feats["wx_phrase_4"] == feats["wx_phrase_3"] == 3.0
 
     def test_lead_gap_borrows_first_later_record(self):
-        recs = weather_index([wrec(self.D1, h, wx_severity=h) for h in range(2, 24)])
-        scaler = WeatherScaler().fit(recs, [self.D1])
-        feats = weather_features(recs, self.D1, scaler)
+        recs = [wrec(self.D1, h, wx_severity=h) for h in range(2, 24)]
+        (feats,) = scaled_weather(recs, [self.D1])
         assert feats["wx_phrase_0"] == feats["wx_phrase_1"] == feats["wx_phrase_2"] == 2.0
 
     def test_no_leakage_train_only_bounds(self):
-        recs = weather_index(self.make())
-        s_train = WeatherScaler().fit(recs, [self.D1])
-        s_both = WeatherScaler().fit(recs, [self.D1, self.D2])
-        assert s_train.bounds["temp_0"] != s_both.bounds["temp_0"]
-        s_again = WeatherScaler().fit(recs, [self.D1])
-        assert s_again.bounds == s_train.bounds
+        recs = self.make() + [wrec(self.D3, h, temperature=80.0 + h) for h in range(24)]
+        s_train = scaled_weather(recs, [self.D1, self.D2], [self.D3])
+        s_both = scaled_weather(recs, [self.D1, self.D2, self.D3])
+        assert s_train[2]["temp_0"] != s_both[2]["temp_0"]
+        assert scaled_weather(recs, [self.D1, self.D2]) == s_train[:2]
+        assert scaled_weather(recs, [self.D1, self.D2], [self.D3]) == s_train
+
+    def test_unusable_day_fails_when_a_split_reads_it(self):
+        recs = [wrec(self.D1, h) for h in range(24)]
+        hours = weather_hours(recs, [self.D1, self.D2])
+        assert np.isnan(hours[1]).all() and not np.isnan(hours[0]).any()
+        weather_features(hours[:1], [self.D1], 1)
+        with pytest.raises(EmptyInput, match=str(self.D2)):
+            weather_features(hours, [self.D1, self.D2], 1)
+
+
+def time_row(day, holidays):
+    """One day's time features by name."""
+    return dict(zip(TIME_FEATURE_NAMES, time_features([day], holidays)[0]))
 
 
 class TestTimeFeatures:
@@ -304,43 +316,56 @@ class TestTimeFeatures:
         assert np.linalg.norm(dec - jan) < np.linalg.norm(jun - dec)
 
     def test_wednesday_merged(self):
-        f = time_features(date(2014, 3, 5), set())
+        f = time_row(date(2014, 3, 5), set())
         assert f["dow_tue_thu"] == 1.0
         assert f["dow_mon"] == f["dow_fri"] == f["dow_wkd_holiday"] == 0.0
 
     def test_saturday(self):
-        f = time_features(date(2014, 3, 8), set())
+        f = time_row(date(2014, 3, 8), set())
         assert f["dow_wkd_holiday"] == 1.0
 
     def test_holiday_overrides_weekday(self):
-        f = time_features(date(2014, 7, 4), {date(2014, 7, 4)})   # a Friday
+        f = time_row(date(2014, 7, 4), {date(2014, 7, 4)})   # a Friday
         assert f["dow_wkd_holiday"] == 1.0 and f["dow_fri"] == 0.0
 
     def test_exactly_one_dow_flag(self):
         for offset in range(14):
-            f = time_features(date(2014, 3, 3 + offset), {date(2014, 3, 10)})
+            f = time_row(date(2014, 3, 3 + offset), {date(2014, 3, 10)})
             flags = [f["dow_mon"], f["dow_tue_thu"], f["dow_fri"], f["dow_wkd_holiday"]]
             assert sum(flags) == 1.0
 
     def test_friday_next_rest(self):
-        f = time_features(date(2014, 3, 7), set())
+        f = time_row(date(2014, 3, 7), set())
         assert f["nxt_rest"] == 1.0
 
     def test_monday_last_rest(self):
-        f = time_features(date(2014, 3, 10), set())
+        f = time_row(date(2014, 3, 10), set())
         assert f["lst_rest"] == 1.0
+
+
+def family_blocks(days, vec, layouts):
+    """One block per layout family, every day holding the named values of `vec`."""
+    return [np.array([[vec.get(name, 0.0) for name, _g, _a in layout] for _d in days])
+            for layout in layouts]
+
+
+def road_layouts(tract_ids):
+    return [tweet_feature_layout(tract_ids, CFG), weather_feature_layout(),
+            time_feature_layout()]
+
+
+def road_matrix(days, vec, tract_ids):
+    layouts = road_layouts(tract_ids)
+    return build_feature_matrix(days, family_blocks(days, vec, layouts),
+                                [c for layout in layouts for c in layout])
 
 
 class TestAssembly:
     DAY = date(2014, 3, 5)
     TRACTS = ["T01", "T02"]
 
-    def road_layout(self):
-        return (tweet_feature_layout(self.TRACTS, CFG) + weather_feature_layout()
-                + time_feature_layout())
-
     def road_matrix(self, vec):
-        return build_feature_matrix([self.DAY], {self.DAY: vec}, self.road_layout())
+        return road_matrix([self.DAY], vec, self.TRACTS)
 
     def parts(self):
         return {"21_T01": 0.5, "EV": 3, "Neu_EV": 0.4, "temp_0": 0.3, "dow_mon": 1.0}
@@ -353,8 +378,12 @@ class TestAssembly:
 
     def test_segment_vector_cluster_columns(self):
         sid = ROAD[1].segment_id
-        prepared = SimpleNamespace(roads=["R1"], segs_by_road={"R1": [ROAD[1]]})
-        art = SimpleNamespace(incident_vectors={sid: {self.DAY: {"p_ds_7": 0.25}}})
+        incidents = np.zeros((2, len(incident_feature_names())))
+        incidents[1, incident_feature_names().index("p_ds_7")] = 0.25
+        prepared = SimpleNamespace(roads=["R1"], segs_by_road={"R1": [ROAD[1]]},
+                                   day_index={self.DAY - timedelta(days=1): 0, self.DAY: 1},
+                                   incident_features={sid: incidents})
+        art = SimpleNamespace()
         fm = self.road_matrix(self.parts())
         scales = {"R1": np.array([[0.4, 0.6, 0.2]])}
         names, X_all, pos = segment_design(prepared, art, fm, scales)[sid]
@@ -370,6 +399,17 @@ class TestAssembly:
         n1 = self.road_matrix(self.parts()).names
         n2 = self.road_matrix({"MN": 9, "vis_2": 0.2, "dow_fri": 1.0}).names
         assert n1 == n2
+
+    def test_blocks_must_match_the_layout(self):
+        layouts = road_layouts(self.TRACTS)
+        layout = [c for lay in layouts for c in lay]
+        blocks = family_blocks([self.DAY], self.parts(), layouts)
+        with pytest.raises(ValueError, match="layout needs"):
+            build_feature_matrix([self.DAY], blocks[:-1], layout)
+        with pytest.raises(ValueError, match="layout needs"):
+            build_feature_matrix([self.DAY], blocks + [np.zeros((1, 1))], layout)
+        with pytest.raises(ValueError, match="layout needs"):
+            build_feature_matrix([self.DAY, self.DAY + timedelta(days=1)], blocks, layout)
 
 
 class TestSleepWakeLayout:
@@ -405,11 +445,8 @@ class TestSleepWakeLayout:
 
 class TestFeatureMatrix:
     def make(self):
-        layout = (tweet_feature_layout(["T01"], CFG) + weather_feature_layout()
-                  + time_feature_layout())
         days = [date(2014, 3, 4), date(2014, 3, 5)]
-        vecs = {d: {"21_T01": 1.0, "temp_5": 0.5, "dow_mon": 1.0} for d in days}
-        return build_feature_matrix(days, vecs, layout)
+        return road_matrix(days, {"21_T01": 1.0, "temp_5": 0.5, "dow_mon": 1.0}, ["T01"])
 
     def test_before_midnight_drops_wake_and_small_hours(self):
         fm = self.make().before_cutoff(0.0)
@@ -431,3 +468,30 @@ class TestFeatureMatrix:
                                       "tweet_period", "tweet_sentiment"})
         assert not any(g.startswith("tweet") for g in fm.groups)
         assert "temp_5" in fm.names
+
+
+class TestPeriodAvailability:
+    def period_avail(self, cfg):
+        return {name: a for name, g, a in tweet_feature_layout(["T01"], cfg)
+                if g in ("tweet_period", "tweet_sentiment")}
+
+    def test_default_periods(self):
+        avail = self.period_avail(CFG)
+        assert {n: a for n, a in avail.items() if not n.startswith("Neu_")} == {
+            "EM": 5.0, "AM": 0.0, "DA": 0.0, "EV": 0.0, "LN": 0.0, "MN": 3.0}
+        assert all(avail[f"Neu_{n}"] == a for n, a in avail.items()
+                   if not n.startswith("Neu_"))
+
+    def test_availability_follows_the_hours_not_the_name(self):
+        for name in ("EV", "LN", "X"):
+            cfg = TweetConfig(periods=((name, 3, 5), ("AM", 5, 9)))
+            assert self.period_avail(cfg) == {name: 5.0, f"Neu_{name}": 5.0,
+                                              "AM": 0.0, "Neu_AM": 0.0}
+
+    def test_before_midnight_drops_a_period_completing_at_five(self):
+        cfg = TweetConfig(periods=(("EV", 3, 5), ("AM", 5, 9)))
+        layout = tweet_feature_layout(["T01"], cfg)
+        fm = build_feature_matrix([date(2014, 3, 5)], [np.zeros((1, len(layout)))], layout)
+        names = fm.before_cutoff(0.0).names
+        assert "EV" not in names and "Neu_EV" not in names
+        assert "AM" in names and "Neu_AM" in names

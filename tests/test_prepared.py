@@ -149,3 +149,18 @@ def test_build_split_equals_per_call_joins(world, n_train):
         w = want.clusters[road]
         assert (c.dates, len(c.ordered.centroids)) == (w.dates, len(w.ordered.centroids))
         assert np.array_equal(c.ordered.labels, w.ordered.labels)
+
+
+def test_sleep_pulses_follow_the_configured_windows(world):
+    bundle, _prepared = world
+    cfg = dataclasses.replace(PC, tweets=dataclasses.replace(
+        PC.tweets, night_window=(19, 5), sleep_window=(19, 3)))
+    prepared = prepare_data(bundle, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        art = build_split(prepared, prepared.days, [], seed=4)
+    fm = art.road_matrix
+    early = [i for i, (n, g) in enumerate(zip(fm.names, fm.groups))
+             if g == "tweet_sleep" and n.startswith(("19_", "20_"))]
+    assert len(early) == 2 * len(prepared.tract_ids)
+    assert fm.values[:, early].sum() > 0.0
