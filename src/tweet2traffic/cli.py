@@ -15,20 +15,25 @@ import json
 import logging
 import sys
 from datetime import date as date_t
+from datetime import timedelta
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .errors import InsufficientHistory, SchemaMismatch, Tweet2TrafficError
+from .errors import SchemaMismatch, Tweet2TrafficError
 from .harness.ablation import run_ablation
 from .harness.descriptive import run_descriptive_analysis
 from .harness.pipeline import (
     ABLATION_VARIANTS,
     StackModel,
     build_split,
+    day_blocks,
     descriptor_scales,
     fit_stack,
     prepare_data,
+    road_features,
     segment_design,
 )
 from .harness.report import emit_report, token_frequency
@@ -214,10 +219,14 @@ def cmd_train(args) -> int:
     stack = fit_stack(prepared, art, StackModel(head=args.variant), seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    lo, hi = art.weather_bounds
+    features = {"homes": {u: list(home) for u, home in sorted(art.homes.items())},
+                "weather_min": lo.tolist(), "weather_max": hi.tolist()}
     text = bundle_to_json(stack.descriptors, stack.segment_models,
                           meta={"seed": args.seed, "variant": args.variant,
                                 "version": __version__,
-                                "train_days": [d.isoformat() for d in art.train_days]})
+                                "train_end": art.train_days[-1].isoformat(),
+                                "features": features})
     (out / "model.json").write_text(text, encoding="utf-8")
     emit_report(EvaluationReport().finalize(), out,
                 descriptors=stack.descriptors, segment_models=stack.segment_models)
@@ -225,24 +234,51 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _feature_state(meta: dict):
+    """The last training day, homes and weather bounds a bundle's meta stores."""
+    try:
+        features = meta["features"]
+        return (date_t.fromisoformat(meta["train_end"]),
+                {u: tuple(home) for u, home in features["homes"].items()},
+                (np.array(features["weather_min"]), np.array(features["weather_max"])))
+    except KeyError as exc:
+        raise SchemaMismatch(exc.args[0], "model bundle meta lacks its fitted feature "
+                             "state; retrain it with `t2t train`") from None
+
+
 def cmd_predict(args) -> int:
     descriptors, segments, meta = bundle_from_json(Path(args.model).read_text())
-    if "train_days" not in meta:
-        raise SchemaMismatch("train_days", "model bundle meta lacks its training days; "
-                             "retrain it with `t2t train`")
-    prepared = _prepare(args)
-    train_days = [date_t.fromisoformat(d) for d in meta["train_days"]]
-    absent = [d for d in train_days if d not in prepared.day_index]
-    if absent:
-        raise InsufficientHistory(f"--data lacks {len(absent)} of the model's training "
-                                  f"days, first {absent[0]}")
-    target = date_t.fromisoformat(args.date) if args.date else prepared.days[-1]
-    if target not in prepared.day_index:
-        raise InsufficientHistory(f"date {target} not covered by the dataset")
-    test_days = [] if target in set(train_days) else [target]
-    art = build_split(prepared, train_days, test_days, seed=args.seed)
-    designs = segment_design(prepared, art, art.road_matrix,
-                             descriptor_scales(descriptors, art.road_matrix))
+    train_end, homes, bounds = _feature_state(meta)
+    cfg = _data_config(args)
+    target = date_t.fromisoformat(args.date) if args.date else train_end + timedelta(days=1)
+    blocks = day_blocks(load_bundle(args.data, skip=("speed", "zones")), cfg, [target])
+    road_matrix = road_features(blocks, [target], homes, bounds)
+    served = {s.segment_id for s in blocks.segments}
+    if served != set(segments):
+        raise SchemaMismatch("segment_id", "--data and the model bundle differ in segment "
+                             f"{min(served ^ set(segments))!r}")
+    for road, desc in sorted(descriptors.items()):
+        if desc is not None and desc.feature_names != road_matrix.names:
+            raise SchemaMismatch("feature_names", f"--data lays out other road columns "
+                                 f"than the bundle's {road} descriptor reads")
+    # BLAS rounds a one-row product (a dot) differently from the blocked
+    # matrix-vector product it runs over a training span's rows. Four copies
+    # of the row take the blocked path, so a training day in a full block of
+    # four rows is served the cluster scales it was trained on.
+    block = dataclasses.replace(road_matrix, days=[target] * 4,
+                                values=np.repeat(road_matrix.values, 4, axis=0))
+    scales = {road: s[:1] for road, s in descriptor_scales(descriptors, block).items()}
+    designs = segment_design(blocks, None, road_matrix, scales)
+    rows = []
+    for sid in sorted(segments):
+        names, X_all, _pos = designs[sid]
+        if names != segments[sid].feature_names:
+            raise SchemaMismatch("feature_names", f"--data lays out other design columns "
+                                 f"than the bundle's {sid} model reads")
+        p = predict_day(segments[sid], X_all[0], cfg.model.cs_threshold)
+        rows.append([sid, target.isoformat(), p.cs, repr(p.cst),
+                     "" if p.cd is None else repr(p.cd),
+                     "" if p.pti is None else repr(p.pti), repr(p.p_congested)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with (out / f"predictions_{target.isoformat()}.csv").open("w", newline="",
@@ -250,15 +286,7 @@ def cmd_predict(args) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["segment_id", "date", "cs", "cst_slots", "cd_slots", "pti",
                     "p_congested"])
-        for sid in sorted(segments):
-            if sid not in designs:
-                continue
-            _names, X_all, pos = designs[sid]
-            p = predict_day(segments[sid], X_all[pos[target]],
-                            prepared.config.model.cs_threshold)
-            w.writerow([sid, target.isoformat(), p.cs, repr(p.cst),
-                        "" if p.cd is None else repr(p.cd),
-                        "" if p.pti is None else repr(p.pti), repr(p.p_congested)])
+        w.writerows(rows)
     print(f"predictions -> {out}")
     return 0
 

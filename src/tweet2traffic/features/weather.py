@@ -57,17 +57,23 @@ def weather_hours(records, days) -> np.ndarray:
     return out
 
 
-def weather_features(hours: np.ndarray, days, n_train: int) -> np.ndarray:
-    """Scale a split's `weather_hours` rows (training days first).
+def weather_bounds(hours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (min, max) of the scaled columns of training `weather_hours` rows."""
+    raw = hours[:, :N_SCALED]
+    return raw.min(axis=0), raw.max(axis=0)
 
-    The continuous columns are min-max scaled by the first `n_train` rows;
-    a constant training column scales to 0 and test values may leave [0, 1].
+
+def weather_features(hours: np.ndarray, days, bounds) -> np.ndarray:
+    """Scale `weather_hours` rows by the training `weather_bounds`.
+
+    The continuous columns are min-max scaled; a constant training column
+    scales to 0 and test values may leave [0, 1].
     """
     unusable = np.isnan(hours).any(axis=1)
     if unusable.any():
         raise EmptyInput(f"no weather rows usable for {days[int(np.argmax(unusable))]}")
+    lo, hi = bounds
     raw = hours[:, :N_SCALED]
-    lo, hi = raw[:n_train].min(axis=0), raw[:n_train].max(axis=0)
     varies = hi > lo
     out = hours.copy()
     out[:, :N_SCALED] = np.where(varies, (raw - lo) / np.where(varies, hi - lo, 1.0), 0.0)

@@ -54,7 +54,10 @@ def weighted_aggregate(entries) -> dict[str, float | None]:
 
     Classification metrics weight by each set's test-day count, regression
     metrics by its congested-day count; metrics undefined everywhere stay
-    absent.
+    absent. The day-weighted mean of accuracies is the pooled accuracy.
+    Precision, recall and the RMSEs are not pooled: they are weighted means
+    of the per-split values, not recomputed from summed TP/FP counts or
+    squared errors.
     """
     out: dict[str, float | None] = {}
     for name in METRIC_NAMES:

@@ -1,14 +1,16 @@
 """End-to-end orchestration: dataset views, per-split artifacts, predictions.
 
-PreparedData caches everything split-independent (the speed cube and its
-gap-filled mornings, cleaned tweet text, tract and land-use joins, per-day
-tweet buckets, agency-tweet incident records) and the split-independent
-feature blocks, one (n_days, n_cols) array per family in layout order: period
-counts and neutral shares, unscaled weather hours, time features and each
-segment's incident features.
+DayBlocks holds the split-independent feature blocks of a day list, one
+(n_days, n_cols) array per family in layout order: period counts and neutral
+shares, unscaled weather hours, time features and each segment's incident
+features. `t2t predict` builds them for the target day alone.
+PreparedData adds what the training span needs over every speed day: the
+speed cube and its gap-filled mornings, cleaned tweet text, and the tract and
+land-use joins.
 build_split refits every leakage-sensitive artifact (reference speeds, user
 set and homes, the weather scaling, clustering, descriptors, segment models)
-from the training span only.
+from the training span only; `road_features` applies the fitted homes and
+weather bounds to any day list.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from ..features.assemble import (
 )
 from ..features.incident import bulk_incident_features, incident_feature_names
 from ..features.timefeat import time_features
-from ..features.weather import weather_features, weather_hours
+from ..features.weather import weather_bounds, weather_features, weather_hours
 from ..ingest.loaders import DatasetBundle
 from ..learn.stack import (
     OrderedDescriptor,
@@ -81,109 +83,92 @@ log = logging.getLogger(__name__)
 
 
 @dataclass
-class PreparedData:
-    bundle: DatasetBundle
+class DayBlocks:
+    """The split-independent feature blocks of a day list; see `day_blocks`."""
     config: PipelineConfig
     days: list[date_t]
     day_index: dict[date_t, int]
     segments: list
     segs_by_road: dict[str, list]
     tract_ids: list[str]
-    speeds: dict[str, np.ndarray]          # (n_days, emit_slots) NaN when absent
-    filled: dict[str, np.ndarray]          # (n_days, 72) gap-filled mornings, NaN when incomplete
-    incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
-    morning_offset: int
+    geocoder: TractGeocoder
+    road_layout: list
     tweet_incidents: list                   # records parsed from agency tweets
     incident_features: dict[str, np.ndarray]  # segment -> (n_days, 66), RCRS + tweet records
     event_features: np.ndarray              # (n_days, 2 * periods) counts, then neutral shares
     weather_hours: np.ndarray               # (n_days, 88) unscaled, NaN rows when unusable
     time_features: np.ndarray               # (n_days, 10)
     sleep_buckets: dict                     # day -> user -> [tweets in the sleep/wake windows]
-    clean_texts: dict[str, str]             # text of every tweet with coordinates -> clean_text
-    coord_tracts: dict                      # in-box geocoded coordinate -> tract
-    geocoder: TractGeocoder
-    user_geo: dict[str, list]
-    landuse: dict                           # user_geo coordinate -> land use
-    road_layout: list
 
     @property
     def roads(self) -> list[str]:
         return sorted(self.segs_by_road)
 
 
+@dataclass
+class PreparedData(DayBlocks):
+    """The blocks of every speed day and what a training span reads besides."""
+    bundle: DatasetBundle
+    speeds: dict[str, np.ndarray]          # (n_days, emit_slots) NaN when absent
+    filled: dict[str, np.ndarray]          # (n_days, 72) gap-filled mornings, NaN when incomplete
+    incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
+    morning_offset: int
+    clean_texts: dict[str, str]             # text of every tweet with coordinates -> clean_text
+    coord_tracts: dict                      # in-box geocoded coordinate -> tract
+    user_geo: dict[str, list]
+    landuse: dict                           # user_geo coordinate -> land use
+
+
 def _in_bbox(coord, bbox) -> bool:
     return bbox[0] <= coord[0] <= bbox[2] and bbox[1] <= coord[1] <= bbox[3]
 
 
-def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
+def _clean_texts(cfg: PipelineConfig, tweets) -> dict[str, str]:
+    slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
+    return {text: clean_text(text, slang=slang, wordlist=wordlist)
+            for text in dict.fromkeys(t.text for t in tweets)}
+
+
+def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
+               clean_texts: dict[str, str] | None = None) -> DayBlocks:
+    """The split-independent feature blocks of `days`.
+
+    Reads the segments, tracts, calendar, weather, incidents and the tweets
+    of each day's windows; never speed.csv or the land-use zones.
+    `clean_texts` holds cleaned tweet text; None cleans the tweets read here.
+    """
     cfg = config
+    days = list(days)
     segments = sorted(bundle.segments, key=lambda s: (s.road_id, s.order_on_road))
     segs_by_road: dict[str, list] = {}
     for s in segments:
         segs_by_road.setdefault(s.road_id, []).append(s)
-
-    table = bundle.speed
-    days = list(table.days)
-    if not days:
-        raise TooFewDays("no speed data")
-    day_index = {d: i for i, d in enumerate(days)}
-    seg_pos = {s.segment_id: i for i, s in enumerate(segments)}
-    unknown = [sid for sid in table.segment_ids if sid not in seg_pos]
-    if unknown:
-        raise SchemaMismatch("segment_id", f"speed.csv segment {unknown[0]!r} "
-                             "is not in segments.csv")
-
-    # one (segments, days, emit slots) speed cube, NaN when absent; the
-    # emitted range starts at the earliest hour in the data and ends at 11:00
-    emit_start = int(table.slot.min()) // 12
-    emit_slots = (11 - emit_start) * 12
-    morning_offset = (5 - emit_start) * 12
-    cube = np.full((len(segments), len(days), emit_slots), np.nan)
-    col = table.slot - emit_start * 12
-    emitted = col < emit_slots
-    cube_seg = np.array([seg_pos[sid] for sid in table.segment_ids], dtype=np.intp)
-    cube[cube_seg[table.segment[emitted]], table.day[emitted], col[emitted]] = \
-        table.speed[emitted]
-    speeds = {s.segment_id: cube[i] for i, s in enumerate(segments)}
-    # bounded gap-fill of every morning, once per run
-    filled, incomplete = {}, {}
-    for sid, arr in speeds.items():
-        filled[sid], incomplete[sid] = fill_speed_gaps(
-            arr[:, morning_offset:morning_offset + N_SLOTS], cfg.max_ffill_slots)
-
-    holidays = {c.date for c in bundle.calendar if c.is_holiday}
     geocoder = TractGeocoder(bundle.tracts)
     tract_ids = [t.tract_id for t in geocoder.tracts]
 
-    # tract join for every distinct in-box geocoded coordinate, once
-    coord_tweets = [t for t in bundle.tweets if t.coord is not None]
-    geo_tweets = [t for t in coord_tweets if _in_bbox(t.coord, cfg.tweets.bbox)]
-    geo_coords = list(dict.fromkeys(t.coord for t in geo_tweets))
-    located = geocoder.locate_many(geo_coords) if geo_coords else []
-    coord_tracts = dict(zip(geo_coords, located))
-
-    # cleaned text of every tweet with coordinates (the report's token
-    # counts read all of them), and in-box sentiment labels for event indicators
-    if cfg.sentiment_scores_path:
-        sentiment_provider = PrecomputedSentimentProvider(cfg.sentiment_scores_path)
-    else:
-        sentiment_provider = LexiconSentimentProvider()
-    slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
-    clean_texts = {text: clean_text(text, slang=slang, wordlist=wordlist)
-                   for text in dict.fromkeys(t.text for t in coord_tweets)}
-    labels = {}
-    for t in geo_tweets:
-        _p, lab = sentiment_label(t.tweet_id, clean_texts[t.text], sentiment_provider,
-                                  cfg.tweets.sentiment_pos, cfg.tweets.sentiment_neg)
-        labels[t.tweet_id] = lab
-
-    # day-window event indicators are split-independent
+    # event indicators and neutral shares of the in-box geotagged tweets of
+    # each day's window
     geo_by_window: dict[date_t, list] = {d: [] for d in days}
-    for t in geo_tweets:
+    in_window = []
+    for t in bundle.tweets:
+        if t.coord is None or not _in_bbox(t.coord, cfg.tweets.bbox):
+            continue
         anchor = t.timestamp.date() + timedelta(days=1) if t.timestamp.hour >= 5 \
             else t.timestamp.date()
         if anchor in geo_by_window:
             geo_by_window[anchor].append(t)
+            in_window.append(t)
+    if cfg.sentiment_scores_path:
+        sentiment_provider = PrecomputedSentimentProvider(cfg.sentiment_scores_path)
+    else:
+        sentiment_provider = LexiconSentimentProvider()
+    if clean_texts is None:
+        clean_texts = _clean_texts(cfg, in_window)
+    labels = {}
+    for t in in_window:
+        _p, lab = sentiment_label(t.tweet_id, clean_texts[t.text], sentiment_provider,
+                                  cfg.tweets.sentiment_pos, cfg.tweets.sentiment_neg)
+        labels[t.tweet_id] = lab
     period_names = [name for name, _s, _e in cfg.tweets.periods]
     event_features = np.zeros((len(days), 2 * len(period_names)))
     for i, d in enumerate(days):
@@ -202,6 +187,73 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
         if anchor in sleep_buckets and h in pulse_hours:
             sleep_buckets[anchor].setdefault(t.user_id, []).append(t)
 
+    # records parsed from agency tweets, merged with the RCRS rows
+    parsed = [parse_incident_tweet(t.text, t.timestamp) for t in bundle.tweets
+              if t.user_id in cfg.tweets.agency_user_ids]
+    tweet_incidents = assemble_incident_records([p for p in parsed if p is not None],
+                                                MilepostGeocoder(segments))
+
+    holidays = {c.date for c in bundle.calendar if c.is_holiday}
+    return DayBlocks(
+        config=cfg, days=days, day_index={d: i for i, d in enumerate(days)},
+        segments=segments, segs_by_road=segs_by_road, tract_ids=tract_ids,
+        geocoder=geocoder,
+        road_layout=(tweet_feature_layout(tract_ids, cfg.tweets)
+                     + weather_feature_layout() + time_feature_layout()),
+        tweet_incidents=tweet_incidents,
+        incident_features=_incident_features(cfg, segs_by_road,
+                                             list(bundle.incidents) + tweet_incidents, days),
+        event_features=event_features,
+        weather_hours=weather_hours(bundle.weather, days),
+        time_features=time_features(days, holidays, cfg.features.weeks_per_year,
+                                    cfg.features.months_per_year),
+        sleep_buckets=sleep_buckets,
+    )
+
+
+def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
+    """The day blocks of every speed day, plus the speed cube and the joins
+    the training span reads."""
+    cfg = config
+    table = bundle.speed
+    if not table.days:
+        raise TooFewDays("no speed data")
+    # cleaned text of every tweet with coordinates (the report's token
+    # counts read all of them)
+    coord_tweets = [t for t in bundle.tweets if t.coord is not None]
+    clean_texts = _clean_texts(cfg, coord_tweets)
+    blocks = day_blocks(bundle, cfg, table.days, clean_texts)
+
+    segments = blocks.segments
+    seg_pos = {s.segment_id: i for i, s in enumerate(segments)}
+    unknown = [sid for sid in table.segment_ids if sid not in seg_pos]
+    if unknown:
+        raise SchemaMismatch("segment_id", f"speed.csv segment {unknown[0]!r} "
+                             "is not in segments.csv")
+
+    # one (segments, days, emit slots) speed cube, NaN when absent; the
+    # emitted range starts at the earliest hour in the data and ends at 11:00
+    emit_start = int(table.slot.min()) // 12
+    emit_slots = (11 - emit_start) * 12
+    morning_offset = (5 - emit_start) * 12
+    cube = np.full((len(segments), len(blocks.days), emit_slots), np.nan)
+    col = table.slot - emit_start * 12
+    emitted = col < emit_slots
+    cube_seg = np.array([seg_pos[sid] for sid in table.segment_ids], dtype=np.intp)
+    cube[cube_seg[table.segment[emitted]], table.day[emitted], col[emitted]] = \
+        table.speed[emitted]
+    speeds = {s.segment_id: cube[i] for i, s in enumerate(segments)}
+    # bounded gap-fill of every morning, once per run
+    filled, incomplete = {}, {}
+    for sid, arr in speeds.items():
+        filled[sid], incomplete[sid] = fill_speed_gaps(
+            arr[:, morning_offset:morning_offset + N_SLOTS], cfg.max_ffill_slots)
+
+    # tract join for every distinct in-box geocoded coordinate, once
+    geo_coords = list(dict.fromkeys(t.coord for t in coord_tweets
+                                    if _in_bbox(t.coord, cfg.tweets.bbox)))
+    located = blocks.geocoder.locate_many(geo_coords) if geo_coords else []
+
     user_geo: dict[str, list] = {}
     for t in bundle.tweets:
         if t.kind == "GEOCODED" and t.coord is not None:
@@ -209,29 +261,10 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
     landuse = landuse_table([t.coord for ts in user_geo.values() for t in ts],
                             bundle.zones)
 
-    # records parsed from agency tweets, merged with the RCRS rows
-    parsed = [parse_incident_tweet(t.text, t.timestamp) for t in bundle.tweets
-              if t.user_id in cfg.tweets.agency_user_ids]
-    tweet_incidents = assemble_incident_records([p for p in parsed if p is not None],
-                                                MilepostGeocoder(segments))
-
-    road_layout = (tweet_feature_layout(tract_ids, cfg.tweets)
-                   + weather_feature_layout() + time_feature_layout())
-    incident_features = _incident_features(cfg, segs_by_road,
-                                           list(bundle.incidents) + tweet_incidents, days)
-
     return PreparedData(
-        bundle=bundle, config=cfg, days=days, day_index=day_index,
-        segments=segments, segs_by_road=segs_by_road, tract_ids=tract_ids,
-        speeds=speeds, filled=filled, incomplete=incomplete,
-        morning_offset=morning_offset, tweet_incidents=tweet_incidents,
-        incident_features=incident_features, event_features=event_features,
-        weather_hours=weather_hours(bundle.weather, days),
-        time_features=time_features(days, holidays, cfg.features.weeks_per_year,
-                                    cfg.features.months_per_year),
-        sleep_buckets=sleep_buckets, clean_texts=clean_texts,
-        coord_tracts=coord_tracts, geocoder=geocoder, user_geo=user_geo,
-        landuse=landuse, road_layout=road_layout,
+        **vars(blocks), bundle=bundle, speeds=speeds, filled=filled,
+        incomplete=incomplete, morning_offset=morning_offset, clean_texts=clean_texts,
+        coord_tracts=dict(zip(geo_coords, located)), user_geo=user_geo, landuse=landuse,
     )
 
 
@@ -253,6 +286,7 @@ class SplitArtifacts:
     road_matrix: FeatureMatrix
     clusters: dict[str, RoadClusters]
     homes: dict[str, tuple[float, float]]
+    weather_bounds: tuple[np.ndarray, np.ndarray]   # per-column (min, max) of the training rows
 
 
 def _split_quadruples(prepared: PreparedData, train_days, all_days):
@@ -279,9 +313,8 @@ def _split_quadruples(prepared: PreparedData, train_days, all_days):
     return v_ref, quads, tti
 
 
-def _split_tweet_features(prepared: PreparedData, train_days, all_days):
-    """Influential residents' homes and the (n_days, n_cols) sleep/wake pulse
-    block, sleep columns then wake columns as `pulse_keys` orders them."""
+def _split_homes(prepared: PreparedData, train_days) -> dict[str, tuple[float, float]]:
+    """The homes of the influential residents of the training span."""
     cfg = prepared.config.tweets
     train_set = set(train_days)
     train_tweets = [t for u in sorted(prepared.user_geo)
@@ -301,21 +334,28 @@ def _split_tweet_features(prepared: PreparedData, train_days, all_days):
         home = infer_home(u, geo, prepared.landuse, cfg)
         if home is not None:
             homes[u] = home
-    # the prepared join covers in-box check-ins; homes and the rest are located here
-    coord_cache = dict(prepared.coord_tracts)
+    return homes
+
+
+def _pulse_features(blocks: DayBlocks, days, homes, coord_tracts) -> np.ndarray:
+    """The (n_days, n_cols) sleep/wake pulse block of the residents' `homes`,
+    sleep columns then wake columns as `pulse_keys` orders them.
+    `coord_tracts` seeds the coordinate -> tract cache."""
+    cfg = blocks.config.tweets
+    coord_cache = dict(coord_tracts)
 
     def tract_of(lat, lon):
         key = (lat, lon)
         if key not in coord_cache:
-            coord_cache[key] = prepared.geocoder.locate(lat, lon)
+            coord_cache[key] = blocks.geocoder.locate(lat, lon)
         return coord_cache[key]
 
-    sleep_col = {k: j for j, k in enumerate(pulse_keys(prepared.tract_ids, cfg.sleep_hours))}
+    sleep_col = {k: j for j, k in enumerate(pulse_keys(blocks.tract_ids, cfg.sleep_hours))}
     wake_col = {k: len(sleep_col) + j
-                for j, k in enumerate(pulse_keys(prepared.tract_ids, cfg.wake_hours))}
-    pulses = np.zeros((len(all_days), len(sleep_col) + len(wake_col)))
-    for i, d in enumerate(all_days):
-        bucket = prepared.sleep_buckets.get(d, {})
+                for j, k in enumerate(pulse_keys(blocks.tract_ids, cfg.wake_hours))}
+    pulses = np.zeros((len(days), len(sleep_col) + len(wake_col)))
+    for i, d in enumerate(days):
+        bucket = blocks.sleep_buckets.get(d, {})
         tweets_by_user = {u: geotag_timeline(bucket[u], homes, cfg)
                           for u in homes if bucket.get(u)}
         sleep, wake = encode_sleep_wake(d, tweets_by_user, tract_of, cfg)
@@ -323,7 +363,17 @@ def _split_tweet_features(prepared: PreparedData, train_days, all_days):
             pulses[i, sleep_col[key]] = v
         for key, v in wake.items():
             pulses[i, wake_col[key]] = v
-    return pulses, homes
+    return pulses
+
+
+def road_features(blocks: DayBlocks, days, homes, bounds, coord_tracts=()) -> FeatureMatrix:
+    """The road feature matrix of `days` from their blocks and the state a
+    training span fitted: the residents' homes and the weather bounds."""
+    rows = [blocks.day_index[d] for d in days]
+    pulses = _pulse_features(blocks, days, homes, coord_tracts)
+    weather = weather_features(blocks.weather_hours[rows], days, bounds)
+    return build_feature_matrix(days, [pulses, blocks.event_features[rows], weather,
+                                       blocks.time_features[rows]], blocks.road_layout)
 
 
 def _incident_features(prepared_config, segs_by_road, incidents, days):
@@ -378,16 +428,14 @@ def _split_clusters(prepared: PreparedData, tti, train_days, seed: int):
 
 def build_split(prepared: PreparedData, train_days, test_days, seed: int) -> SplitArtifacts:
     all_days = list(train_days) + list(test_days)
-    rows = [prepared.day_index[d] for d in all_days]
     v_ref, quads, tti = _split_quadruples(prepared, train_days, all_days)
-    pulses, homes = _split_tweet_features(prepared, train_days, all_days)
-    weather = weather_features(prepared.weather_hours[rows], all_days, len(train_days))
-    road_matrix = build_feature_matrix(
-        all_days, [pulses, prepared.event_features[rows], weather,
-                   prepared.time_features[rows]], prepared.road_layout)
+    homes = _split_homes(prepared, train_days)
+    # an unusable training row makes NaN bounds, but road_features rejects it first
+    bounds = weather_bounds(prepared.weather_hours[[prepared.day_index[d] for d in train_days]])
+    road_matrix = road_features(prepared, all_days, homes, bounds, prepared.coord_tracts)
     clusters = _split_clusters(prepared, tti, list(train_days), seed)
     return SplitArtifacts(list(train_days), list(test_days), v_ref, quads, tti,
-                          road_matrix, clusters, homes)
+                          road_matrix, clusters, homes, bounds)
 
 
 @dataclass
@@ -397,31 +445,32 @@ class FittedStack:
     designs: dict[str, tuple[list[str], np.ndarray, dict]]   # segment_design output
 
 
-def segment_design(prepared: PreparedData, art: SplitArtifacts,
+def segment_design(blocks: DayBlocks, art: SplitArtifacts | None,
                    road_matrix: FeatureMatrix, scales: dict[str, np.ndarray],
                    use_incidents: bool = True):
-    """Per-segment design matrices over all split days: road + incident + scales.
+    """Per-segment design matrices over the road matrix's days: road +
+    incident + scales.
 
-    The incident columns are the segment's prepared block; `art` is not read.
+    The incident columns are the segment's block in `blocks`; `art` is not read.
     """
     day_pos = {d: i for i, d in enumerate(road_matrix.days)}
-    rows = [prepared.day_index[d] for d in road_matrix.days]
+    rows = [blocks.day_index[d] for d in road_matrix.days]
     inc_names = incident_feature_names()
     out = {}
-    for road_id in prepared.roads:
+    for road_id in blocks.roads:
         road_scales = scales[road_id]
         n_levels = road_scales.shape[1]
-        for seg in prepared.segs_by_road[road_id]:
+        for seg in blocks.segs_by_road[road_id]:
             sid = seg.segment_id
             names = list(road_matrix.names)
-            blocks = [road_matrix.values]
+            parts = [road_matrix.values]
             if use_incidents:
                 names += inc_names
-                blocks.append(prepared.incident_features[sid][rows])
+                parts.append(blocks.incident_features[sid][rows])
             if n_levels:
                 names += [c[0] for c in cluster_feature_layout(n_levels)]
-                blocks.append(road_scales)
-            out[sid] = (names, np.hstack(blocks), day_pos)
+                parts.append(road_scales)
+            out[sid] = (names, np.hstack(parts), day_pos)
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date as date_t
 from datetime import datetime
 from itertools import islice
@@ -471,25 +471,21 @@ def write_dataset(kind: str, records, path) -> None:
 @dataclass
 class DatasetBundle:
     segments: list
-    speed: SpeedTable
+    speed: SpeedTable | None
     incidents: list
     weather: list
     tweets: list
     tracts: list
-    zones: list
+    zones: list | None
     calendar: list
 
 
-def load_bundle(data_dir) -> DatasetBundle:
-    """Load every dataset of a directory laid out per FILE_NAMES."""
+def load_bundle(data_dir, skip=()) -> DatasetBundle:
+    """Load every dataset of a directory laid out per FILE_NAMES.
+
+    A kind named in `skip` is neither read nor required and loads as None.
+    """
     d = Path(data_dir)
-    return DatasetBundle(
-        segments=load_dataset("segments", d / FILE_NAMES["segments"]),
-        speed=load_dataset("speed", d / FILE_NAMES["speed"]),
-        incidents=load_dataset("incidents", d / FILE_NAMES["incidents"]),
-        weather=load_dataset("weather", d / FILE_NAMES["weather"]),
-        tweets=load_dataset("tweets", d / FILE_NAMES["tweets"]),
-        tracts=load_dataset("tracts", d / FILE_NAMES["tracts"]),
-        zones=load_dataset("zones", d / FILE_NAMES["zones"]),
-        calendar=load_dataset("calendar", d / FILE_NAMES["calendar"]),
-    )
+    return DatasetBundle(**{f.name: None if f.name in skip
+                            else load_dataset(f.name, d / FILE_NAMES[f.name])
+                            for f in fields(DatasetBundle)})

@@ -6,21 +6,14 @@ selected; with nothing selected the caller falls back to the linear model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# A tree is a flat node table: node 0 is the root, and each node is the row
-# [feature, threshold, left, right, value]; feature -1 marks a leaf, whose
-# value is the majority fraction (clf) or the mean (reg).
-
-
-def _predict_tree(tree: list, row) -> float:
-    feature, threshold, left, right, value = tree[0]
-    while feature >= 0:
-        feature, threshold, left, right, value = tree[left if row[feature] <= threshold
-                                                      else right]
-    return value
+# A tree grows as a list of node rows [feature, threshold, left, right, value],
+# node 0 its root; feature -1 marks a leaf, whose value is the majority
+# fraction (clf) or the mean (reg). A forest packs its trees' rows into one
+# array per column, tree after tree; child indices stay tree-local.
 
 
 def _best_split(X, y, feat_idx, task):
@@ -94,22 +87,48 @@ def _grow(tree: list, X, y, task, rng, n_candidates, max_depth, depth=0) -> int:
 @dataclass
 class RandomForestModel:
     columns: list[int]           # the design-row columns the trees read
-    trees: list[list] = field(default_factory=list)
+    offsets: np.ndarray          # (n_trees,) the packed index of each tree's root
+    feature: np.ndarray          # (n_nodes,) -1 at a leaf
+    threshold: np.ndarray        # 0 at a leaf
+    left: np.ndarray             # tree-local child indices, -1 at a leaf
+    right: np.ndarray
+    value: np.ndarray            # a leaf's output, 0 at an inner node
 
     def predict_values(self, X) -> np.ndarray:
         """Mean tree output per design row of X: a congested share or an estimate."""
         X = np.asarray(X, dtype=float)[:, self.columns]
+        rows = np.arange(len(X))
+        root = self.offsets[:, None]
+        node = np.repeat(root, len(X), axis=1)      # (n_trees, n_rows) packed indices
+        while (inner := self.feature[node] >= 0).any():
+            go_left = X[rows, self.feature[node]] <= self.threshold[node]
+            child = np.where(go_left, self.left[node], self.right[node]) + root
+            node = np.where(inner, child, node)
         votes = np.zeros(len(X))
-        for tree in self.trees:
-            votes += np.array([_predict_tree(tree, row) for row in X])
-        return votes / max(len(self.trees), 1)
+        for leaf_values in self.value[node]:
+            votes += leaf_values
+        return votes / max(len(self.offsets), 1)
 
     def to_dict(self) -> dict:
-        return {"kind": "rf", "columns": self.columns, "trees": self.trees}
+        return {"kind": "rf", "columns": self.columns,
+                **{k: getattr(self, k).tolist() for k in _PACKED}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> RandomForestModel:
-        return cls(list(doc["columns"]), doc["trees"])
+        return cls(list(doc["columns"]),
+                   **{k: np.array(doc[k], dtype=kind) for k, kind in _PACKED.items()})
+
+
+_PACKED = {"offsets": np.intp, "feature": np.intp, "threshold": float, "left": np.intp,
+           "right": np.intp, "value": float}
+
+
+def _pack(columns, trees) -> RandomForestModel:
+    offsets = np.cumsum([0] + [len(tree) for tree in trees])[:-1]
+    nodes = np.array([row for tree in trees for row in tree], dtype=float).reshape(-1, 5)
+    feature, left, right = (nodes[:, k].astype(np.intp) for k in (0, 2, 3))
+    return RandomForestModel(columns, offsets.astype(np.intp), feature, nodes[:, 1], left,
+                             right, np.where(feature < 0, nodes[:, 4], 0.0))
 
 
 def _n_candidates(p: int, feature_frac) -> int:
@@ -128,12 +147,12 @@ def rf_fit(X, y, task: str, columns, n_trees: int = 100, max_depth=None,
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     master = np.random.default_rng(seed)
-    model = RandomForestModel(columns)
     cand = _n_candidates(p, feature_frac)
+    trees = []
     for _t in range(n_trees):
         rng = np.random.default_rng(int(master.integers(0, 2 ** 63 - 1)))
         idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
         tree = []
         _grow(tree, X[idx], y[idx], task, rng, cand, max_depth)
-        model.trees.append(tree)
-    return model
+        trees.append(tree)
+    return _pack(columns, trees)

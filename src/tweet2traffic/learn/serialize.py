@@ -12,7 +12,7 @@ from .knn import KnnModel
 from .optimizers import LinearModel
 from .stack import OrderedDescriptor, SegmentModelSet
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 HEAD_KINDS = {"knn": KnnModel, "rf": RandomForestModel}
 
 

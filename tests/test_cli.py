@@ -1,4 +1,7 @@
+import dataclasses
 import json
+from pathlib import Path
+
 import pytest
 
 from tweet2traffic.cli import main
@@ -15,6 +18,33 @@ def data_dir(tmp_path_factory):
     rc = main(["synth", "--synth-config", str(sc), "--seed", "3", "--out", str(data)])
     assert rc == 0
     return data
+
+
+@dataclasses.dataclass
+class Served:
+    model: Path             # a linear bundle trained on the first days only
+    days: list              # every speed day of the data
+    train_days: list
+
+
+@pytest.fixture(scope="module")
+def served(data_dir, tmp_path_factory):
+    """A bundle trained on a copy of the data whose speed.csv stops 4 days early."""
+    from datetime import date
+
+    import shutil
+
+    tmp = tmp_path_factory.mktemp("served")
+    data = tmp / "data"
+    shutil.copytree(data_dir, data)
+    header, *rows = (data / "speed.csv").read_text().splitlines(keepends=True)
+    days = sorted({date.fromisoformat(r.split(",")[1][:10]) for r in rows})
+    train_days = days[:-4]
+    (data / "speed.csv").write_text(header + "".join(
+        r for r in rows if date.fromisoformat(r.split(",")[1][:10]) <= train_days[-1]))
+    assert main(["train", "--data", str(data), "--seed", "2",
+                 "--out", str(tmp / "m")]) == 0
+    return Served(tmp / "m" / "model.json", days, train_days)
 
 
 class TestCli:
@@ -311,21 +341,151 @@ class TestCli:
         assert rc == 2
         assert "retrain it with `t2t train`" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("meta,message", [
-        ({}, "schema mismatch on column 'train_days'"),
-        ({"train_days": ["1999-01-01"]}, "lacks 1 of the model's training days, "
-                                         "first 1999-01-01"),
-    ])
-    def test_predict_without_the_training_days_exit_2(self, data_dir, tmp_path, capsys,
-                                                      meta, message):
+    def test_predict_bundle_without_feature_state_exit_2(self, data_dir, tmp_path, capsys):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"format_version": FORMAT_VERSION, "meta": meta,
+        model.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                     "meta": {"train_end": "2014-01-06"},
                                      "descriptors": {}, "segments": {}}))
         rc = main(["predict", "--data", str(data_dir), "--model", str(model),
                    "--out", str(tmp_path / "pred")])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "schema mismatch on column 'features'" in err
+        assert "retrain it with `t2t train`" in err
         assert not (tmp_path / "pred").exists()
+
+    def test_predict_version_2_bundle_asks_for_retrain_exit_2(self, data_dir, tmp_path,
+                                                              capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": 2,
+                                     "meta": {"train_days": ["2014-01-06"]},
+                                     "descriptors": {}, "segments": {}}))
+        rc = main(["predict", "--data", str(data_dir), "--model", str(model),
+                   "--out", str(tmp_path / "pred")])
+        assert rc == 2
+        assert "retrain it with `t2t train`" in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
+    def test_predict_serves_an_unseen_day_as_a_split_test_row(self, data_dir, served,
+                                                              tmp_path):
+        import csv
+
+        import numpy as np
+
+        from tweet2traffic.config import load_config
+        from tweet2traffic.harness.pipeline import (
+            build_split,
+            day_blocks,
+            descriptor_scales,
+            prepare_data,
+            road_features,
+            segment_design,
+        )
+        from tweet2traffic.ingest.loaders import load_bundle
+        from tweet2traffic.learn.serialize import bundle_from_json
+        from tweet2traffic.learn.stack import predict_day
+
+        cfg = load_config(data_dir / "config.json")
+        descriptors, segments, meta = bundle_from_json(served.model.read_text())
+        prepared = prepare_data(load_bundle(data_dir), cfg)
+        target = served.days[len(served.train_days)]
+        assert meta["train_end"] == served.train_days[-1].isoformat()
+        art = build_split(prepared, served.train_days, [target], seed=2)
+        assert {u: tuple(h) for u, h in meta["features"]["homes"].items()} == art.homes
+        assert meta["features"]["weather_min"] == art.weather_bounds[0].tolist()
+        assert meta["features"]["weather_max"] == art.weather_bounds[1].tolist()
+        want = segment_design(prepared, art, art.road_matrix,
+                              descriptor_scales(descriptors, art.road_matrix))
+
+        # the served row from the target day's blocks and the stored state
+        blocks = day_blocks(load_bundle(data_dir), cfg, [target])
+        bounds = tuple(np.array(meta["features"][k]) for k in ("weather_min", "weather_max"))
+        homes = {u: tuple(h) for u, h in meta["features"]["homes"].items()}
+        road = road_features(blocks, [target], homes, bounds)
+        got = segment_design(blocks, None, road, descriptor_scales(descriptors, road))
+        n_road = len(art.road_matrix.names)
+        assert road.names == art.road_matrix.names
+        assert np.array_equal(road.values[0], art.road_matrix.values[-1])
+        for sid in segments:
+            names, X_want, pos = want[sid]
+            assert got[sid][0] == names == segments[sid].feature_names
+            row_want, row_got = X_want[pos[target]], got[sid][1][0]
+            # road and incident columns are the same numbers; the descriptors'
+            # cluster scales of a lone row may round in the last bits
+            scale = [i for i, n in enumerate(names) if n.startswith("c_")]
+            rest = [i for i in range(len(names)) if i not in scale]
+            assert len(rest) > n_road
+            assert np.array_equal(row_got[rest], row_want[rest])
+            np.testing.assert_allclose(row_got[scale], row_want[scale], rtol=1e-12)
+
+        # with no --date, the CLI predicts the day after the training span
+        assert main(["predict", "--model", str(served.model), "--data", str(data_dir),
+                     "--seed", "2", "--out", str(tmp_path / "p")]) == 0
+        with (tmp_path / "p" / f"predictions_{target}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["segment_id"] for r in rows] == sorted(segments)
+        for r in rows:
+            _names, X_want, pos = want[r["segment_id"]]
+            p = predict_day(segments[r["segment_id"]], X_want[pos[target]],
+                            cfg.model.cs_threshold)
+            assert r["date"] == target.isoformat() and int(r["cs"]) == p.cs
+            assert float(r["p_congested"]) == pytest.approx(p.p_congested, rel=1e-12)
+            assert float(r["cst_slots"]) == pytest.approx(p.cst, rel=1e-12)
+
+    def test_predict_reads_no_speed_and_builds_no_split(self, data_dir, served, tmp_path,
+                                                        monkeypatch):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        (data / "speed.csv").unlink()
+        (data / "zones.geojson").unlink()
+
+        def refuse(*_a, **_k):
+            raise AssertionError("predict ran the full-span pipeline")
+
+        monkeypatch.setattr("tweet2traffic.cli.build_split", refuse)
+        monkeypatch.setattr("tweet2traffic.cli.prepare_data", refuse)
+        day = served.days[-1].isoformat()
+        assert main(["predict", "--model", str(served.model), "--data", str(data),
+                     "--date", day, "--out", str(tmp_path / "p")]) == 0
+        assert main(["predict", "--model", str(served.model), "--data", str(data_dir),
+                     "--date", day, "--out", str(tmp_path / "full")]) == 0
+        name = f"predictions_{day}.csv"
+        assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_predict_with_a_tract_the_bundle_lacks_exit_2(self, data_dir, served, tmp_path,
+                                                          capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        doc = json.loads((data / "tracts.geojson").read_text())
+        doc["features"] = doc["features"][:-1]
+        (data / "tracts.geojson").write_text(json.dumps(doc))
+        rc = main(["predict", "--model", str(served.model), "--data", str(data),
+                   "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert "schema mismatch on column 'feature_names'" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_predict_without_a_bundle_segment_exit_2(self, data_dir, served, tmp_path,
+                                                     capsys):
+        import shutil
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        header, *rows = (data / "segments.csv").read_text().splitlines(keepends=True)
+        gone = rows[-1].split(",")[0]
+        (data / "segments.csv").write_text(header + "".join(rows[:-1]))
+        speed = (data / "speed.csv").read_text().splitlines(keepends=True)
+        (data / "speed.csv").write_text(
+            "".join(line for line in speed if not line.startswith(gone + ",")))
+        rc = main(["predict", "--model", str(served.model), "--data", str(data),
+                   "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert f"segment {gone!r}" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("variant", ["linear", "rf", "knn"])
     def test_saved_bundle_serves_the_trained_stack(self, data_dir, tmp_path, variant):
@@ -352,7 +512,8 @@ class TestCli:
         stack = fit_stack(prepared, art, StackModel(head=variant), seed=2)
 
         _desc, segments, meta = bundle_from_json((tmp_path / "m" / "model.json").read_text())
-        assert meta["train_days"] == [d.isoformat() for d in prepared.days]
+        assert meta["train_end"] == prepared.days[-1].isoformat()
+        assert {u: tuple(h) for u, h in meta["features"]["homes"].items()} == art.homes
         assert segments.keys() == stack.segment_models.keys()
         if variant != "linear":
             assert any(m.heads for m in segments.values())

@@ -13,6 +13,7 @@ from tweet2traffic.features import (
     incident_time_window,
     road_orientation,
     time_features,
+    weather_bounds,
     weather_features,
     weather_hours,
 )
@@ -240,7 +241,9 @@ def wrec(day, hour, **kw):
 def scaled_weather(recs, train_days, test_days=()):
     """Scaled weather features of each split day by name, bounds from `train_days`."""
     split = list(train_days) + list(test_days)
-    block = weather_features(weather_hours(recs, split), split, len(train_days))
+    hours = weather_hours(recs, split)
+    bounds = weather_bounds(hours[:len(train_days)])
+    block = weather_features(hours, split, bounds)
     return [dict(zip(weather_feature_names(), row)) for row in block]
 
 
@@ -289,9 +292,9 @@ class TestWeather:
         recs = [wrec(self.D1, h) for h in range(24)]
         hours = weather_hours(recs, [self.D1, self.D2])
         assert np.isnan(hours[1]).all() and not np.isnan(hours[0]).any()
-        weather_features(hours[:1], [self.D1], 1)
+        weather_features(hours[:1], [self.D1], weather_bounds(hours[:1]))
         with pytest.raises(EmptyInput, match=str(self.D2)):
-            weather_features(hours, [self.D1, self.D2], 1)
+            weather_features(hours, [self.D1, self.D2], weather_bounds(hours))
 
 
 def time_row(day, holidays):

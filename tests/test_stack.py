@@ -214,7 +214,7 @@ class TestForest:
     def test_pure_node_no_split(self):
         X = np.array([[1.0], [2.0], [3.0]])
         m = rf_fit(X, np.array([1, 1, 1]), "clf", [0], n_trees=3, bootstrap=False, seed=0)
-        assert all(len(t) == 1 and t[0][0] == -1 for t in m.trees)
+        assert m.offsets.tolist() == [0, 1, 2] and (m.feature == -1).all()
 
     def test_single_tree_zero_training_error(self):
         rng = np.random.default_rng(4)
@@ -242,6 +242,24 @@ class TestForest:
         y = (X[:, 2] > 0).astype(float)
         m = rf_fit(X, y, "clf", range(5), n_trees=30, seed=1)
         assert ((m.predict_values(X) >= 0.5) == y).mean() > 0.95
+
+    def test_packed_forest_votes_like_a_per_tree_walk(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(60, 4))
+        y = X[:, 1] + 0.3 * rng.normal(size=60)
+        m = rf_fit(X, y, "reg", [0, 1, 3], n_trees=7, max_depth=4, seed=2)
+        assert len(m.offsets) == 7 and (m.value[m.feature >= 0] == 0.0).all()
+        want = np.zeros(len(X))
+        for root in m.offsets:       # the reference: one row, one tree at a time
+            votes = []
+            for row in X[:, m.columns]:
+                node = root
+                while m.feature[node] >= 0:
+                    child = m.left if row[m.feature[node]] <= m.threshold[node] else m.right
+                    node = root + child[node]
+                votes.append(m.value[node])
+            want += np.array(votes)
+        assert np.array_equal(m.predict_values(X), want / 7)
 
     def test_reads_only_its_columns(self):
         rng = np.random.default_rng(7)
@@ -353,7 +371,7 @@ class TestVariantHeads:
         if variant == "knn":
             head.targets[0] = 1.0 - head.targets[0]
         else:
-            head.trees[0][0][4] += 0.5
+            head.value[np.flatnonzero(head.feature < 0)[0]] += 0.5
         assert bundle_hash({}, {"S1": model}) != h
 
     def test_rf_falls_back_without_selection(self):
