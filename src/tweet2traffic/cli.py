@@ -29,6 +29,7 @@ from .harness.pipeline import (
     ABLATION_VARIANTS,
     StackModel,
     build_split,
+    clean_tweet_texts,
     day_blocks,
     descriptor_scales,
     fit_stack,
@@ -42,7 +43,6 @@ from .ingest.loaders import FILE_NAMES, load_bundle, write_dataset
 from .ingest.synthetic import AGENCY_USER, SyntheticConfig, generate_synthetic
 from .learn.serialize import bundle_from_json, bundle_to_json
 from .learn.stack import predict_day
-from .tweetpipe.textclean import clean_text, load_slang, load_wordlist
 from .tweetpipe.users import geotag_timeline
 
 log = logging.getLogger("t2t")
@@ -163,9 +163,7 @@ def cmd_tweets(args) -> int:
                 w.writerow([uid, repr(art.homes[uid][0]), repr(art.homes[uid][1])])
         print(f"augmented {len(art.homes)} users' timelines -> {out/'tweets_augmented.csv'}")
     if args.clean:
-        slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
-        cleaned = {text: clean_text(text, slang=slang, wordlist=wordlist)
-                   for text in dict.fromkeys(t.text for t in bundle.tweets)}
+        cleaned = clean_tweet_texts(cfg, bundle.tweets)
         with (out / "tweets_clean.csv").open("w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["tweet_id", "normalized_text"])

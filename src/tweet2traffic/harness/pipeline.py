@@ -58,6 +58,7 @@ from ..learn.stack import (
     OrderedDescriptor,
     SegmentModelSet,
     fit_ordered_descriptor,
+    fit_segment_heads,
     fit_segment_models,
     predict_day,
 )
@@ -123,7 +124,8 @@ def _in_bbox(coord, bbox) -> bool:
     return bbox[0] <= coord[0] <= bbox[2] and bbox[1] <= coord[1] <= bbox[3]
 
 
-def _clean_texts(cfg: PipelineConfig, tweets) -> dict[str, str]:
+def clean_tweet_texts(cfg: PipelineConfig, tweets) -> dict[str, str]:
+    """The cleaned text of each distinct text of `tweets`."""
     slang, wordlist = load_slang(cfg.slang_path), load_wordlist(cfg.wordlist_path)
     return {text: clean_text(text, slang=slang, wordlist=wordlist)
             for text in dict.fromkeys(t.text for t in tweets)}
@@ -163,7 +165,7 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
     else:
         sentiment_provider = LexiconSentimentProvider()
     if clean_texts is None:
-        clean_texts = _clean_texts(cfg, in_window)
+        clean_texts = clean_tweet_texts(cfg, in_window)
     labels = {}
     for t in in_window:
         _p, lab = sentiment_label(t.tweet_id, clean_texts[t.text], sentiment_provider,
@@ -221,7 +223,7 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
     # cleaned text of every tweet with coordinates (the report's token
     # counts read all of them)
     coord_tweets = [t for t in bundle.tweets if t.coord is not None]
-    clean_texts = _clean_texts(cfg, coord_tweets)
+    clean_texts = clean_tweet_texts(cfg, coord_tweets)
     blocks = day_blocks(bundle, cfg, table.days, clean_texts)
 
     segments = blocks.segments
@@ -505,47 +507,49 @@ def descriptor_scales(descriptors, road_matrix: FeatureMatrix) -> dict[str, np.n
 
 
 def fit_stack(prepared: PreparedData, art: SplitArtifacts, model: StackModel = StackModel(),
-              seed: int = 0) -> FittedStack:
-    """Fit descriptor + segment models of one stack model on one split's training span."""
+              seed: int = 0, fits: dict | None = None) -> FittedStack:
+    """Fit one stack model on one split's training span: road view, descriptors,
+    segment linear models, heads. `fits` keeps what the stack models of a split
+    share: descriptors with the scales and designs built from them, keyed by the
+    view's column names, and linear sets keyed by segment and design columns."""
     cfg = prepared.config
+    fits = {} if fits is None else fits
     road_matrix = art.road_matrix.drop_groups(model.drop)
     if model.cutoff is not None:
         road_matrix = road_matrix.before_cutoff(model.cutoff)
 
-    day_pos = {d: i for i, d in enumerate(road_matrix.days)}
-    descriptors: dict[str, OrderedDescriptor | None] = {}
-    for road_id in prepared.roads:
-        if "cluster" in model.drop:
-            descriptors[road_id] = None
-            continue
-        clusters = art.clusters[road_id]
-        pos = [day_pos[d] for d in clusters.dates if d in day_pos]
-        keep = [i for i, d in enumerate(clusters.dates) if d in day_pos]
-        descriptors[road_id] = fit_ordered_descriptor(
-            road_matrix.values[pos], clusters.ordered.labels[keep], road_matrix.names,
-            cfg.model)
+    view = ("descriptors", tuple(road_matrix.names), "cluster" not in model.drop)
+    if view not in fits:
+        day_pos = {d: i for i, d in enumerate(road_matrix.days)}
+        descriptors: dict[str, OrderedDescriptor | None] = dict.fromkeys(prepared.roads)
+        for road_id in prepared.roads if view[2] else ():
+            clusters = art.clusters[road_id]
+            keep = [i for i, d in enumerate(clusters.dates) if d in day_pos]
+            descriptors[road_id] = fit_ordered_descriptor(
+                road_matrix.values[[day_pos[clusters.dates[i]] for i in keep]],
+                clusters.ordered.labels[keep], road_matrix.names, cfg.model)
+        fits[view] = descriptors, road_matrix, descriptor_scales(descriptors, road_matrix)
+    descriptors, road_matrix, scales = fits[view]
+    design = ("designs", *view[1:], "incident" not in model.drop)
+    if design not in fits:
+        fits[design] = segment_design(prepared, art, road_matrix, scales, design[3])
 
     segment_models: dict[str, SegmentModelSet] = {}
-    designs = segment_design(prepared, art, road_matrix,
-                             descriptor_scales(descriptors, road_matrix),
-                             use_incidents="incident" not in model.drop)
-    for sid in sorted(designs):
-        names, X_all, pos = designs[sid]
-        train_rows, train_quads = [], []
-        for d in art.train_days:
-            q = art.quads[sid][d]
-            if q is None:
-                continue
-            train_rows.append(X_all[pos[d]])
-            train_quads.append(q)
-        segment_models[sid] = fit_segment_models(sid, np.asarray(train_rows), train_quads,
-                                                 names, cfg.model, variant=model.head,
-                                                 seed=seed)
-    return FittedStack(descriptors, segment_models, designs)
+    for sid, (names, X_all, pos) in sorted(fits[design].items()):
+        days = [d for d in art.train_days if art.quads[sid][d] is not None]
+        X, quads = X_all[[pos[d] for d in days]], [art.quads[sid][d] for d in days]
+        key = ("linear", sid, tuple(names))
+        if key not in fits:
+            fits[key] = fit_segment_models(sid, X, quads, names, cfg.model)
+        segment_models[sid] = fits[key] if model.head == "linear" else \
+            fit_segment_heads(fits[key], X, quads, model.head, cfg.model, seed)
+    return FittedStack(descriptors, segment_models, fits[design])
 
 
 def stack_predictions(prepared: PreparedData, stack: FittedStack, sid: str, days) -> list:
-    """One segment's day predictions from its split design rows."""
+    """One segment's (cs, cst, cd, pti) rows from its split design rows, with
+    the raw regression estimates whatever the CS decision."""
     _names, X_all, pos = stack.designs[sid]
-    return [predict_day(stack.segment_models[sid], X_all[pos[d]],
-                        prepared.config.model.cs_threshold) for d in days]
+    preds = [predict_day(stack.segment_models[sid], X_all[pos[d]],
+                         prepared.config.model.cs_threshold) for d in days]
+    return [(p.cs, p.raw["cst"], p.raw["cd"], p.raw["pti"]) for p in preds]

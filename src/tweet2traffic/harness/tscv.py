@@ -2,7 +2,8 @@
 
 The day axis splits into n_outer+1 contiguous folds (remainder days join the
 final fold); split k trains on folds 1..k and tests on fold k+1. Everything
-leakage-sensitive is refit per split inside build_split/fit_stack; baseline
+leakage-sensitive is refit per split inside build_split/fit_stack (the stack
+models of a split share the fits they have in common); baseline
 hyperparameters (HM window, SAR orders) come from inner validation on the
 training span.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -181,13 +183,6 @@ def _sar_predictor(prepared, art, split_id):
     return predict
 
 
-def _stack_predictor(prepared, stack):
-    def predict(sid, days):
-        return [(p.cs, p.raw["cst"], p.raw["cd"], p.raw["pti"])
-                for p in stack_predictions(prepared, stack, sid, days)]
-    return predict
-
-
 def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
                     plan: TsCvPlan | None = None, seed: int = 0) -> EvaluationReport:
     """Evaluate the requested models over every outer split.
@@ -205,14 +200,15 @@ def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
         train_days = [prepared.days[i] for i in train_idx]
         test_days = [prepared.days[i] for i in test_idx]
         art = build_split(prepared, train_days, test_days, seed=seed + split_id)
+        fits: dict = {}     # the fits this split's stack models share
         for name in models:
             if name == "hm":
                 predict = _hm_predictor(prepared, art)
             elif name == "sar":
                 predict = _sar_predictor(prepared, art, split_id)
             else:
-                predict = _stack_predictor(prepared, fit_stack(
-                    prepared, art, STACK_MODELS[name], seed=seed + split_id))
+                predict = partial(stack_predictions, prepared, fit_stack(
+                    prepared, art, STACK_MODELS[name], seed=seed + split_id, fits=fits))
             _score(prepared, art, report, name, split_id, predict)
         log.info("split %d scored (%d train days, %d test days)",
                  split_id, len(train_days), len(test_days))

@@ -5,13 +5,13 @@ classifiers over ordered congestion-cluster labels; its sigmoid outputs are
 appended to each segment's features. Per segment, an L1 logistic classifier
 predicts congestion status on all days and three Lasso regressors predict
 start time, duration and planning index on congested days only. KNN and
-random-forest heads, fitted in place of the linear ones for the rf and knn
-variants, ride on the descriptor outputs / the selected feature columns.
+random-forest heads, fitted on top of a linear set into a new one and used in
+its place, ride on the descriptor outputs / the selected feature columns.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,12 +36,21 @@ class OrderedDescriptor:
 
     def predict_scales(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        out = np.column_stack([m.predict_proba(X) for m in self.classifiers])
-        return out
+        return np.column_stack([m.predict_proba(X) for m in self.classifiers])
 
 
 def descriptor_targets(labels: np.ndarray, level: int) -> np.ndarray:
     return (np.asarray(labels) > level).astype(float)
+
+
+def _fit_classifier(X, y, feature_names, cfg: ModelConfig) -> LinearModel:
+    """L1 logistic with a CV-tuned penalty; the base-rate constant if `y` is constant."""
+    if y.min() == y.max():
+        return constant_logistic(float(y.mean()), feature_names, X.shape[1])
+    return fit_l1_logistic_cv(
+        X, y, cfg.grid_multipliers, n_folds=cfg.inner_folds,
+        tol=cfg.logistic_tol, cv_tol=cfg.logistic_tol * cfg.inner_cv_tol_factor,
+        max_iter=cfg.logistic_max_iter, feature_names=feature_names)
 
 
 def fit_ordered_descriptor(X, labels, feature_names, cfg: ModelConfig) -> OrderedDescriptor:
@@ -57,12 +66,7 @@ def fit_ordered_descriptor(X, labels, feature_names, cfg: ModelConfig) -> Ordere
         if y.min() == y.max():
             log.warning("descriptor level %d degenerate (all %d); constant output",
                         level, int(y.max()))
-            classifiers.append(constant_logistic(float(y.mean()), feature_names, X.shape[1]))
-            continue
-        classifiers.append(fit_l1_logistic_cv(
-            X, y, cfg.grid_multipliers, n_folds=cfg.inner_folds,
-            tol=cfg.logistic_tol, cv_tol=cfg.logistic_tol * cfg.inner_cv_tol_factor,
-            max_iter=cfg.logistic_max_iter, feature_names=feature_names))
+        classifiers.append(_fit_classifier(X, y, feature_names, cfg))
     return OrderedDescriptor(n_clusters, classifiers, list(feature_names))
 
 
@@ -82,29 +86,23 @@ class SegmentModelSet:
     flags: list[str] = field(default_factory=list)
 
 
-def fit_segment_models(segment_id: str, X, quadruples, feature_names,
-                       cfg: ModelConfig, variant: str = "linear",
-                       seed: int = 0) -> SegmentModelSet:
-    """Classifier on all days; regressors (and variant heads) on congested days."""
-    X = np.asarray(X, dtype=float)
+def _targets(quadruples):
+    """The congestion labels, the congested rows and the regression targets."""
     cs = np.array([1.0 if q.cs else 0.0 for q in quadruples])
-    flags = []
-
-    if cs.min() == cs.max():
-        flags.append("degenerate_classifier")
-        classifier = constant_logistic(float(cs.mean()), feature_names, X.shape[1])
-    else:
-        classifier = fit_l1_logistic_cv(
-            X, cs, cfg.grid_multipliers, n_folds=cfg.inner_folds,
-            tol=cfg.logistic_tol, cv_tol=cfg.logistic_tol * cfg.inner_cv_tol_factor,
-            max_iter=cfg.logistic_max_iter, feature_names=feature_names)
-
-    congested = np.flatnonzero(cs > 0)
-    targets = {
+    return cs, np.flatnonzero(cs > 0), {
         "cst": np.array([float(q.cst) for q in quadruples]),
         "cd": np.array([float(q.cd) if q.cd is not None else 0.0 for q in quadruples]),
         "pti": np.array([float(q.pti) if q.pti is not None else 1.0 for q in quadruples]),
     }
+
+
+def fit_segment_models(segment_id: str, X, quadruples, feature_names,
+                       cfg: ModelConfig) -> SegmentModelSet:
+    """Classifier on all days; regressors on congested days. No heads."""
+    X = np.asarray(X, dtype=float)
+    cs, congested, targets = _targets(quadruples)
+    flags = ["degenerate_classifier"] if cs.min() == cs.max() else []
+    classifier = _fit_classifier(X, cs, feature_names, cfg)
     fallbacks = dict(FALLBACK_DEFAULTS)
     regressors: dict[str, LinearModel] = {}
     if congested.size == 0:
@@ -120,11 +118,18 @@ def fit_segment_models(segment_id: str, X, quadruples, feature_names,
                 Xc, yc, cfg.grid_multipliers, n_folds=cfg.inner_folds,
                 tol=cfg.lasso_tol, cv_tol=max(cfg.lasso_tol * cfg.inner_cv_tol_factor, 1e-4),
                 max_iter=cfg.lasso_max_iter, feature_names=feature_names)
+    return SegmentModelSet(segment_id, classifier, regressors, fallbacks,
+                           list(feature_names), flags=flags)
 
-    model = SegmentModelSet(segment_id, classifier, regressors, fallbacks,
-                            list(feature_names), flags=flags)
-    model.heads = _HEAD_FITTERS[variant](model, X, cs, congested, targets, cfg, seed)
-    return model
+
+def fit_segment_heads(linear: SegmentModelSet, X, quadruples, head: str,
+                      cfg: ModelConfig, seed: int) -> SegmentModelSet:
+    """A copy of `linear` with `head` ("rf" or "knn") models to use in place of its fits."""
+    fitted = _HEAD_FITTERS[head](linear, np.asarray(X, dtype=float), *_targets(quadruples),
+                                 cfg, seed)
+    return replace(linear, heads={n: h for n, h in fitted.items() if h is not None},
+                   flags=linear.flags + [f"{head}_no_selected_features_{n}"
+                                         for n, h in fitted.items() if h is None])
 
 
 def _knn_heads(model: SegmentModelSet, X, cs, congested, targets, cfg: ModelConfig,
@@ -139,27 +144,24 @@ def _knn_heads(model: SegmentModelSet, X, cs, congested, targets, cfg: ModelConf
 
 
 def _rf_heads(model: SegmentModelSet, X, cs, congested, targets, cfg: ModelConfig,
-              seed: int) -> dict[str, Head]:
-    """Forests on the columns each linear model selected; none where it selected none."""
+              seed: int) -> dict[str, Head | None]:
+    """Forests on the columns each linear model selected; None where it selected none."""
     fits = [("cs", model.classifier, np.arange(len(cs)), cs, "clf", seed)]
     if congested.size:
         fits += [(name, model.regressors[name], congested, targets[name], "reg", seed + 1)
                  for name in REGRESSION_TARGETS]
-    heads: dict[str, Head] = {}
+    heads: dict[str, Head | None] = {}
     for name, linear, rows, y, task, head_seed in fits:
         sel = [i for i, w in enumerate(linear.weights) if abs(w) > 1e-12]
-        if not sel:
-            model.flags.append(f"rf_no_selected_features_{name}")
-            if name == "cs":
-                log.warning("segment %s: classifier selected no features; linear fallback",
-                            model.segment_id)
-            continue
+        if not sel and name == "cs":
+            log.warning("segment %s: classifier selected no features; linear fallback",
+                        model.segment_id)
         heads[name] = rf_fit(X[rows], y[rows], task, sel, n_trees=cfg.rf_n_trees,
-                             feature_frac=cfg.rf_feature_frac, seed=head_seed)
+                             feature_frac=cfg.rf_feature_frac, seed=head_seed) if sel else None
     return heads
 
 
-_HEAD_FITTERS = {"linear": lambda *_: {}, "knn": _knn_heads, "rf": _rf_heads}
+_HEAD_FITTERS = {"knn": _knn_heads, "rf": _rf_heads}
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from tweet2traffic.learn.serialize import (
 from tweet2traffic.learn.stack import (
     descriptor_targets,
     fit_ordered_descriptor,
+    fit_segment_heads,
     fit_segment_models,
     predict_day,
 )
@@ -307,6 +308,14 @@ class TestSerialize:
         assert descriptor_to_dict(rebuilt) == doc
 
 
+def fit_variant(X, quads, names, variant, seed=0):
+    """A segment's linear set, with `variant` heads on top unless it is linear."""
+    linear = fit_segment_models("S1", X, quads, names, CFG)
+    if variant == "linear":
+        return linear
+    return fit_segment_heads(linear, X, quads, variant, CFG, seed)
+
+
 class TestVariantHeads:
     def make_data(self, n=50, seed=12):
         rng = np.random.default_rng(seed)
@@ -318,28 +327,28 @@ class TestVariantHeads:
 
     def test_knn_variant_predicts(self):
         X, names, quads = self.make_data()
-        model = fit_segment_models("S1", X, quads, names, CFG, variant="knn")
+        model = fit_variant(X, quads, names, "knn")
         assert isinstance(model.heads["cs"], KnnModel)
         pred = predict_day(model, X[0])
         assert pred.cs in (0, 1)
 
     def test_knn_uses_scale_columns_only(self):
         X, names, quads = self.make_data()
-        model = fit_segment_models("S1", X, quads, names, CFG, variant="knn")
+        model = fit_variant(X, quads, names, "knn")
         row = X[4].copy()
         row[:6] = 99.0    # non-scale features must not affect the KNN head
         assert predict_day(model, row).cs == predict_day(model, X[4]).cs
 
     def test_rf_variant_predicts(self):
         X, names, quads = self.make_data()
-        model = fit_segment_models("S1", X, quads, names, CFG, variant="rf", seed=3)
+        model = fit_variant(X, quads, names, "rf", seed=3)
         pred = predict_day(model, X[0])
         assert pred.cs in (0, 1)
         assert 0 <= pred.raw["cst"] <= 72
 
     def test_rf_restricted_to_selected_columns(self):
         X, names, quads = self.make_data()
-        model = fit_segment_models("S1", X, quads, names, CFG, variant="rf", seed=3)
+        model = fit_variant(X, quads, names, "rf", seed=3)
         if "cs" in model.heads:
             assert isinstance(model.heads["cs"], RandomForestModel)
             sel = {model.feature_names[i] for i in model.heads["cs"].columns}
@@ -354,7 +363,7 @@ class TestVariantHeads:
         quads = [q if not q.cs else CongestionMeasurements(
             True, int(30 + 8 * X[i, 0]), int(10 + 4 * X[i, 1]), 1.5 + 0.2 * rng.random())
             for i, q in enumerate(quads)]
-        model = fit_segment_models("S1", X, quads, names, CFG, variant=variant, seed=3)
+        model = fit_variant(X, quads, names, variant, seed=3)
         assert variant == "linear" or set(model.heads) > {"cs"}
         _desc, segments, _meta = bundle_from_json(bundle_to_json({}, {"S1": model}))
         reloaded = segments["S1"]
@@ -365,7 +374,7 @@ class TestVariantHeads:
     @pytest.mark.parametrize("variant", ["rf", "knn"])
     def test_bundle_hash_covers_heads(self, variant):
         X, names, quads = self.make_data()
-        model = fit_segment_models("S1", X, quads, names, CFG, variant=variant, seed=3)
+        model = fit_variant(X, quads, names, variant, seed=3)
         h = bundle_hash({}, {"S1": model})
         head = model.heads["cs"]
         if variant == "knn":
@@ -380,7 +389,7 @@ class TestVariantHeads:
         names = [f"f{i}" for i in range(4)]
         cs = rng.integers(0, 2, size=40)     # pure noise: L1 zeroes everything
         quads = make_quads(cs.tolist(), [40] * 40, [12] * 40, [2.0] * 40)
-        model = fit_segment_models("S1", X, quads, names, CFG, variant="rf", seed=3)
+        model = fit_variant(X, quads, names, "rf", seed=3)
         pred = predict_day(model, X[0])
         assert pred.cs in (0, 1)
 

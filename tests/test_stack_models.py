@@ -1,11 +1,13 @@
-"""The stack-model table: what each named model sees and fits, and the
-one-pass ablation that scores a variant against the base model."""
+"""The stack-model table: what each named model sees and fits, the fits the
+models of one split share, and the one-pass ablation that scores a variant
+against the base model."""
 import warnings
+from collections import Counter
 
 import pytest
 
 from tweet2traffic.config import PipelineConfig, TweetConfig
-from tweet2traffic.harness import tscv
+from tweet2traffic.harness import pipeline, tscv
 from tweet2traffic.harness.ablation import run_ablation
 from tweet2traffic.harness.pipeline import (
     ABLATION_VARIANTS,
@@ -16,8 +18,10 @@ from tweet2traffic.harness.pipeline import (
 )
 from tweet2traffic.harness.tscv import TsCvPlan, run_nested_tscv
 from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
+from tweet2traffic.learn import stack as stack_module
 from tweet2traffic.learn.forest import RandomForestModel
 from tweet2traffic.learn.knn import KnnModel
+from tweet2traffic.learn.serialize import bundle_hash
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +152,56 @@ def test_ablation_builds_each_split_once(prepared, monkeypatch):
         b = base.aggregate_metric("t2t", metric)
         v = alone.aggregate_metric("NO_INCIDENT", metric)
         assert delta == (None if b is None or v is None or b == 0 else (v - b) / b)
+
+
+def stack_hash(stack):
+    """The bundle hash of a fitted stack; a dropped descriptor (None) is left out."""
+    descriptors = {r: d for r, d in stack.descriptors.items() if d is not None}
+    return bundle_hash(descriptors, stack.segment_models)
+
+
+def test_shared_fits_equal_each_stack_fitted_alone(prepared, art, fitted):
+    fits = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shared = {name: fit_stack(prepared, art, model, seed=4, fits=fits)
+                  for name, model in STACK_MODELS.items()}
+    for name, stack in shared.items():
+        assert stack_hash(stack) == stack_hash(fitted[name]), name
+    for model in shared["t2t"].segment_models.values():
+        assert not model.heads
+        assert not [f for f in model.flags if f.startswith("rf_")]
+    base = shared["t2t"].segment_models
+    for name in ("t2t_rf", "t2t_knn"):
+        for sid, model in shared[name].segment_models.items():
+            assert model.classifier is base[sid].classifier, (name, sid)
+            assert model.regressors is base[sid].regressors, (name, sid)
+
+
+def test_one_pass_fits_what_its_stack_models_share_once(prepared, monkeypatch):
+    plan = TsCvPlan(n_outer=3)
+    heads = ("t2t", "t2t_rf", "t2t_knn")
+    calls = Counter()
+    for module, name in ((stack_module, "fit_lasso_cv"), (stack_module, "fit_l1_logistic_cv"),
+                         (pipeline, "fit_ordered_descriptor")):
+        def wrapped(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        together = run_nested_tscv(prepared, models=heads, plan=plan, seed=0)
+        shared, separate = Counter(calls), Counter()
+        per_split = {}
+        for name in heads:
+            calls.clear()
+            per_split.update(run_nested_tscv(prepared, models=(name,), plan=plan,
+                                             seed=0).per_split)
+            separate += calls
+        calls.clear()
+        run_ablation(prepared, "NO_INCIDENT", plan=plan, seed=0)
+    assert together.per_split == per_split
+    for name in ("fit_lasso_cv", "fit_l1_logistic_cv"):
+        assert shared[name] > 0
+        assert 3 * shared[name] == separate[name], name
+    assert calls["fit_ordered_descriptor"] == 3 * len(prepared.roads)
