@@ -9,7 +9,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -39,7 +38,7 @@ from .harness.pipeline import (
 )
 from .harness.report import emit_report, token_frequency
 from .harness.tscv import EvaluationReport, run_nested_tscv
-from .ingest.loaders import FILE_NAMES, load_bundle, write_dataset
+from .ingest.loaders import FILE_NAMES, load_bundle, write_dataset, write_rows
 from .ingest.synthetic import AGENCY_USER, SyntheticConfig, generate_synthetic
 from .learn.serialize import bundle_from_json, bundle_to_json
 from .learn.stack import predict_day
@@ -117,23 +116,16 @@ def cmd_cluster(args) -> int:
         clusters = art.clusters[road_id]
         ordered = clusters.ordered
         safe = road_id.replace(" ", "_").replace("/", "_")
-        with (out / f"labels_{safe}.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["date", "cluster"])
-            for d, lab in zip(clusters.dates, ordered.labels):
-                w.writerow([d.isoformat(), int(lab)])
-        with (out / f"centroids_{safe}.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["cluster"] + [f"x{i}" for i in range(ordered.centroids.shape[1])])
-            for old_label, row in enumerate(ordered.centroids):
-                w.writerow([int(ordered.permutation[old_label])]
-                           + [repr(float(v)) for v in row])
+        write_rows(out / f"labels_{safe}.csv", ["date", "cluster"],
+                   ([d.isoformat(), int(lab)] for d, lab in zip(clusters.dates, ordered.labels)))
+        write_rows(out / f"centroids_{safe}.csv",
+                   ["cluster"] + [f"x{i}" for i in range(ordered.centroids.shape[1])],
+                   ([int(ordered.permutation[old_label])] + [repr(float(v)) for v in row]
+                    for old_label, row in enumerate(ordered.centroids)))
         if clusters.elbow:
-            with (out / f"inertia_{safe}.csv").open("w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["k", "inertia"])
-                for kk in sorted(clusters.elbow):
-                    w.writerow([kk, repr(float(clusters.elbow[kk].inertia))])
+            write_rows(out / f"inertia_{safe}.csv", ["k", "inertia"],
+                       ([kk, repr(float(clusters.elbow[kk].inertia))]
+                        for kk in sorted(clusters.elbow)))
     print(f"cluster outputs written to {out}")
     return 0
 
@@ -156,19 +148,13 @@ def cmd_tweets(args) -> int:
     if args.augment:
         augmented = geotag_timeline(bundle.tweets, art.homes, cfg.tweets)
         write_dataset("tweets", augmented, out / "tweets_augmented.csv")
-        with (out / "homes.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["user_id", "lat", "lon"])
-            for uid in sorted(art.homes):
-                w.writerow([uid, repr(art.homes[uid][0]), repr(art.homes[uid][1])])
+        write_rows(out / "homes.csv", ["user_id", "lat", "lon"],
+                   ([uid, repr(lat), repr(lon)] for uid, (lat, lon) in sorted(art.homes.items())))
         print(f"augmented {len(art.homes)} users' timelines -> {out/'tweets_augmented.csv'}")
     if args.clean:
         cleaned = clean_tweet_texts(cfg, bundle.tweets)
-        with (out / "tweets_clean.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["tweet_id", "normalized_text"])
-            for t in bundle.tweets:
-                w.writerow([t.tweet_id, cleaned[t.text]])
+        write_rows(out / "tweets_clean.csv", ["tweet_id", "normalized_text"],
+                   ([t.tweet_id, cleaned[t.text]] for t in bundle.tweets))
         print(f"cleaned {len(bundle.tweets)} tweets -> {out/'tweets_clean.csv'}")
     if args.parse_incidents:
         write_dataset("incidents", prepared.tweet_incidents, out / "incidents_from_tweets.csv")
@@ -176,13 +162,10 @@ def cmd_tweets(args) -> int:
               f"tweets -> {out/'incidents_from_tweets.csv'}")
     if args.encode:
         fm = art.road_matrix
-        with (out / "tweet_features.csv").open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            tweet_cols = [i for i, g in enumerate(fm.groups) if g.startswith("tweet")]
-            w.writerow(["date"] + [fm.names[i] for i in tweet_cols])
-            for di, d in enumerate(fm.days):
-                w.writerow([d.isoformat()] + [repr(float(fm.values[di, i]))
-                                              for i in tweet_cols])
+        tweet_cols = [i for i, g in enumerate(fm.groups) if g.startswith("tweet")]
+        write_rows(out / "tweet_features.csv", ["date"] + [fm.names[i] for i in tweet_cols],
+                   ([d.isoformat()] + [repr(float(fm.values[di, i])) for i in tweet_cols]
+                    for di, d in enumerate(fm.days)))
         print(f"encoded tweet features -> {out/'tweet_features.csv'}")
     return 0
 
@@ -192,22 +175,16 @@ def cmd_features(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fm = art.road_matrix
-    with (out / "road_features.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["date"] + fm.names)
-        for di, d in enumerate(fm.days):
-            w.writerow([d.isoformat()] + [repr(float(v)) for v in fm.values[di]])
+    write_rows(out / "road_features.csv", ["date"] + fm.names,
+               ([d.isoformat()] + [repr(float(v)) for v in fm.values[di]]
+                for di, d in enumerate(fm.days)))
     from .features.incident import incident_feature_names
 
-    inc_names = incident_feature_names()
-    with (out / "segment_incident_features.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["segment_id", "date"] + inc_names)
-        for sid in sorted(prepared.incident_features):
-            block = prepared.incident_features[sid]
-            for d in fm.days:
-                w.writerow([sid, d.isoformat()] + [repr(float(v))
-                                                   for v in block[prepared.day_index[d]]])
+    write_rows(out / "segment_incident_features.csv",
+               ["segment_id", "date"] + incident_feature_names(),
+               ([sid, d.isoformat()] + [repr(float(v)) for v in block[prepared.day_index[d]]]
+                for sid, block in sorted(prepared.incident_features.items())
+                for d in fm.days))
     print(f"feature matrices written to {out}")
     return 0
 
@@ -279,12 +256,9 @@ def cmd_predict(args) -> int:
                      "" if p.pti is None else repr(p.pti), repr(p.p_congested)])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / f"predictions_{target.isoformat()}.csv").open("w", newline="",
-                                                              encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["segment_id", "date", "cs", "cst_slots", "cd_slots", "pti",
-                    "p_congested"])
-        w.writerows(rows)
+    write_rows(out / f"predictions_{target.isoformat()}.csv",
+               ["segment_id", "date", "cs", "cst_slots", "cd_slots", "pti", "p_congested"],
+               rows)
     print(f"predictions -> {out}")
     return 0
 
@@ -307,12 +281,9 @@ def cmd_ablate(args) -> int:
     var_report, deltas = run_ablation(_prepare(args), args.variant, seed=args.seed)
     out = Path(args.out)
     emit_report(var_report, out)
-    with (Path(args.out) / "deltas.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["variant", "metric", "relative_delta"])
-        for metric in sorted(deltas):
-            v = deltas[metric]
-            w.writerow([args.variant, metric, "" if v is None else repr(v)])
+    write_rows(out / "deltas.csv", ["variant", "metric", "relative_delta"],
+               ([args.variant, metric, "" if v is None else repr(v)]
+                for metric, v in sorted(deltas.items())))
     print(f"{args.variant} deltas: " + " ".join(
         f"{k}={v:+.3%}" for k, v in deltas.items() if v is not None))
     return 0

@@ -4,7 +4,8 @@ Every loader validates the header, parses with row-indexed diagnostics,
 and returns records sorted by timestamp where one exists; speed.csv loads
 as one SpeedTable of columns rather than one record per row.
 Writers emit the canonical form, so write(load(x)) is a normalizing
-round trip.
+round trip. `read_rows` and `write_rows` are the program's one CSV codec:
+every CSV file it reads or writes goes through them.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ SCHEMAS = {
     "segments": ["segment_id", "road_id", "order_on_road", "start_mp", "end_mp",
                  "start_lat", "start_lon", "end_lat", "end_lon"],
     "calendar": ["date", "is_holiday"],
+    "sentiment_scores": ["tweet_id", "p"],
 }
 
 FILE_NAMES = {
@@ -94,6 +96,26 @@ def _open_rows(path, kind):
         raise SchemaMismatch(missing[0] if missing else header[0],
                              f"expected header {want}, got {header}")
     return fh, reader
+
+
+def read_rows(path, kind):
+    """Yield (1-based data-row number, fields) of each row past SCHEMAS[kind]'s header."""
+    fh, reader = _open_rows(path, kind)
+    width = len(SCHEMAS[kind])
+    with fh:
+        for i, row in enumerate(reader, start=1):
+            if len(row) != width:
+                raise ParseError(i, f"expected {width} fields, got {len(row)}")
+            yield i, row
+
+
+def write_rows(path, header, rows) -> str:
+    """Write a CSV in canonical form (UTF-8, "\\n" line ends, header first); return its path."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
 
 
 def _off_grid(ts: datetime) -> bool:
@@ -198,127 +220,118 @@ def _load_speed(path) -> SpeedTable:
                       slot[order], speed[order])
 
 
+_SORT_KEYS = {
+    "incidents": lambda r: (r.closure_start_ts, r.incident_id),
+    "weather": lambda r: r.timestamp,
+    "tweets": lambda r: (r.timestamp, r.tweet_id),
+    "segments": lambda r: (r.road_id, r.order_on_road),
+    "calendar": lambda r: r.date,
+    "tracts": lambda r: r.tract_id,
+    "zones": lambda r: (r.land_use, r.ring),
+}
+
+
 def _load_incidents(path):
-    fh, reader = _open_rows(path, "incidents")
     out = []
-    with fh:
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 11:
-                raise ParseError(i, f"expected 11 fields, got {len(row)}")
-            if row[1] not in ("RCRS", "TWEET"):
-                raise ParseError(i, f"unknown source {row[1]!r}")
-            if row[9] not in ("PARTIAL", "FULL"):
-                raise ParseError(i, f"unknown closure_type {row[9]!r}")
-            start = _parse_ts(row[3], i)
-            end = _parse_ts(row[4], i)
-            if start > end:
-                raise ParseError(i, "closure_start after closure_end")
-            out.append(IncidentRecord(
-                row[0], row[1], row[2], start, end,
-                (_parse_float(row[5], i, "start_lat"), _parse_float(row[6], i, "start_lon")),
-                (_parse_float(row[7], i, "end_lat"), _parse_float(row[8], i, "end_lon")),
-                row[9], row[10]))
-    out.sort(key=lambda r: (r.closure_start_ts, r.incident_id))
+    for i, row in read_rows(path, "incidents"):
+        if row[1] not in ("RCRS", "TWEET"):
+            raise ParseError(i, f"unknown source {row[1]!r}")
+        if row[9] not in ("PARTIAL", "FULL"):
+            raise ParseError(i, f"unknown closure_type {row[9]!r}")
+        start = _parse_ts(row[3], i)
+        end = _parse_ts(row[4], i)
+        if start > end:
+            raise ParseError(i, "closure_start after closure_end")
+        out.append(IncidentRecord(
+            row[0], row[1], row[2], start, end,
+            (_parse_float(row[5], i, "start_lat"), _parse_float(row[6], i, "start_lon")),
+            (_parse_float(row[7], i, "end_lat"), _parse_float(row[8], i, "end_lon")),
+            row[9], row[10]))
+    out.sort(key=_SORT_KEYS["incidents"])
     return out
 
 
 def _load_weather(path):
-    fh, reader = _open_rows(path, "weather")
     out = []
     seen = set()
-    with fh:
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 9:
-                raise ParseError(i, f"expected 9 fields, got {len(row)}")
-            ts = _parse_ts(row[0], i)
-            if ts.minute or ts.second:
-                raise ParseError(i, f"weather timestamp {row[0]} not hourly")
-            if ts in seen:
-                raise SchemaMismatch("timestamp", f"duplicate hourly key {row[0]}")
-            seen.add(ts)
-            wet = row[7].strip().lower()
-            if wet not in ("0", "1", "true", "false"):
-                raise ParseError(i, f"bad pavement_wet {row[7]!r}")
-            sev = int(_parse_float(row[8], i, "wx_severity"))
-            if sev < 0:
-                raise ParseError(i, "negative wx_severity")
-            out.append(WeatherRecord(
-                ts, _parse_float(row[1], i, "temp"), _parse_float(row[2], i, "humidity"),
-                _parse_float(row[3], i, "wind"), _parse_float(row[4], i, "pressure"),
-                _parse_float(row[5], i, "visibility"), _parse_float(row[6], i, "precip"),
-                wet in ("1", "true"), sev))
-    out.sort(key=lambda r: r.timestamp)
+    for i, row in read_rows(path, "weather"):
+        ts = _parse_ts(row[0], i)
+        if ts.minute or ts.second:
+            raise ParseError(i, f"weather timestamp {row[0]} not hourly")
+        if ts in seen:
+            raise SchemaMismatch("timestamp", f"duplicate hourly key {row[0]}")
+        seen.add(ts)
+        wet = row[7].strip().lower()
+        if wet not in ("0", "1", "true", "false"):
+            raise ParseError(i, f"bad pavement_wet {row[7]!r}")
+        sev = int(_parse_float(row[8], i, "wx_severity"))
+        if sev < 0:
+            raise ParseError(i, "negative wx_severity")
+        out.append(WeatherRecord(
+            ts, _parse_float(row[1], i, "temp"), _parse_float(row[2], i, "humidity"),
+            _parse_float(row[3], i, "wind"), _parse_float(row[4], i, "pressure"),
+            _parse_float(row[5], i, "visibility"), _parse_float(row[6], i, "precip"),
+            wet in ("1", "true"), sev))
+    out.sort(key=_SORT_KEYS["weather"])
     return out
 
 
 def _load_tweets(path):
-    fh, reader = _open_rows(path, "tweets")
     out = []
     kinds = ("GEOCODED", "TIMELINE", "RETWEET", "FAVORITE")
-    with fh:
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 8:
-                raise ParseError(i, f"expected 8 fields, got {len(row)}")
-            if row[3] not in kinds:
-                raise ParseError(i, f"unknown kind {row[3]!r}")
-            coord = None
-            if row[4] != "" or row[5] != "":
-                coord = (_parse_float(row[4], i, "lat"), _parse_float(row[5], i, "lon"))
-            if row[3] == "GEOCODED" and coord is None:
-                raise ParseError(i, "GEOCODED tweet without coordinates")
-            out.append(Tweet(row[0], row[1], _parse_ts(row[2], i), row[7],
-                             coord, row[6] or None, row[3]))
-    out.sort(key=lambda r: (r.timestamp, r.tweet_id))
+    for i, row in read_rows(path, "tweets"):
+        if row[3] not in kinds:
+            raise ParseError(i, f"unknown kind {row[3]!r}")
+        coord = None
+        if row[4] != "" or row[5] != "":
+            coord = (_parse_float(row[4], i, "lat"), _parse_float(row[5], i, "lon"))
+        if row[3] == "GEOCODED" and coord is None:
+            raise ParseError(i, "GEOCODED tweet without coordinates")
+        out.append(Tweet(row[0], row[1], _parse_ts(row[2], i), row[7],
+                         coord, row[6] or None, row[3]))
+    out.sort(key=_SORT_KEYS["tweets"])
     return out
 
 
 def _load_segments(path):
-    fh, reader = _open_rows(path, "segments")
     out = []
-    with fh:
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 9:
-                raise ParseError(i, f"expected 9 fields, got {len(row)}")
-            try:
-                order = int(row[2])
-            except ValueError:
-                raise ParseError(i, f"bad order_on_road {row[2]!r}") from None
-            if order < 0:
-                raise ParseError(i, "negative order_on_road")
-            start_mp = _parse_float(row[3], i, "start_mp")
-            end_mp = _parse_float(row[4], i, "end_mp")
-            if start_mp > end_mp:
-                raise ParseError(i, "start_mp greater than end_mp")
-            out.append(SegmentDescriptor(
-                row[0], row[1], order, start_mp, end_mp,
-                (_parse_float(row[5], i, "start_lat"), _parse_float(row[6], i, "start_lon")),
-                (_parse_float(row[7], i, "end_lat"), _parse_float(row[8], i, "end_lon"))))
+    for i, row in read_rows(path, "segments"):
+        try:
+            order = int(row[2])
+        except ValueError:
+            raise ParseError(i, f"bad order_on_road {row[2]!r}") from None
+        if order < 0:
+            raise ParseError(i, "negative order_on_road")
+        start_mp = _parse_float(row[3], i, "start_mp")
+        end_mp = _parse_float(row[4], i, "end_mp")
+        if start_mp > end_mp:
+            raise ParseError(i, "start_mp greater than end_mp")
+        out.append(SegmentDescriptor(
+            row[0], row[1], order, start_mp, end_mp,
+            (_parse_float(row[5], i, "start_lat"), _parse_float(row[6], i, "start_lon")),
+            (_parse_float(row[7], i, "end_lat"), _parse_float(row[8], i, "end_lon"))))
     seen = set()
     for rec in out:
         key = (rec.road_id, rec.order_on_road)
         if key in seen:
             raise SchemaMismatch("order_on_road", f"duplicate order {key}")
         seen.add(key)
-    out.sort(key=lambda r: (r.road_id, r.order_on_road))
+    out.sort(key=_SORT_KEYS["segments"])
     return out
 
 
 def _load_calendar(path):
-    fh, reader = _open_rows(path, "calendar")
     out = []
-    with fh:
-        for i, row in enumerate(reader, start=1):
-            if len(row) != 2:
-                raise ParseError(i, f"expected 2 fields, got {len(row)}")
-            try:
-                d = date_t.fromisoformat(row[0])
-            except ValueError:
-                raise ParseError(i, f"bad date {row[0]!r}") from None
-            flag = row[1].strip().lower()
-            if flag not in ("0", "1", "true", "false"):
-                raise ParseError(i, f"bad is_holiday {row[1]!r}")
-            out.append(CalendarInfo(d, flag in ("1", "true")))
-    out.sort(key=lambda r: r.date)
+    for i, row in read_rows(path, "calendar"):
+        try:
+            d = date_t.fromisoformat(row[0])
+        except ValueError:
+            raise ParseError(i, f"bad date {row[0]!r}") from None
+        flag = row[1].strip().lower()
+        if flag not in ("0", "1", "true", "false"):
+            raise ParseError(i, f"bad is_holiday {row[1]!r}")
+        out.append(CalendarInfo(d, flag in ("1", "true")))
+    out.sort(key=_SORT_KEYS["calendar"])
     return out
 
 
@@ -359,7 +372,7 @@ def _load_polygons(path, kind):
                 raise SchemaMismatch("land_use", f"feature {i}: {land_use!r}")
             out.append(ZonePolygon(land_use, ring))
     if kind == "tracts":
-        out.sort(key=lambda t: t.tract_id)
+        out.sort(key=_SORT_KEYS["tracts"])
     return out
 
 
@@ -401,20 +414,31 @@ def _write_speed(table: SpeedTable, path: Path) -> None:
     rows = ((table.segment_ids[g], day_text[d] + _SLOT_TEXT[t], _fmt_num(v))
             for g, d, t, v in zip(table.segment[order].tolist(), table.day[order].tolist(),
                                   table.slot[order].tolist(), table.speed[order].tolist()))
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCHEMAS["speed"])
-        writer.writerows(rows)
+    write_rows(path, SCHEMAS["speed"], rows)
 
 
-_SORT_KEYS = {
-    "incidents": lambda r: (r.closure_start_ts, r.incident_id),
-    "weather": lambda r: r.timestamp,
-    "tweets": lambda r: (r.timestamp, r.tweet_id),
-    "segments": lambda r: (r.road_id, r.order_on_road),
-    "calendar": lambda r: r.date,
-    "tracts": lambda r: r.tract_id,
-    "zones": lambda r: (r.land_use, r.ring),
+def _tweet_row(r):
+    lat, lon = (_fmt_num(r.coord[0]), _fmt_num(r.coord[1])) if r.coord else ("", "")
+    return (r.tweet_id, r.user_id, _fmt_ts(r.timestamp), r.kind, lat, lon,
+            r.user_profile_location or "", r.text)
+
+
+# one formatter call per record: the fields of its canonical CSV row
+_ROW_FORMATS = {
+    "incidents": lambda r: (
+        r.incident_id, r.source, r.road_id, _fmt_ts(r.closure_start_ts),
+        _fmt_ts(r.closure_end_ts), _fmt_num(r.start_coord[0]), _fmt_num(r.start_coord[1]),
+        _fmt_num(r.end_coord[0]), _fmt_num(r.end_coord[1]), r.closure_type, r.category),
+    "weather": lambda r: (
+        _fmt_ts(r.timestamp), _fmt_num(r.temperature), _fmt_num(r.humidity),
+        _fmt_num(r.wind_speed), _fmt_num(r.pressure), _fmt_num(r.visibility),
+        _fmt_num(r.precip_hourly), int(r.pavement_wet), r.wx_severity),
+    "tweets": _tweet_row,
+    "segments": lambda r: (
+        r.segment_id, r.road_id, r.order_on_road, _fmt_num(r.start_milepost),
+        _fmt_num(r.end_milepost), _fmt_num(r.start_coord[0]), _fmt_num(r.start_coord[1]),
+        _fmt_num(r.end_coord[0]), _fmt_num(r.end_coord[1])),
+    "calendar": lambda r: (r.date.isoformat(), int(r.is_holiday)),
 }
 
 
@@ -436,36 +460,7 @@ def write_dataset(kind: str, records, path) -> None:
         p.write_text(json.dumps({"type": "FeatureCollection", "features": feats},
                                 sort_keys=True), encoding="utf-8")
         return
-    with p.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCHEMAS[kind])
-        for r in records:
-            if kind == "incidents":
-                writer.writerow([r.incident_id, r.source, r.road_id,
-                                 _fmt_ts(r.closure_start_ts), _fmt_ts(r.closure_end_ts),
-                                 _fmt_num(r.start_coord[0]), _fmt_num(r.start_coord[1]),
-                                 _fmt_num(r.end_coord[0]), _fmt_num(r.end_coord[1]),
-                                 r.closure_type, r.category])
-            elif kind == "weather":
-                writer.writerow([_fmt_ts(r.timestamp), _fmt_num(r.temperature),
-                                 _fmt_num(r.humidity), _fmt_num(r.wind_speed),
-                                 _fmt_num(r.pressure), _fmt_num(r.visibility),
-                                 _fmt_num(r.precip_hourly), int(r.pavement_wet),
-                                 r.wx_severity])
-            elif kind == "tweets":
-                lat = _fmt_num(r.coord[0]) if r.coord else ""
-                lon = _fmt_num(r.coord[1]) if r.coord else ""
-                writer.writerow([r.tweet_id, r.user_id, _fmt_ts(r.timestamp), r.kind,
-                                 lat, lon, r.user_profile_location or "", r.text])
-            elif kind == "segments":
-                writer.writerow([r.segment_id, r.road_id, r.order_on_road,
-                                 _fmt_num(r.start_milepost), _fmt_num(r.end_milepost),
-                                 _fmt_num(r.start_coord[0]), _fmt_num(r.start_coord[1]),
-                                 _fmt_num(r.end_coord[0]), _fmt_num(r.end_coord[1])])
-            elif kind == "calendar":
-                writer.writerow([r.date.isoformat(), int(r.is_holiday)])
-            else:
-                raise ValueError(f"unknown dataset kind {kind!r}")
+    write_rows(p, SCHEMAS[kind], map(_ROW_FORMATS[kind], records))
 
 
 @dataclass

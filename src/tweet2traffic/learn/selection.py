@@ -112,61 +112,60 @@ def _fit_selected(fit, X, y, grid, best, cv_tol, tol, max_iter, alive, names,
     return _expand(model, frame, alive, names)
 
 
-def fit_l1_logistic_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-6,
-                       cv_tol: float = 1e-4, max_iter: int = 10000,
-                       feature_names=None) -> LinearModel:
-    """Per-level penalty chosen by validation log-loss over contiguous folds."""
+def _fit_l1_cv(fit, loss, critical, scale, fold_ok, fallback, X, y, multipliers, n_folds,
+               tol, cv_tol, max_iter, feature_names) -> LinearModel:
+    """The inner-CV penalty choice both L1 fits share; the callers pass what differs.
+
+    `critical` anchors the grid, `scale(y)` sizes the sum-form objective for
+    the stopping rules, folds failing `fold_ok(y, fold)` go unscored, and a
+    design with no live column gets `fallback(mean of y, names, n_features)`.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(y)
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(X.shape[1])]
     alive = _alive_columns(X)      # train-constant columns get exact zero weights
     Xa = X[:, alive]
     if Xa.shape[1] == 0:
-        return constant_logistic(float(y.mean()), names, X.shape[1])
+        return fallback(float(y.mean()), names, X.shape[1])
     live_names = [n for n, keep in zip(names, alive) if keep]
-    # stopping rules scale with the sum-form objective
-    tol = tol * max(1.0, float(n))
-    cv_tol = cv_tol * max(1.0, float(n))
-    grid = penalty_grid(logistic_critical_lambda(Xa, y), multipliers)
-    folds = contiguous_folds(n, n_folds)
+    size = scale(y)                 # stopping rules scale with the sum-form objective
+    tol, cv_tol = tol * size, cv_tol * size
+    grid = penalty_grid(critical(Xa, y), multipliers)
+    folds = contiguous_folds(len(y), n_folds)
     scores = np.zeros(len(grid))
     if len(folds) >= 2:
-        # a fold whose training rows hold a single class is left out
-        fittable = [f for f in folds if len(set(np.delete(y, f))) >= 2]
-        scores = _cv_losses(fit_l1_logistic, _log_loss, Xa, y, grid,
-                            fittable, cv_tol, live_names)
+        scores = _cv_losses(fit, loss, Xa, y, grid, [f for f in folds if fold_ok(y, f)],
+                            cv_tol, live_names)
     best = int(np.argmin(scores))   # argmin takes the largest penalty on ties
-    return _fit_selected(fit_l1_logistic, Xa, y, grid, best, cv_tol, tol, max_iter,
-                         alive, names, live_names)
+    return _fit_selected(fit, Xa, y, grid, best, cv_tol, tol, max_iter, alive, names,
+                         live_names)
+
+
+def fit_l1_logistic_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-6,
+                       cv_tol: float = 1e-4, max_iter: int = 10000,
+                       feature_names=None) -> LinearModel:
+    """Per-level penalty chosen by validation log-loss over contiguous folds.
+
+    A fold whose training rows hold a single class is left out.
+    """
+    return _fit_l1_cv(fit_l1_logistic, _log_loss, logistic_critical_lambda,
+                      lambda y: max(1.0, float(len(y))),
+                      lambda y, fold: len(set(np.delete(y, fold))) >= 2,
+                      constant_logistic, X, y, multipliers, n_folds, tol, cv_tol, max_iter,
+                      feature_names)
 
 
 def fit_lasso_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-8,
                  cv_tol: float = 1e-4, max_iter: int = 10000,
                  feature_names=None) -> LinearModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(X.shape[1])]
-    alive = _alive_columns(X)
-    Xa = X[:, alive]
-    if Xa.shape[1] == 0:
-        mean = float(y.mean())
-        return LinearModel(np.zeros(X.shape[1]), mean, names, 0.0, "LEAST_SQUARES",
-                           std_state=(np.zeros(X.shape[1]), mean))
-    live_names = [n for n, keep in zip(names, alive) if keep]
-    scale = max(1.0, float(((y - y.mean()) ** 2).sum()))
-    tol = tol * scale
-    cv_tol = cv_tol * scale
-    grid = penalty_grid(lasso_critical_alpha(Xa, y), multipliers)
-    folds = contiguous_folds(n, n_folds)
-    scores = np.zeros(len(grid))
-    if len(folds) >= 2:
-        scores = _cv_losses(fit_lasso, _squared_loss, Xa, y, grid, folds, cv_tol,
-                            live_names)
-    best = int(np.argmin(scores))
-    return _fit_selected(fit_lasso, Xa, y, grid, best, cv_tol, tol, max_iter,
-                         alive, names, live_names)
+    """Penalty chosen by validation squared error over contiguous folds."""
+    return _fit_l1_cv(fit_lasso, _squared_loss, lasso_critical_alpha,
+                      lambda y: max(1.0, float(((y - y.mean()) ** 2).sum())),
+                      lambda y, fold: True,
+                      lambda mean, names, n: LinearModel(np.zeros(n), mean, names, 0.0,
+                                                         "LEAST_SQUARES",
+                                                         std_state=(np.zeros(n), mean)),
+                      X, y, multipliers, n_folds, tol, cv_tol, max_iter, feature_names)
 
 
 def constant_logistic(rate: float, feature_names, n_features: int) -> LinearModel:

@@ -51,3 +51,21 @@ def points_in_ring(points: np.ndarray, ring, include_boundary: bool = True,
                      & (y >= min(y1, y2) - eps) & (y <= max(y1, y2) + eps))
             on_edge |= (np.abs(cross) <= eps) & inbox
     return inside | on_edge if include_boundary else inside
+
+
+def first_ring_labels(coords, labelled_rings) -> list:
+    """Label of the first (label, ring) pair whose ring holds each point, else None.
+
+    Each ring is tested only against the points that no earlier ring holds.
+    """
+    pts = np.asarray(coords, dtype=float)
+    out: list = [None] * len(pts)
+    unresolved = np.arange(len(pts))
+    for label, ring in labelled_rings:
+        if unresolved.size == 0:
+            break
+        hit = points_in_ring(pts[unresolved], ring)
+        for idx in unresolved[hit]:
+            out[idx] = label
+        unresolved = unresolved[~hit]
+    return out

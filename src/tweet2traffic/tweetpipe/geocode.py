@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geo import points_in_ring
+from .geo import first_ring_labels, points_in_ring
 
 
 class TractGeocoder:
@@ -26,17 +26,7 @@ class TractGeocoder:
         return None
 
     def locate_many(self, coords) -> list[str | None]:
-        pts = np.asarray(coords, dtype=float)
-        out: list[str | None] = [None] * len(pts)
-        unresolved = np.arange(len(pts))
-        for t in self.tracts:
-            if unresolved.size == 0:
-                break
-            hit = points_in_ring(pts[unresolved], t.ring)
-            for idx in unresolved[hit]:
-                out[idx] = t.tract_id
-            unresolved = unresolved[~hit]
-        return out
+        return first_ring_labels(coords, ((t.tract_id, t.ring) for t in self.tracts))
 
 
 class MilepostGeocoder:

@@ -1,11 +1,10 @@
 """Pluggable sentiment scoring with the fixed three-way threshold rule."""
 from __future__ import annotations
 
-import csv
 import logging
-from pathlib import Path
 
-from ..errors import ParseError, SchemaMismatch
+from ..errors import ParseError
+from ..ingest.loaders import read_rows
 
 log = logging.getLogger(__name__)
 
@@ -20,15 +19,15 @@ _NEGATIVE = {
     "annoying", "sick", "tired", "ugh", "sucks", "horrible", "mad",
     "crash", "stuck", "delay", "broken", "pain",
 }
+_VALENCE = {**dict.fromkeys(_NEGATIVE, -1.0), **dict.fromkeys(_POSITIVE, 1.0)}
 
 
 class LexiconSentimentProvider:
     """Mean token valence mapped into [0, 1]; tokens off-lexicon are neutral."""
 
     def score(self, tweet_id: str, text: str) -> float:
-        tokens = text.lower().split()
-        vals = [1.0 if t.strip(".,!?") in _POSITIVE else -1.0
-                for t in tokens if t.strip(".,!?") in _POSITIVE | _NEGATIVE]
+        words = (t.strip(".,!?") for t in text.lower().split())
+        vals = [_VALENCE[w] for w in words if w in _VALENCE]
         if not vals:
             return 0.5
         return 0.5 + 0.5 * sum(vals) / len(vals)
@@ -39,21 +38,11 @@ class PrecomputedSentimentProvider:
 
     def __init__(self, path):
         self.scores: dict[str, float] = {}
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            want = ["tweet_id", "p"]
-            if header != want:
-                missing = [c for c in want if c not in (header or [])]
-                raise SchemaMismatch(missing[0] if missing else header[0],
-                                     f"expected sentiment score header {want}, got {header}")
-            for i, row in enumerate(reader, start=1):
-                if len(row) != 2:
-                    raise ParseError(i, f"expected 2 fields, got {len(row)}")
-                try:
-                    self.scores[row[0]] = float(row[1])
-                except ValueError:
-                    raise ParseError(i, f"bad sentiment score {row[1]!r}") from None
+        for i, (tweet_id, p) in read_rows(path, "sentiment_scores"):
+            try:
+                self.scores[tweet_id] = float(p)
+            except ValueError:
+                raise ParseError(i, f"bad sentiment score {p!r}") from None
 
     def score(self, tweet_id: str, text: str) -> float:
         return self.scores.get(tweet_id, 0.5)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import TweetConfig
-from .geo import haversine_km, pairwise_haversine_km, points_in_ring
+from .geo import first_ring_labels, haversine_km, pairwise_haversine_km
 
 log = logging.getLogger(__name__)
 
@@ -175,17 +175,7 @@ class CheckinCluster:
 
 def landuse_of_points(coords, zones) -> list[str | None]:
     """Batch land-use join; the first zone containing a point wins."""
-    pts = np.asarray(coords, dtype=float)
-    out: list[str | None] = [None] * len(pts)
-    unresolved = np.arange(len(pts))
-    for zone in zones:
-        if unresolved.size == 0:
-            break
-        hit = points_in_ring(pts[unresolved], zone.ring)
-        for idx in unresolved[hit]:
-            out[idx] = zone.land_use
-        unresolved = unresolved[~hit]
-    return out
+    return first_ring_labels(coords, ((z.land_use, z.ring) for z in zones))
 
 
 def landuse_table(coords, zones) -> dict[tuple[float, float], str | None]:

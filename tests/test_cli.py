@@ -315,6 +315,15 @@ class TestCli:
         assert rc == 2
         assert "error: row 2:" in capsys.readouterr().err
 
+    def test_missing_sentiment_scores_exit_2(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sentiment_scores_path": str(tmp_path / "absent.csv")}))
+        rc = main(["features", "--data", str(data_dir), "--config", str(cfg),
+                   "--out", str(tmp_path / "f")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "absent.csv" in err
+
     def test_config_not_json_exit_2(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("harness: {n_outer: 3}\n")

@@ -19,7 +19,13 @@ from tweet2traffic.ingest import (
     load_dataset,
     write_dataset,
 )
-from tweet2traffic.ingest.loaders import FILE_NAMES, _open_rows, load_bundle
+from tweet2traffic.ingest.loaders import (
+    FILE_NAMES,
+    _open_rows,
+    load_bundle,
+    read_rows,
+    write_rows,
+)
 
 SpeedRow = namedtuple("SpeedRow", "segment_id timestamp observed_speed")
 
@@ -344,6 +350,29 @@ class TestGeojson:
         p = write(tmp_path, "zones.geojson", json.dumps(doc))
         with pytest.raises(SchemaMismatch, match="land_use"):
             load_dataset("zones", p)
+
+
+class TestCsvCodec:
+    def test_write_rows_without_rows_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        assert write_rows(path, ["model", "value"], iter(())) == str(path)
+        assert path.read_bytes() == b"model,value\n"
+
+    def test_rows_round_trip_in_canonical_form(self, tmp_path):
+        path = tmp_path / "sentiment_scores.csv"
+        rows = [["t1", "0.25"], ["caf\u00e9, \"two\" lines\nhere", repr(0.1)]]
+        write_rows(path, ["tweet_id", "p"], rows)
+        assert path.read_bytes() == ('tweet_id,p\nt1,0.25\n'
+                                     '"caf\u00e9, ""two"" lines\nhere",0.1\n').encode("utf-8")
+        assert list(read_rows(path, "sentiment_scores")) == [(1, rows[0]), (2, rows[1])]
+
+    def test_read_rows_width_error_keeps_the_data_row_number(self, tmp_path):
+        p = write(tmp_path, "calendar.csv",
+                  "date,is_holiday\n2014-03-04,0\n2014-03-05,0\n2014-03-06\n")
+        with pytest.raises(ParseError, match="row 3: expected 2 fields, got 1"):
+            list(read_rows(p, "calendar"))
+        with pytest.raises(ParseError, match="row 3: expected 2 fields, got 1"):
+            load_dataset("calendar", p)
 
 
 @pytest.mark.parametrize("kind", ["speed", "incidents", "weather", "tweets",
