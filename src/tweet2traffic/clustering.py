@@ -247,7 +247,7 @@ def build_tweeting_profiles(tweet_hours_by_day: dict, n_bins: int = 19,
     return out
 
 
-def chi_squared_cramers_v(labels_a, labels_b, bias_corrected: bool = False):
+def chi_squared_cramers_v(labels_a, labels_b):
     """Pearson chi-squared test plus Cramer's V between two labelings."""
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
@@ -260,12 +260,6 @@ def chi_squared_cramers_v(labels_a, labels_b, bias_corrected: bool = False):
     ib = {c: i for i, c in enumerate(cats_b)}
     for x, y in zip(a.tolist(), b.tolist()):
         table[ia[x], ib[y]] += 1
-    # empty marginals cannot arise from observed categories, but guard anyway
-    keep_r = table.sum(axis=1) > 0
-    keep_c = table.sum(axis=0) > 0
-    if not keep_r.all() or not keep_c.all():
-        log.warning("chi-squared: dropping empty categories")
-        table = table[keep_r][:, keep_c]
     r, c = table.shape
     if r < 2 or c < 2:
         raise DegenerateTable("need at least 2 categories on each axis")
@@ -274,12 +268,5 @@ def chi_squared_cramers_v(labels_a, labels_b, bias_corrected: bool = False):
     chi2 = float(((table - expected) ** 2 / expected).sum())
     dof = (r - 1) * (c - 1)
     p_value = float(chi2_dist.sf(chi2, dof))
-    if bias_corrected:
-        phi2 = max(0.0, chi2 / n - dof / (n - 1))
-        r_adj = r - (r - 1) ** 2 / (n - 1)
-        c_adj = c - (c - 1) ** 2 / (n - 1)
-        denom = min(r_adj - 1, c_adj - 1)
-        v = float(np.sqrt(phi2 / denom)) if denom > 0 else 0.0
-    else:
-        v = float(np.sqrt(chi2 / (n * (min(r, c) - 1))))
+    v = float(np.sqrt(chi2 / (n * (min(r, c) - 1))))
     return chi2, p_value, v

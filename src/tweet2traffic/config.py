@@ -56,9 +56,7 @@ class TweetConfig:
     bbox: tuple[float, float, float, float] = (40.0, -80.5, 41.0, -79.5)  # minlat,minlon,maxlat,maxlon
     influential_min_geocoded: int = 5
     bot_location_range_m: float = 10.0
-    bot_score_threshold: float = 2.0
     dbscan_eps_km: float = 0.3
-    dbscan_min_pts: int = 1
     landuse_weights: tuple[tuple[str, float], ...] = (
         ("residence", 1.0), ("mixed-use", 0.5), ("education", 0.2),
         ("downtown", 0.2), ("industry", 0.0), ("amenity", 0.0),

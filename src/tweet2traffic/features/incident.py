@@ -55,14 +55,14 @@ def incident_location_impact(incident, segment, orientation: int,
     return (0.0, 0.0, decay)
 
 
-def incident_time_window(incident, day: date_t, n_hours: int = N_HOURS) -> np.ndarray:
+def incident_time_window(incident, day: date_t) -> np.ndarray:
     """H_h = 1 iff the closure overlaps clock hour [h, h+1) of the prediction day."""
-    out = np.zeros(n_hours)
+    out = np.zeros(N_HOURS)
     day_start = datetime.combine(day, time(0, 0))
-    grid_end = day_start + timedelta(hours=n_hours)
+    grid_end = day_start + timedelta(hours=N_HOURS)
     if incident.closure_start_ts >= grid_end:
         return out   # entirely after the morning window
-    for h in range(n_hours):
+    for h in range(N_HOURS):
         lo = day_start + timedelta(hours=h)
         hi = lo + timedelta(hours=1)
         if incident.closure_start_ts < hi and incident.closure_end_ts > lo:

@@ -140,7 +140,7 @@ def fit_sar(segment_id: str, speeds: np.ndarray, train_day_idx, p_lags: int,
 
 
 def sar_rollout(model: SarModel, speeds: np.ndarray, day_idx,
-                morning_offset: int, cutoff_slot: int = 0) -> np.ndarray:
+                morning_offset: int) -> np.ndarray:
     """Predicted morning speeds, one row per day of `day_idx`.
 
     The days roll out together, slot by slot, substituting predictions for
@@ -166,9 +166,6 @@ def sar_rollout(model: SarModel, speeds: np.ndarray, day_idx,
     out = np.empty((N_SLOTS, days.size))
     for t in range(N_SLOTS):
         col = morning_offset + t
-        if t < cutoff_slot:
-            out[t] = work[col]
-            continue
         terms[0] = base[t]
         np.multiply(lag_w, work[lag_rows[t]], out=terms[1:])
         np.add.accumulate(terms, axis=0, out=sums)

@@ -28,7 +28,7 @@ from ..congestion import (
     TtiSeries,
     congestion_measurements,
     fill_speed_gaps,
-    percentile,
+    reference_speed,
 )
 from ..clustering import (
     KMeansModel,
@@ -300,7 +300,7 @@ def _split_quadruples(prepared: PreparedData, train_days, all_days):
         sid = seg.segment_id
         train_vals = prepared.speeds[sid][train_idx].ravel()
         train_vals = train_vals[np.isfinite(train_vals)]
-        ref = percentile(train_vals, cfg.ref_quantile)
+        ref = reference_speed(train_vals, cfg.ref_quantile)
         v_ref[sid] = ref
         ratios = ref / prepared.filled[sid][all_idx]
         incomplete = prepared.incomplete[sid][all_idx]

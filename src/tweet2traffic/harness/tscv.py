@@ -72,8 +72,9 @@ class EvaluationReport:
             self.aggregate[(m, "ALL")] = weighted_aggregate(entries_all)
         return self
 
-    def aggregate_metric(self, model: str, metric: str, segment: str = "ALL"):
-        return self.aggregate.get((model, segment), {}).get(metric)
+    def aggregate_metric(self, model: str, metric: str):
+        """`metric` of `model` aggregated over every segment."""
+        return self.aggregate.get((model, "ALL"), {}).get(metric)
 
 
 def _score(prepared, art, report, model_name, split_id, predict):

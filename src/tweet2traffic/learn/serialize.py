@@ -35,7 +35,10 @@ def _linear_from_dict(doc: dict) -> LinearModel:
                        doc["task"], converged=doc["converged"])
 
 
-def descriptor_to_dict(desc: OrderedDescriptor) -> dict:
+def descriptor_to_dict(desc: OrderedDescriptor | None) -> dict | None:
+    """A road's descriptor; a road without one (`NO_CLUSTER`) is `None`."""
+    if desc is None:
+        return None
     return {
         "n_clusters": desc.n_clusters,
         "classifiers": [_linear_to_dict(m) for m in desc.classifiers],
@@ -43,7 +46,9 @@ def descriptor_to_dict(desc: OrderedDescriptor) -> dict:
     }
 
 
-def descriptor_from_dict(doc: dict) -> OrderedDescriptor:
+def descriptor_from_dict(doc: dict | None) -> OrderedDescriptor | None:
+    if doc is None:
+        return None
     return OrderedDescriptor(doc["n_clusters"],
                              [_linear_from_dict(m) for m in doc["classifiers"]],
                              doc["feature_names"])

@@ -2,7 +2,6 @@ from .textclean import clean_text, load_slang, load_wordlist  # noqa: F401
 from .users import (  # noqa: F401
     CheckinCluster,
     UserProfile,
-    NullBotProvider,
     build_checkin_clusters,
     classify_home_cluster,
     dbscan_cluster,

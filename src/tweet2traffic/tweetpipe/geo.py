@@ -20,16 +20,16 @@ def pairwise_haversine_km(coords: np.ndarray) -> np.ndarray:
     return haversine_km(lat, lon, lat.T, lon.T)
 
 
-def points_in_ring(points: np.ndarray, ring, include_boundary: bool = True,
-                   eps: float = 1e-12) -> np.ndarray:
+def points_in_ring(points: np.ndarray, ring) -> np.ndarray:
     """Vectorized even-odd ray cast of (n, 2) lat/lon points against one ring.
 
-    Boundary points (within eps of an edge) count as inside when
-    include_boundary is set, which the tract tie rule requires.
+    Boundary points (within 1e-12 degrees of an edge) count as inside, which
+    the tract tie rule requires.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
+    eps = 1e-12     # degrees; a point this close to an edge lies on it
     y = pts[:, 0]   # lat plays the usual y role
     x = pts[:, 1]
     ring = np.asarray(ring, dtype=float)
@@ -44,13 +44,12 @@ def points_in_ring(points: np.ndarray, ring, include_boundary: bool = True,
         with np.errstate(divide="ignore", invalid="ignore"):
             xint = (y - y1) * (x2 - x1) / (y2 - y1) + x1
         inside ^= crosses & (x < xint)
-        if include_boundary:
-            # point on the segment: zero cross product and inside the box
-            cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-            inbox = ((x >= min(x1, x2) - eps) & (x <= max(x1, x2) + eps)
-                     & (y >= min(y1, y2) - eps) & (y <= max(y1, y2) + eps))
-            on_edge |= (np.abs(cross) <= eps) & inbox
-    return inside | on_edge if include_boundary else inside
+        # point on the segment: zero cross product and inside the box
+        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        inbox = ((x >= min(x1, x2) - eps) & (x <= max(x1, x2) + eps)
+                 & (y >= min(y1, y2) - eps) & (y <= max(y1, y2) + eps))
+        on_edge |= (np.abs(cross) <= eps) & inbox
+    return inside | on_edge
 
 
 def first_ring_labels(coords, labelled_rings) -> list:

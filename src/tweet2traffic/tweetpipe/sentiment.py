@@ -1,12 +1,8 @@
 """Pluggable sentiment scoring with the fixed three-way threshold rule."""
 from __future__ import annotations
 
-import logging
-
 from ..errors import ParseError
 from ..ingest.loaders import read_rows
-
-log = logging.getLogger(__name__)
 
 # compact valence lexicon; scores average to a [0, 1] positivity estimate
 _POSITIVE = {
@@ -48,16 +44,10 @@ class PrecomputedSentimentProvider:
         return self.scores.get(tweet_id, 0.5)
 
 
-def sentiment_label(tweet_id: str, text: str, provider=None,
+def sentiment_label(tweet_id: str, text: str, provider,
                     pos: float = 0.7, neg: float = 0.3) -> tuple[float, str]:
     """(p, label): POS iff p >= 0.7, NEG iff p <= 0.3, NEU between."""
-    if provider is None:
-        provider = LexiconSentimentProvider()
-    try:
-        p = float(provider.score(tweet_id, text))
-    except Exception as exc:
-        log.warning("sentiment provider failed for %s: %s", tweet_id, exc)
-        p = 0.5
+    p = float(provider.score(tweet_id, text))
     if p >= pos:
         return p, "POS"
     if p <= neg:

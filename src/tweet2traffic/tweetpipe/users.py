@@ -8,7 +8,6 @@ timeline tweets.
 """
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -16,11 +15,11 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..config import TweetConfig
 from .geo import first_ring_labels, haversine_km, pairwise_haversine_km
-
-log = logging.getLogger(__name__)
 
 _COORD_RE = re.compile(r"(-?\d{1,3}\.\d+)[,\s]+(-?\d{1,3}\.\d+)")
 
@@ -54,7 +53,6 @@ class UserProfile:
     geocoded_count: int
     is_resident: bool
     location_range_m: float
-    bot_score: float | None = None
 
 
 def filter_influential_users(tweets, cfg: TweetConfig, lexicon=None) -> dict[str, UserProfile]:
@@ -82,78 +80,31 @@ def filter_influential_users(tweets, cfg: TweetConfig, lexicon=None) -> dict[str
     return out
 
 
-class NullBotProvider:
-    """No external scores: every location-suspicious account is excluded."""
-
-    def score(self, user_id: str) -> float | None:
-        return None
-
-
-def detect_bots(users: dict[str, UserProfile], cfg: TweetConfig, provider=None) -> set[str]:
-    """Exclusion set: location range under 10 m and (when scored) score > 2.0."""
-    if provider is None:
-        provider = NullBotProvider()
-    excluded = set()
-    for user_id in sorted(users):
-        profile = users[user_id]
-        if profile.location_range_m >= cfg.bot_location_range_m:
-            continue
-        try:
-            score = provider.score(user_id)
-        except Exception as exc:   # provider trouble must not drop the user
-            log.warning("bot provider failed for %s: %s", user_id, exc)
-            continue
-        profile.bot_score = score
-        if score is None or score > cfg.bot_score_threshold:
-            excluded.add(user_id)
-    return excluded
+def detect_bots(users: dict[str, UserProfile], cfg: TweetConfig) -> set[str]:
+    """Exclusion set: every user whose location range is under `bot_location_range_m`."""
+    return {user_id for user_id, profile in users.items()
+            if profile.location_range_m < cfg.bot_location_range_m}
 
 
-def dbscan_cluster(coords, eps_km: float = 0.3, min_pts: int = 1) -> np.ndarray:
-    """Plain DBSCAN over haversine distances; -1 marks noise (impossible at min_pts=1)."""
+def dbscan_cluster(coords, eps_km: float) -> np.ndarray:
+    """DBSCAN at one point per core, over haversine distances.
+
+    With MinPts = 1 every point is a core point and none is noise, so the
+    clusters are the connected components of the eps-neighborhood graph.
+    Labels number the components in order of first appearance.
+    """
     pts = np.asarray(coords, dtype=float)
     n = len(pts)
     if n == 0:
         return np.empty(0, dtype=int)
-    dist = pairwise_haversine_km(pts)
-    if min_pts == 1:
-        # every point is core, so clusters are the connected components of the
-        # eps-neighborhood graph; same labels, ordered by first appearance
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        adj = csr_matrix(dist <= eps_km)
-        _n, comp = connected_components(adj, directed=False)
-        labels = np.empty(n, dtype=int)
-        remap: dict[int, int] = {}
-        for i, c in enumerate(comp):
-            if c not in remap:
-                remap[c] = len(remap)
-            labels[i] = remap[c]
-        return labels
-    neighbors = [np.flatnonzero(dist[i] <= eps_km) for i in range(n)]
-    labels = np.full(n, -2, dtype=int)   # -2 unvisited, -1 noise
-    cluster = -1
-    for i in range(n):
-        if labels[i] != -2:
-            continue
-        if len(neighbors[i]) < min_pts:
-            labels[i] = -1
-            continue
-        cluster += 1
-        labels[i] = cluster
-        queue = list(neighbors[i])
-        qi = 0
-        while qi < len(queue):
-            j = queue[qi]
-            qi += 1
-            if labels[j] == -1:
-                labels[j] = cluster
-            if labels[j] != -2:
-                continue
-            labels[j] = cluster
-            if len(neighbors[j]) >= min_pts:
-                queue.extend(neighbors[j])
+    adj = csr_matrix(pairwise_haversine_km(pts) <= eps_km)
+    _n, comp = connected_components(adj, directed=False)
+    labels = np.empty(n, dtype=int)
+    remap: dict[int, int] = {}
+    for i, c in enumerate(comp):
+        if c not in remap:
+            remap[c] = len(remap)
+        labels[i] = remap[c]
     return labels
 
 
@@ -194,7 +145,7 @@ def build_checkin_clusters(user_id: str, geocoded_tweets, landuse,
     if not tweets:
         return []
     coords = np.asarray([t.coord for t in tweets], dtype=float)
-    labels = dbscan_cluster(coords, cfg.dbscan_eps_km, cfg.dbscan_min_pts)
+    labels = dbscan_cluster(coords, cfg.dbscan_eps_km)
 
     # last destination: the cluster of the final tweet of each calendar day
     last_of_day = {}

@@ -569,6 +569,8 @@ class TestCli:
         {"timezone": "UTC"},
         {"features": {"incident_hours": 10}},
         {"features": {"wx_severity_map": [["clear", 0]]}},
+        {"tweets": {"dbscan_min_pts": 2}},
+        {"tweets": {"bot_score_threshold": 1.0}},
     ])
     def test_removed_config_keys_exit_2(self, data_dir, tmp_path, capsys, overrides):
         cfg = tmp_path / "cfg.json"

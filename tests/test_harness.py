@@ -77,7 +77,7 @@ class TestHm:
         assert pred.cs == 1
 
 
-def one_day_rollout(model, speeds, day_idx, morning_offset, cutoff_slot=0):
+def one_day_rollout(model, speeds, day_idx, morning_offset):
     """Reference SAR rollout of one day: scalar arithmetic, slot by slot."""
     work = [float(v) for v in speeds[day_idx]]
     p = model.p_lags
@@ -89,9 +89,6 @@ def one_day_rollout(model, speeds, day_idx, morning_offset, cutoff_slot=0):
     out = np.empty(N_SLOTS)
     for t in range(N_SLOTS):
         col = morning_offset + t
-        if t < cutoff_slot:
-            out[t] = work[col]
-            continue
         v = w[0] + float(seasonal_term[t])
         for i in range(p):
             v += w[1 + i] * work[max(col - 1 - i, 0)]
@@ -143,7 +140,6 @@ class TestSar:
         p_lags = data.draw(st.integers(1, 8))
         h_seasonal = data.draw(st.integers(0, 2))
         offset = data.draw(st.sampled_from([0, 3, self.OFF]))
-        cutoff = data.draw(st.sampled_from([0, 0, 5, N_SLOTS]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         speeds = 55 + 20 * rng.standard_normal((30, offset + N_SLOTS))
         speeds[rng.random(speeds.shape) < data.draw(st.sampled_from([0.0, 0.05]))] = np.nan
@@ -152,9 +148,9 @@ class TestSar:
                              1 + p_lags + h_seasonal)
         model = SarModel("S", p_lags, h_seasonal, weights, in_sample_r2=0.0)
         days = data.draw(st.lists(st.integers(7 * h_seasonal, 29), min_size=1, max_size=12))
-        out = sar_rollout(model, speeds, days, offset, cutoff)
+        out = sar_rollout(model, speeds, days, offset)
         for row, di in zip(out, days):
-            want = one_day_rollout(model, speeds, di, offset, cutoff)
+            want = one_day_rollout(model, speeds, di, offset)
             assert np.array_equal(row, want, equal_nan=True)
 
     def test_in_sample_r2_nonnegative(self):

@@ -1,6 +1,7 @@
 """The stack-model table: what each named model sees and fits, the fits the
 models of one split share, and the one-pass ablation that scores a variant
 against the base model."""
+import json
 import warnings
 from collections import Counter
 
@@ -21,7 +22,7 @@ from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
 from tweet2traffic.learn import stack as stack_module
 from tweet2traffic.learn.forest import RandomForestModel
 from tweet2traffic.learn.knn import KnnModel
-from tweet2traffic.learn.serialize import bundle_hash
+from tweet2traffic.learn.serialize import bundle_from_json, bundle_hash, bundle_to_json
 
 
 @pytest.fixture(scope="module")
@@ -155,9 +156,17 @@ def test_ablation_builds_each_split_once(prepared, monkeypatch):
 
 
 def stack_hash(stack):
-    """The bundle hash of a fitted stack; a dropped descriptor (None) is left out."""
-    descriptors = {r: d for r, d in stack.descriptors.items() if d is not None}
-    return bundle_hash(descriptors, stack.segment_models)
+    return bundle_hash(stack.descriptors, stack.segment_models)
+
+
+def test_no_cluster_bundle_hashes_and_round_trips(fitted):
+    stack = fitted["NO_CLUSTER"]
+    text = bundle_to_json(stack.descriptors, stack.segment_models)
+    assert json.loads(text)["descriptors"] == {road: None for road in stack.descriptors}
+    descriptors, segments, _meta = bundle_from_json(text)
+    assert descriptors == stack.descriptors
+    assert bundle_to_json(descriptors, segments) == text
+    assert bundle_hash(descriptors, segments) == stack_hash(stack)
 
 
 def test_shared_fits_equal_each_stack_fitted_alone(prepared, art, fitted):

@@ -63,16 +63,6 @@ class TestInfluentialUsers:
         assert users["u5"].is_resident
 
 
-class MappingBotProvider:
-    """Bot scores from a fixed user -> score mapping."""
-
-    def __init__(self, scores):
-        self.scores = dict(scores)
-
-    def score(self, user_id):
-        return self.scores.get(user_id)
-
-
 class TestBots:
     def make_user(self, user_id, coords):
         return filter_influential_users(
@@ -85,18 +75,13 @@ class TestBots:
 
     def test_scored_above_threshold_excluded(self):
         users = self.make_user("b2", [(40.4, -80.0)] * 5)
-        out = detect_bots(users, CFG, MappingBotProvider({"b2": 2.5}))
+        out = detect_bots(users, CFG)
         assert out == {"b2"}
-
-    def test_scored_below_threshold_kept(self):
-        users = self.make_user("b3", [(40.4, -80.0)] * 5)
-        out = detect_bots(users, CFG, MappingBotProvider({"b3": 1.0}))
-        assert out == set()
 
     def test_wide_range_never_suspicious(self):
         coords = [(40.4, -80.0), (40.445, -80.0)] * 3   # ~5 km apart
         users = self.make_user("b4", coords)
-        out = detect_bots(users, CFG, MappingBotProvider({"b4": 9.9}))
+        out = detect_bots(users, CFG)
         assert out == set()
 
 
@@ -107,33 +92,33 @@ def offset_km(lat, lon, north_km):
 
 class TestDbscan:
     def test_single_point_own_cluster(self):
-        labels = dbscan_cluster([(40.4, -80.0)], eps_km=0.3, min_pts=1)
+        labels = dbscan_cluster([(40.4, -80.0)], eps_km=0.3)
         assert labels.tolist() == [0]
 
     def test_two_close_points_one_cluster(self):
         p1 = (40.4, -80.0)
         p2 = offset_km(*p1, 0.2)
         assert haversine_km(*p1, *p2) == pytest.approx(0.2, rel=1e-6)
-        labels = dbscan_cluster([p1, p2], eps_km=0.3, min_pts=1)
+        labels = dbscan_cluster([p1, p2], eps_km=0.3)
         assert labels[0] == labels[1]
 
     def test_two_far_points_two_clusters(self):
         p1 = (40.4, -80.0)
         p2 = offset_km(*p1, 1.0)
-        labels = dbscan_cluster([p1, p2], eps_km=0.3, min_pts=1)
+        labels = dbscan_cluster([p1, p2], eps_km=0.3)
         assert labels[0] != labels[1]
 
     def test_chaining(self):
         p1 = (40.4, -80.0)
         p2 = offset_km(*p1, 0.25)
         p3 = offset_km(*p1, 0.5)
-        labels = dbscan_cluster([p1, p2, p3], eps_km=0.3, min_pts=1)
+        labels = dbscan_cluster([p1, p2, p3], eps_km=0.3)
         assert labels[0] == labels[1] == labels[2]
 
     def test_min_pts_one_no_noise(self):
         rng = np.random.default_rng(0)
         pts = [(40.0 + rng.random(), -80.0 + rng.random()) for _ in range(30)]
-        labels = dbscan_cluster(pts, eps_km=0.3, min_pts=1)
+        labels = dbscan_cluster(pts, eps_km=0.3)
         assert (labels >= 0).all()
 
 
@@ -402,14 +387,6 @@ class TestSentiment:
 
     def test_positive_boundary(self):
         assert sentiment_label("t", "x", self.Fixed(0.7))[1] == "POS"
-
-    def test_provider_failure_neutral(self):
-        class Boom:
-            def score(self, tweet_id, text):
-                raise RuntimeError("down")
-
-        p, label = sentiment_label("t", "x", Boom())
-        assert (p, label) == (0.5, "NEU")
 
     def test_lexicon_directional(self):
         lex = LexiconSentimentProvider()
