@@ -5,10 +5,12 @@ Both objectives are the literal sums (no 1/n factor):
   logistic:      -sum_i [y_i log p_i + (1-y_i) log(1-p_i)] + lam * ||w||_1
   least squares:  sum_i (y_i - x_i.w - b)^2               + alpha * ||w||_1
 
-with an unpenalized bias. The logistic solver is proximal gradient (ISTA with
-a backtracking line search, so the objective is nonincreasing by construction);
-the Lasso solver is cyclic coordinate descent with exact soft-threshold
-updates, run over a working set that a full-gradient KKT check keeps honest.
+with an unpenalized bias. Each solver fits the design it is given and returns
+weights in that design's frame; `selection` alone standardizes. The logistic
+solver is proximal gradient (ISTA with a backtracking line search, so the
+objective is nonincreasing by construction); the Lasso solver is cyclic
+coordinate descent with exact soft-threshold updates, run over a working set
+that a full-gradient KKT check keeps honest.
 """
 from __future__ import annotations
 
@@ -47,9 +49,6 @@ class LinearModel:
     converged: bool = True
     n_iter: int = 0
     objective_path: list[float] = field(default_factory=list)
-    # (weights, bias) in the standardized frame the solver ran in: the
-    # warm-start handle for penalty paths
-    std_state: tuple | None = field(default=None, repr=False, compare=False)
 
     def decision(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.weights + self.bias
@@ -63,22 +62,6 @@ class LinearModel:
         return {n: float(w) for n, w in zip(self.feature_names, self.weights)}
 
 
-def _standardize(X):
-    """Z-scored columns, plus the (mean, scale, alive) frame that maps a
-    solution back; zero-variance columns come out all zero."""
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    alive = scale > 1e-12
-    scale_safe = np.where(alive, scale, 1.0)
-    return np.where(alive, (X - mean) / scale_safe, 0.0), mean, scale_safe, alive
-
-
-def _destandardize(w_std, b_std, mean, scale, alive):
-    w = np.where(alive, w_std / scale, 0.0)
-    b = b_std - float(mean @ w)
-    return w, b
-
-
 def _logistic_objective(Xw_b, y, w, lam):
     # -sum[y log p + (1-y) log(1-p)] computed stably from the margin
     z = Xw_b
@@ -87,18 +70,16 @@ def _logistic_objective(Xw_b, y, w, lam):
 
 
 def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
-                    feature_names=None, standardize: bool = True,
-                    warm_start: tuple | None = None) -> LinearModel:
-    """ISTA with backtracking line search on logistic loss + lam*||w||_1."""
+                    feature_names=None, warm_start: tuple | None = None) -> LinearModel:
+    """ISTA with backtracking line search on logistic loss + lam*||w||_1.
+
+    `warm_start` is a (weights, bias) pair in X's frame, such as a previous
+    fit's.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
-    if standardize:
-        Xs, mean, scale, alive = _standardize(X)
-    else:
-        Xs, mean, scale, alive = X, np.zeros(p), np.ones(p), np.ones(p, bool)
-
     if warm_start is not None:
         w = warm_start[0].copy()
         b = float(warm_start[1])
@@ -106,7 +87,7 @@ def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
         w = np.zeros(p)
         b = 0.0
     step = 1.0
-    z = Xs @ w + b
+    z = X @ w + b
     obj = _logistic_objective(z, y, w, lam)
     path = [obj]
     converged = False
@@ -114,14 +95,14 @@ def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
     for it in range(1, max_iter + 1):
         prob = sigmoid(z)
         resid = prob - y
-        grad_w = Xs.T @ resid
+        grad_w = X.T @ resid
         grad_b = float(resid.sum())
         smooth = obj - lam * float(np.abs(w).sum())
         step = min(step * 2.0, 1e6)   # allow recovery after conservative steps
         while True:
             w_new = soft_threshold(w - step * grad_w, step * lam)
             b_new = b - step * grad_b
-            z_new = Xs @ w_new + b_new
+            z_new = X @ w_new + b_new
             dw = w_new - w
             db = b_new - b
             smooth_new = float(np.sum(np.logaddexp(0.0, z_new) - y * z_new))
@@ -142,29 +123,25 @@ def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
             break
     if not converged:
         warnings.warn(f"l1 logistic did not converge in {it} iterations", NotConverged)
-    w_out, b_out = _destandardize(w, b, mean, scale, alive)
-    return LinearModel(w_out, b_out, names, lam, "LOGISTIC", converged=converged,
-                       n_iter=it, objective_path=path, std_state=(w, b))
+    return LinearModel(w, b, names, lam, "LOGISTIC", converged=converged,
+                       n_iter=it, objective_path=path)
 
 
 def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
-              feature_names=None, standardize: bool = True, fit_bias: bool = True,
+              feature_names=None, fit_bias: bool = True,
               warm_start: tuple | None = None) -> LinearModel:
     """Cyclic coordinate descent with exact soft-threshold updates.
 
     Minimizes sum (y - Xw - b)^2 + alpha*||w||_1; the bias is refreshed to the
     mean residual after every sweep. After each full sweep, converged inner
     sweeps iterate over the active set only (classic speedup), with a final
-    full sweep verifying the fixpoint.
+    full sweep verifying the fixpoint. `warm_start` is a (weights, bias) pair
+    in X's frame, such as a previous fit's.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     names = list(feature_names) if feature_names is not None else [f"x{j}" for j in range(p)]
-    if standardize:
-        Xs, mean, scale, alive = _standardize(X)
-    else:
-        Xs, mean, scale, alive = X, np.zeros(p), np.ones(p), np.ones(p, bool)
 
     if warm_start is not None:
         w = warm_start[0].copy()
@@ -179,9 +156,9 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
     # The residual update keeps two roundings, d*x_j into `step` and then the
     # add (daxpy's default a=1 makes it an exact add): a fused r += d*x_j
     # would change the fitted models.
-    col_sq = (Xs ** 2).sum(axis=0).tolist()
-    cols = list(np.ascontiguousarray(Xs.T))   # contiguous per-coordinate rows
-    resid = y - Xs @ w - b
+    col_sq = (X ** 2).sum(axis=0).tolist()
+    cols = list(np.ascontiguousarray(X.T))   # contiguous per-coordinate rows
+    resid = y - X @ w - b
     step = np.empty(n)
     thresh = alpha / 2.0
     inv_n = 1.0 / max(n, 1)
@@ -228,7 +205,7 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
     path = [objective()]
     converged = False
     sweeps = 0
-    grad = Xs.T @ resid
+    grad = X.T @ resid
     in_set = (np.abs(2.0 * grad) > alpha) | (w != 0.0)
     kkt_slack = 1e-9 * max(1.0, alpha)
     for _round in range(100):
@@ -256,9 +233,9 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
                 sweeps += 1
                 if sweep(working) <= 1e-13 * w_scale:
                     break
-        resid = y - Xs @ w - b   # cancel accumulated float drift
+        resid = y - X @ w - b   # cancel accumulated float drift
         path.append(objective())
-        grad = Xs.T @ resid
+        grad = X.T @ resid
         violators = (w == 0.0) & (np.abs(2.0 * grad) > alpha + kkt_slack)
         if not violators.any():
             converged = inner_ok
@@ -266,18 +243,15 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
         in_set = (w != 0.0) | violators
     if not converged:
         warnings.warn(f"lasso did not converge in {sweeps} sweeps", NotConverged)
-    w_out, b_out = _destandardize(w, b, mean, scale, alive)
-    return LinearModel(w_out, b_out, names, alpha, "LEAST_SQUARES", converged=converged,
-                       n_iter=sweeps, objective_path=path, std_state=(w, b))
+    return LinearModel(w, b, names, alpha, "LEAST_SQUARES", converged=converged,
+                       n_iter=sweeps, objective_path=path)
 
 
 def lasso_kkt_violation(X, y, model: LinearModel) -> float:
     """Max KKT residual of sum-squares lasso at the model's solution.
 
     With r = Xw + b - y: zero coords need |2 x_j.r| <= alpha, nonzero coords
-    need 2 x_j.r + alpha*sign(w_j) = 0. Returns the largest violation. Only
-    meaningful for fits with standardize=False (the penalty applies to the
-    coefficients in the frame the optimizer ran in).
+    need 2 x_j.r + alpha*sign(w_j) = 0. Returns the largest violation.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

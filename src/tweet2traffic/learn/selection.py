@@ -1,38 +1,50 @@
 """Penalty grids and inner cross-validation for the L1 models.
 
-The grid multiplies the data-derived critical penalty (smallest value that
-zeroes every coefficient of the standardized problem) by the configured
-multipliers, giving a warm-startable descending path whose floor is 1% of
-critical. Inner CV scores each grid point on contiguous validation blocks.
+This module owns the column frame the solvers run in: it drops the columns
+that are constant on the training rows, z-scores the rest once per design,
+and maps each solution back. The grid multiplies the data-derived critical
+penalty (smallest value that zeroes every coefficient of the standardized
+problem) by the configured multipliers, giving a warm-startable descending
+path whose floor is 1% of critical. Inner CV scores each grid point on
+contiguous validation blocks.
 """
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
-from .optimizers import (
-    LinearModel,
-    _destandardize,
-    _standardize,
-    fit_l1_logistic,
-    fit_lasso,
-    sigmoid,
-)
+from .optimizers import LinearModel, fit_l1_logistic, fit_lasso, sigmoid
 
 _EPS = 1e-12
 
 
-def logistic_critical_lambda(X, y) -> float:
-    Xs = _standardize(np.asarray(X, dtype=float))[0]
-    y = np.asarray(y, dtype=float)
+def _alive_columns(X) -> np.ndarray:
+    return X.std(axis=0) > _EPS
+
+
+def _standardize(X):
+    """Z-scored columns, plus the (mean, scale, alive) frame that maps a
+    solution back; zero-variance columns come out all zero."""
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    alive = scale > _EPS
+    scale_safe = np.where(alive, scale, 1.0)
+    return np.where(alive, (X - mean) / scale_safe, 0.0), mean, scale_safe, alive
+
+
+def _destandardize(w_std, b_std, mean, scale, alive):
+    w = np.where(alive, w_std / scale, 0.0)
+    b = b_std - float(mean @ w)
+    return w, b
+
+
+def critical_penalty(Xs, y) -> float:
+    """Smallest logistic lambda that zeroes every coefficient on the
+    standardized design `Xs`. The Lasso's squared loss has twice the
+    gradient, so its critical alpha is exactly twice this."""
     return float(np.abs(Xs.T @ (y - y.mean())).max())
-
-
-def lasso_critical_alpha(X, y) -> float:
-    Xs = _standardize(np.asarray(X, dtype=float))[0]
-    y = np.asarray(y, dtype=float)
-    return float(2.0 * np.abs(Xs.T @ (y - y.mean())).max())
 
 
 def penalty_grid(critical: float, multipliers) -> list[float]:
@@ -57,27 +69,30 @@ def _squared_loss(y, prediction) -> float:
     return float(resid @ resid)
 
 
-def _alive_columns(X) -> np.ndarray:
-    return X.std(axis=0) > _EPS
+def _warm_path(fit, Xs, y, penalties, cv_tol, live_names) -> list[tuple]:
+    """(weights, bias) in `Xs`'s frame after each penalty of a descending path.
 
-
-def _expand(model: LinearModel, frame, alive: np.ndarray, feature_names) -> LinearModel:
-    """Map a model fit on the standardized live columns back to all columns."""
-    w, b = _destandardize(*model.std_state, *frame)
-    weights = np.zeros(alive.size)
-    weights[alive] = w
-    return LinearModel(weights, b, list(feature_names), model.l1_strength,
-                       model.task, converged=model.converged, n_iter=model.n_iter,
-                       objective_path=model.objective_path, std_state=model.std_state)
+    Every fit is loose (`cv_tol`, at most 200 iterations) and starts from the
+    previous solution. A capped path fit is expected, so the path's warnings
+    are silenced here; the caller's final fit still warns.
+    """
+    warm, states = None, []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for penalty in penalties:
+            model = fit(Xs, y, penalty, tol=cv_tol, max_iter=200, feature_names=live_names,
+                        warm_start=warm)
+            warm = (model.weights, model.bias)
+            states.append(warm)
+    return states
 
 
 def _cv_losses(fit, loss, X, y, grid, folds, cv_tol, live_names) -> np.ndarray:
     """Summed validation loss per penalty, one warm-started path per fold.
 
-    Each fold's training rows are standardized once and shared by the whole
-    path; `fit` runs on them unstandardized and its solution is mapped back to
-    X's frame for scoring, exactly as a fit with standardize=True would return.
-    `live_names` names X's columns for every fit of the path.
+    Each fold's training rows are standardized once for the whole path, and
+    each solution is mapped back to X's frame for scoring. `live_names`
+    names X's columns for every fit of the path.
     """
     n = len(y)
     scores = np.zeros(len(grid))
@@ -85,40 +100,21 @@ def _cv_losses(fit, loss, X, y, grid, folds, cv_tol, live_names) -> np.ndarray:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
         Xs, *frame = _standardize(X[mask])
-        warm = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for gi, penalty in enumerate(grid):
-                warm = fit(Xs, y[mask], penalty, tol=cv_tol, max_iter=200,
-                           feature_names=live_names, standardize=False,
-                           warm_start=warm).std_state
-                w, b = _destandardize(*warm, *frame)
-                scores[gi] += loss(y[fold], X[fold] @ w + b)
+        for gi, state in enumerate(_warm_path(fit, Xs, y[mask], grid, cv_tol, live_names)):
+            w, b = _destandardize(*state, *frame)
+            scores[gi] += loss(y[fold], X[fold] @ w + b)
     return scores
 
 
-def _fit_selected(fit, X, y, grid, best, cv_tol, tol, max_iter, alive, names,
-                  live_names):
-    """Warm path down to grid[best] on the full rows, then the final tight fit."""
-    Xs, *frame = _standardize(X)
-    warm = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for cand in grid[:best]:
-            warm = fit(Xs, y, cand, tol=cv_tol, max_iter=200, feature_names=live_names,
-                       standardize=False, warm_start=warm).std_state
-    model = fit(Xs, y, grid[best], tol=tol, max_iter=max_iter, feature_names=live_names,
-                standardize=False, warm_start=warm)
-    return _expand(model, frame, alive, names)
-
-
-def _fit_l1_cv(fit, loss, critical, scale, fold_ok, fallback, X, y, multipliers, n_folds,
-               tol, cv_tol, max_iter, feature_names) -> LinearModel:
+def _fit_l1_cv(fit, loss, critical_factor, scale, fold_ok, fallback, X, y, multipliers,
+               n_folds, tol, cv_tol, max_iter, feature_names) -> LinearModel:
     """The inner-CV penalty choice both L1 fits share; the callers pass what differs.
 
-    `critical` anchors the grid, `scale(y)` sizes the sum-form objective for
-    the stopping rules, folds failing `fold_ok(y, fold)` go unscored, and a
-    design with no live column gets `fallback(mean of y, names, n_features)`.
+    `critical_factor` times `critical_penalty` anchors the grid, `scale(y)`
+    sizes the sum-form objective for the stopping rules, folds failing
+    `fold_ok(y, fold)` go unscored, and a design with no live column gets
+    `fallback(mean of y, names, n_features)`. The chosen penalty is refit on
+    all rows, down the same warm path, in the frame of the whole design.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -130,15 +126,21 @@ def _fit_l1_cv(fit, loss, critical, scale, fold_ok, fallback, X, y, multipliers,
     live_names = [n for n, keep in zip(names, alive) if keep]
     size = scale(y)                 # stopping rules scale with the sum-form objective
     tol, cv_tol = tol * size, cv_tol * size
-    grid = penalty_grid(critical(Xa, y), multipliers)
+    Xs, *frame = _standardize(Xa)
+    grid = penalty_grid(critical_factor * critical_penalty(Xs, y), multipliers)
     folds = contiguous_folds(len(y), n_folds)
     scores = np.zeros(len(grid))
     if len(folds) >= 2:
         scores = _cv_losses(fit, loss, Xa, y, grid, [f for f in folds if fold_ok(y, f)],
                             cv_tol, live_names)
     best = int(np.argmin(scores))   # argmin takes the largest penalty on ties
-    return _fit_selected(fit, Xa, y, grid, best, cv_tol, tol, max_iter, alive, names,
-                         live_names)
+    path = _warm_path(fit, Xs, y, grid[:best], cv_tol, live_names)
+    model = fit(Xs, y, grid[best], tol=tol, max_iter=max_iter, feature_names=live_names,
+                warm_start=path[-1] if path else None)
+    w, b = _destandardize(model.weights, model.bias, *frame)
+    weights = np.zeros(X.shape[1])
+    weights[alive] = w
+    return replace(model, weights=weights, bias=b, feature_names=names)
 
 
 def fit_l1_logistic_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-6,
@@ -148,7 +150,7 @@ def fit_l1_logistic_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-6,
 
     A fold whose training rows hold a single class is left out.
     """
-    return _fit_l1_cv(fit_l1_logistic, _log_loss, logistic_critical_lambda,
+    return _fit_l1_cv(fit_l1_logistic, _log_loss, 1.0,
                       lambda y: max(1.0, float(len(y))),
                       lambda y, fold: len(set(np.delete(y, fold))) >= 2,
                       constant_logistic, X, y, multipliers, n_folds, tol, cv_tol, max_iter,
@@ -159,12 +161,11 @@ def fit_lasso_cv(X, y, multipliers, n_folds: int = 4, tol: float = 1e-8,
                  cv_tol: float = 1e-4, max_iter: int = 10000,
                  feature_names=None) -> LinearModel:
     """Penalty chosen by validation squared error over contiguous folds."""
-    return _fit_l1_cv(fit_lasso, _squared_loss, lasso_critical_alpha,
+    return _fit_l1_cv(fit_lasso, _squared_loss, 2.0,
                       lambda y: max(1.0, float(((y - y.mean()) ** 2).sum())),
                       lambda y, fold: True,
                       lambda mean, names, n: LinearModel(np.zeros(n), mean, names, 0.0,
-                                                         "LEAST_SQUARES",
-                                                         std_state=(np.zeros(n), mean)),
+                                                         "LEAST_SQUARES"),
                       X, y, multipliers, n_folds, tol, cv_tol, max_iter, feature_names)
 
 
@@ -172,5 +173,4 @@ def constant_logistic(rate: float, feature_names, n_features: int) -> LinearMode
     """Degenerate-target fallback: zero weights, bias at the clipped base-rate logit."""
     p = min(max(rate, 1e-6), 1 - 1e-6)
     bias = float(np.log(p / (1 - p)))
-    return LinearModel(np.zeros(n_features), bias, list(feature_names), 0.0, "LOGISTIC",
-                       std_state=(np.zeros(n_features), bias))
+    return LinearModel(np.zeros(n_features), bias, list(feature_names), 0.0, "LOGISTIC")

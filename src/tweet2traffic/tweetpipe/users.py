@@ -49,8 +49,6 @@ def profile_matches_resident(profile: str | None, lexicon, bbox) -> bool:
 
 @dataclass
 class UserProfile:
-    user_id: str
-    geocoded_count: int
     is_resident: bool
     location_range_m: float
 
@@ -69,14 +67,13 @@ def filter_influential_users(tweets, cfg: TweetConfig, lexicon=None) -> dict[str
     out = {}
     for user_id in sorted(coords_by_user):
         coords = np.asarray(coords_by_user[user_id], dtype=float)
-        count = len(coords)
-        if count < cfg.influential_min_geocoded:
+        if len(coords) < cfg.influential_min_geocoded:
             continue
         resident = profile_matches_resident(profile_by_user.get(user_id), lexicon, cfg.bbox)
         # bbox-diagonal location range; identical to max pairwise at the 10 m scale
         rng_km = float(haversine_km(coords[:, 0].min(), coords[:, 1].min(),
                                     coords[:, 0].max(), coords[:, 1].max()))
-        out[user_id] = UserProfile(user_id, count, resident, rng_km * 1000.0)
+        out[user_id] = UserProfile(resident, rng_km * 1000.0)
     return out
 
 

@@ -58,6 +58,7 @@ def test_criterion_1_optimizers():
         lasso_kkt_violation,
         sigmoid,
     )
+    from tweet2traffic.learn.selection import _standardize
 
     t0 = time.time()
     rng = np.random.default_rng(101)
@@ -71,7 +72,7 @@ def test_criterion_1_optimizers():
         w_true = rng.normal(size=p) * (rng.random(p) < 0.3)
         y = X @ w_true + 0.5 * rng.normal(size=n)
         alpha = float(rng.uniform(0.05, 30.0))
-        model = fit_lasso(X, y, alpha=alpha, standardize=False)
+        model = fit_lasso(X, y, alpha=alpha)
         worst_kkt = max(worst_kkt, lasso_kkt_violation(X, y, model))
     checks.append(("lasso KKT on 100 random instances", worst_kkt < 1e-6,
                    f"max violation {worst_kkt:.2e} < 1e-6"))
@@ -82,7 +83,7 @@ def test_criterion_1_optimizers():
         ols = rng.normal(size=8) * 3
         y = Q @ ols
         alpha = float(rng.uniform(0.5, 4.0))
-        model = fit_lasso(Q, y, alpha=alpha, standardize=False, fit_bias=False)
+        model = fit_lasso(Q, y, alpha=alpha, fit_bias=False)
         closed = np.sign(ols) * np.maximum(np.abs(ols) - alpha / 2.0, 0.0)
         worst_ortho = max(worst_ortho, float(np.abs(model.weights - closed).max()))
     checks.append(("orthonormal-design closed form", worst_ortho < 1e-8,
@@ -94,7 +95,7 @@ def test_criterion_1_optimizers():
         p = int(rng.integers(2, 30))
         X = rng.normal(size=(n, p))
         y = (rng.random(n) < sigmoid(X[:, 0])).astype(float)
-        model = fit_l1_logistic(X, y, lam=float(rng.uniform(0.1, 5.0)))
+        model = fit_l1_logistic(_standardize(X)[0], y, lam=float(rng.uniform(0.1, 5.0)))
         path = model.objective_path
         monotone &= all(a >= b - 1e-9 for a, b in zip(path, path[1:]))
     checks.append(("L1-logistic objective nonincreasing", monotone, "20 fits checked"))

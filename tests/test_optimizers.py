@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,13 +16,13 @@ from tweet2traffic.learn.optimizers import (
 from tweet2traffic.learn.selection import (
     _alive_columns,
     _cv_losses,
+    _destandardize,
     _log_loss,
     _squared_loss,
+    _standardize,
     contiguous_folds,
     fit_l1_logistic_cv,
     fit_lasso_cv,
-    lasso_critical_alpha,
-    logistic_critical_lambda,
     penalty_grid,
 )
 
@@ -35,11 +36,19 @@ def random_instance(rng, n, p, noise=0.5):
     return X, y
 
 
+def standardized(fit, X, y, penalty, **kw):
+    """`fit` on X's z-scored columns, its weights mapped back to X's frame."""
+    Xs, *frame = _standardize(X)
+    model = fit(Xs, y, penalty, **kw)
+    w, b = _destandardize(model.weights, model.bias, *frame)
+    return replace(model, weights=w, bias=b)
+
+
 class TestLasso:
     def test_alpha_zero_matches_least_squares(self):
         rng = np.random.default_rng(0)
         X, y = random_instance(rng, 80, 10)
-        model = fit_lasso(X, y, alpha=0.0, standardize=False)
+        model = fit_lasso(X, y, alpha=0.0)
         A = np.column_stack([X, np.ones(len(y))])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         assert np.abs(model.weights - coef[:-1]).max() < 1e-6
@@ -51,7 +60,7 @@ class TestLasso:
         x = rng.normal(size=40)
         x /= np.linalg.norm(x)
         y = 2.0 * x
-        model = fit_lasso(x[:, None], y, alpha=1.0, standardize=False, fit_bias=False)
+        model = fit_lasso(x[:, None], y, alpha=1.0, fit_bias=False)
         assert model.weights[0] == pytest.approx(1.5, abs=1e-8)
 
     def test_orthonormal_multicolumn(self):
@@ -60,7 +69,7 @@ class TestLasso:
         ols = np.array([3.0, -1.2, 0.3, 0.0, -0.6])
         y = Q @ ols
         alpha = 1.0
-        model = fit_lasso(Q, y, alpha=alpha, standardize=False, fit_bias=False)
+        model = fit_lasso(Q, y, alpha=alpha, fit_bias=False)
         want = np.sign(ols) * np.maximum(np.abs(ols) - alpha / 2.0, 0.0)
         assert np.abs(model.weights - want).max() < 1e-8
 
@@ -68,7 +77,7 @@ class TestLasso:
         rng = np.random.default_rng(3)
         X, y = random_instance(rng, 60, 8)
         alpha_max = 2.0 * np.abs(X.T @ (y - y.mean())).max()
-        model = fit_lasso(X, y, alpha=alpha_max * 1.001, standardize=False)
+        model = fit_lasso(X, y, alpha=alpha_max * 1.001)
         assert np.all(model.weights == 0.0)
         assert model.bias == pytest.approx(y.mean())
 
@@ -79,23 +88,22 @@ class TestLasso:
             p = int(rng.integers(2, 50))
             X, y = random_instance(rng, n, p)
             alpha = float(rng.uniform(0.1, 20.0))
-            model = fit_lasso(X, y, alpha=alpha, standardize=False)
+            model = fit_lasso(X, y, alpha=alpha)
             assert lasso_kkt_violation(X, y, model) < 1e-6
 
     def test_warm_start_same_solution(self):
         rng = np.random.default_rng(5)
         X, y = random_instance(rng, 50, 12)
-        cold = fit_lasso(X, y, alpha=5.0, standardize=False)
-        first = fit_lasso(X, y, alpha=20.0, standardize=False)
-        warm = fit_lasso(X, y, alpha=5.0, standardize=False,
-                         warm_start=first.std_state)
+        cold = fit_lasso(X, y, alpha=5.0)
+        first = fit_lasso(X, y, alpha=20.0)
+        warm = fit_lasso(X, y, alpha=5.0, warm_start=(first.weights, first.bias))
         assert np.abs(cold.weights - warm.weights).max() < 1e-6
 
     def test_zero_variance_column_zero_coef(self):
         rng = np.random.default_rng(6)
         X, y = random_instance(rng, 40, 5)
         X[:, 2] = 3.14
-        model = fit_lasso(X, y, alpha=1.0)
+        model = standardized(fit_lasso, X, y, 1.0)
         assert model.weights[2] == 0.0
 
 
@@ -105,7 +113,7 @@ class TestL1Logistic:
         for _ in range(10):
             X = rng.normal(size=(60, 8))
             y = (rng.random(60) < sigmoid(X[:, 0] - 0.5)).astype(float)
-            model = fit_l1_logistic(X, y, lam=1.0)
+            model = standardized(fit_l1_logistic, X, y, 1.0)
             path = model.objective_path
             assert all(a >= b - 1e-9 for a, b in zip(path, path[1:]))
 
@@ -113,7 +121,7 @@ class TestL1Logistic:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(200, 6))
         y = (rng.random(200) < 0.3).astype(float)
-        model = fit_l1_logistic(X, y, lam=1e6, tol=1e-10)
+        model = standardized(fit_l1_logistic, X, y, 1e6, tol=1e-10)
         pbar = y.mean()
         assert np.all(model.weights == 0.0)
         assert model.bias == pytest.approx(np.log(pbar / (1 - pbar)), abs=1e-3)
@@ -124,13 +132,13 @@ class TestL1Logistic:
         y = (rng.random(50) < 0.5).astype(float)
         X = np.concatenate([x, -x])[:, None]
         yy = np.concatenate([y, y])
-        model = fit_l1_logistic(X, yy, lam=0.5, standardize=False)
+        model = fit_l1_logistic(X, yy, lam=0.5)
         assert abs(model.weights[0]) < 1e-8
 
     def test_separable_data_finite_weights(self):
         X = np.linspace(-2, 2, 40)[:, None]
         y = (X[:, 0] > 0).astype(float)
-        model = fit_l1_logistic(X, y, lam=0.5)
+        model = standardized(fit_l1_logistic, X, y, 0.5)
         assert np.all(np.isfinite(model.weights))
         assert np.isfinite(model.bias)
 
@@ -139,7 +147,7 @@ class TestL1Logistic:
         X = rng.normal(size=(400, 5))
         logits = 2.0 * X[:, 1] - 1.5 * X[:, 3]
         y = (rng.random(400) < sigmoid(logits)).astype(float)
-        model = fit_l1_logistic(X, y, lam=2.0)
+        model = standardized(fit_l1_logistic, X, y, 2.0)
         assert model.weights[1] > 0.1
         assert model.weights[3] < -0.1
         assert abs(model.weights[0]) < abs(model.weights[1])
@@ -148,7 +156,7 @@ class TestL1Logistic:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(30, 4))
         y = (rng.random(30) < 0.5).astype(float)
-        model = fit_l1_logistic(X, y, lam=0.1)
+        model = standardized(fit_l1_logistic, X, y, 0.1)
         proba = model.predict_proba(X)
         assert np.all((proba > 0) & (proba < 1))
 
@@ -164,7 +172,7 @@ def test_sigmoid_extremes_stable():
 
 
 # --------------------------------------------------------------------------
-# Bit-for-bit guard: the BLAS sweep in fit_lasso and the shared per-fold
+# Bit-for-bit guard: the BLAS sweep in fit_lasso and selection's per-design
 # standardization in the CV loops must reproduce the scalar solver exactly.
 # --------------------------------------------------------------------------
 
@@ -287,10 +295,24 @@ def assert_same_fit(model, ref):
     assert model.std_state[0].tobytes() == ref.std_state[0].tobytes()
 
 
+def solver_fit(X, y, alpha, standardize=True, **kw):
+    """fit_lasso in the reference's form: on X's z-scored columns when
+    `standardize`, with `std_state` the solver's own (weights, bias)."""
+    if standardize:
+        Xs, *frame = _standardize(X)
+    else:
+        Xs, frame = X, (np.zeros(X.shape[1]), np.ones(X.shape[1]), True)
+    model = fit_lasso(Xs, y, alpha, **kw)
+    w, b = _destandardize(model.weights, model.bias, *frame)
+    return SimpleNamespace(weights=w, bias=b, n_iter=model.n_iter, converged=model.converged,
+                           objective_path=model.objective_path,
+                           std_state=(model.weights, model.bias))
+
+
 def both_fits(X, y, alpha, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConverged)
-        return fit_lasso(X, y, alpha, **kw), reference_fit_lasso(X, y, alpha, **kw)
+        return solver_fit(X, y, alpha, **kw), reference_fit_lasso(X, y, alpha, **kw)
 
 
 class TestLassoMatchesScalarSweep:
@@ -315,8 +337,8 @@ class TestLassoMatchesScalarSweep:
         for m in (0.3, 0.1, 0.03, 0.01):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NotConverged)
-                model = fit_lasso(X, y, m * critical, standardize=False, tol=1e-4,
-                                  max_iter=200, warm_start=warm)
+                model = solver_fit(X, y, m * critical, standardize=False, tol=1e-4,
+                                   max_iter=200, warm_start=warm)
                 ref = reference_fit_lasso(X, y, m * critical, standardize=False,
                                           tol=1e-4, max_iter=200, warm_start=ref_warm)
             assert_same_fit(model, ref)
@@ -348,6 +370,11 @@ class TestLassoMatchesScalarSweep:
         assert not model.converged and model.n_iter == 200
 
 
+def _reference_critical(X, y):
+    """The smallest logistic lambda that zeroes every standardized coefficient."""
+    return float(np.abs(_reference_standardize(X)[0].T @ (y - y.mean())).max())
+
+
 def _reference_lasso_cv(X, y, multipliers, n_folds=4, tol=1e-8, cv_tol=1e-4):
     """fit_lasso_cv's loop as first written: the scalar solver standardizes
     every fold's rows again for every penalty."""
@@ -355,7 +382,7 @@ def _reference_lasso_cv(X, y, multipliers, n_folds=4, tol=1e-8, cv_tol=1e-4):
     Xa = X[:, alive]
     n = len(y)
     scale = max(1.0, float(((y - y.mean()) ** 2).sum()))
-    grid = penalty_grid(lasso_critical_alpha(Xa, y), multipliers)
+    grid = penalty_grid(2.0 * _reference_critical(Xa, y), multipliers)
     scores = np.zeros(len(grid))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConverged)
@@ -381,12 +408,12 @@ def _reference_lasso_cv(X, y, multipliers, n_folds=4, tol=1e-8, cv_tol=1e-4):
 
 
 def _reference_logistic_cv(X, y, multipliers, n_folds=4, tol=1e-6, cv_tol=1e-4):
-    """fit_l1_logistic_cv's loop as first written: the solver standardizes
-    every fold's rows again for every penalty."""
+    """fit_l1_logistic_cv's loop as first written: every fold's rows are
+    standardized again for every penalty."""
     alive = _alive_columns(X)
     Xa = X[:, alive]
     n = len(y)
-    grid = penalty_grid(logistic_critical_lambda(Xa, y), multipliers)
+    grid = penalty_grid(_reference_critical(Xa, y), multipliers)
     scores = np.zeros(len(grid))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NotConverged)
@@ -397,21 +424,26 @@ def _reference_logistic_cv(X, y, multipliers, n_folds=4, tol=1e-6, cv_tol=1e-4):
                 continue
             warm = None
             for gi, lam in enumerate(grid):
-                model = fit_l1_logistic(Xa[mask], y[mask], lam, tol=cv_tol * n,
+                Xs, *frame = _reference_standardize(Xa[mask])
+                model = fit_l1_logistic(Xs, y[mask], lam, tol=cv_tol * n,
                                         max_iter=200, warm_start=warm)
-                warm = model.std_state
-                p = np.clip(model.predict_proba(Xa[fold]), 1e-12, 1 - 1e-12)
+                warm = (model.weights, model.bias)
+                w, b = _reference_destandardize(*warm, *frame)
+                p = np.clip(sigmoid(Xa[fold] @ w + b), 1e-12, 1 - 1e-12)
                 scores[gi] += float(-(y[fold] * np.log(p)
                                       + (1 - y[fold]) * np.log(1 - p)).sum())
         best = int(np.argmin(scores))
         warm = None
         for cand in grid[:best]:
-            warm = fit_l1_logistic(Xa, y, cand, tol=cv_tol * n, max_iter=200,
-                                   warm_start=warm).std_state
-        model = fit_l1_logistic(Xa, y, grid[best], tol=tol * n, warm_start=warm)
+            model = fit_l1_logistic(_reference_standardize(Xa)[0], y, cand, tol=cv_tol * n,
+                                    max_iter=200, warm_start=warm)
+            warm = (model.weights, model.bias)
+        Xs, *frame = _reference_standardize(Xa)
+        model = fit_l1_logistic(Xs, y, grid[best], tol=tol * n, warm_start=warm)
+        w, b = _reference_destandardize(model.weights, model.bias, *frame)
     weights = np.zeros(X.shape[1])
-    weights[alive] = model.weights
-    return scores, grid[best], weights, model.bias
+    weights[alive] = w
+    return scores, grid[best], weights, b
 
 
 MULTIPLIERS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
@@ -429,7 +461,7 @@ def test_lasso_cv_matches_reference_loop():
         Xa = X[:, _alive_columns(X)]
         scale = max(1.0, float(((y - y.mean()) ** 2).sum()))
         scores = _cv_losses(fit_lasso, _squared_loss, Xa, y,
-                            penalty_grid(lasso_critical_alpha(Xa, y), MULTIPLIERS),
+                            penalty_grid(2.0 * _reference_critical(Xa, y), MULTIPLIERS),
                             contiguous_folds(len(y), 4), 1e-4 * scale,
                             [f"x{j}" for j in range(Xa.shape[1])])
     ref_scores, alpha, weights, bias = _reference_lasso_cv(X, y, MULTIPLIERS)
@@ -450,7 +482,7 @@ def test_logistic_cv_matches_reference_loop():
         model = fit_l1_logistic_cv(X, y, MULTIPLIERS)
         Xa = X[:, _alive_columns(X)]
         scores = _cv_losses(fit_l1_logistic, _log_loss, Xa, y,
-                            penalty_grid(logistic_critical_lambda(Xa, y), MULTIPLIERS),
+                            penalty_grid(_reference_critical(Xa, y), MULTIPLIERS),
                             contiguous_folds(len(y), 4), 1e-4 * len(y),
                             [f"x{j}" for j in range(Xa.shape[1])])
     ref_scores, lam, weights, bias = _reference_logistic_cv(X, y, MULTIPLIERS)
@@ -459,3 +491,16 @@ def test_logistic_cv_matches_reference_loop():
     assert model.weights.tobytes() == weights.tobytes()
     assert repr(model.bias) == repr(bias)
     assert np.count_nonzero(weights) > 0
+
+
+def test_cv_fits_warn_only_for_the_final_fit():
+    # the warm paths' capped fits are silenced (cv_tol=0 caps many of them);
+    # the final fit's cap is not
+    rng = np.random.default_rng(17)
+    X, y = random_instance(rng, 48, 12)
+    for fit_cv, target in ((fit_lasso_cv, y), (fit_l1_logistic_cv, (y > np.median(y)) * 1.0)):
+        for kw, expected in (({"max_iter": 1}, 1), ({}, 0), ({"cv_tol": 0.0}, 0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit_cv(X, target, MULTIPLIERS, **kw)
+            assert sum(issubclass(w.category, NotConverged) for w in caught) == expected

@@ -3,8 +3,10 @@
 The benchmark's tracer wraps `weather_features`, `build_feature_matrix`,
 `geotag_timeline`, `encode_sleep_wake`, `segment_design`,
 `fit_ordered_descriptor` and `fit_segment_models` where `harness.pipeline`
-looks them up, and `fit_lasso_cv` and `fit_l1_logistic_cv` where
-`learn.stack` looks them up. A refactor that inlines one of them, or reaches
+looks them up, `fit_lasso_cv` and `fit_l1_logistic_cv` where `learn.stack`
+looks them up, and the solvers `fit_lasso` and `fit_l1_logistic` where
+`learn.selection`'s warm paths and final fits look them up (the benchmark
+counts their `NotConverged` returns there). A refactor that inlines one of them, or reaches
 it through another name, keeps the name resolvable but no longer calls it
 there, which silently zeroes that layer in every benchmark run.
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 from tweet2traffic.config import PipelineConfig
 from tweet2traffic.harness import pipeline
 from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
-from tweet2traffic.learn import stack
+from tweet2traffic.learn import selection, stack
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from spans import SITES  # noqa: E402
@@ -25,7 +27,8 @@ TRACED = ("weather_features", "build_feature_matrix", "geotag_timeline",
 # what fit_stack must reach, by the module that looks it up
 FIT_TRACED = ((pipeline, "fit_ordered_descriptor"), (pipeline, "fit_segment_models"),
               (pipeline, "segment_design"), (stack, "fit_lasso_cv"),
-              (stack, "fit_l1_logistic_cv"))
+              (stack, "fit_l1_logistic_cv"), (selection, "fit_lasso"),
+              (selection, "fit_l1_logistic"))
 
 
 def test_traced_names_are_pipeline_sites():
@@ -72,3 +75,4 @@ def test_fit_stack_reaches_the_traced_learn_calls(monkeypatch):
     assert calls["fit_segment_models"] == len(prepared.segments)
     assert calls["segment_design"] == 1
     assert calls["fit_lasso_cv"] and calls["fit_l1_logistic_cv"], calls
+    assert calls["fit_lasso"] and calls["fit_l1_logistic"], calls
