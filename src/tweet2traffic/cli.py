@@ -30,6 +30,7 @@ from .harness.pipeline import (
     build_split,
     clean_tweet_texts,
     day_blocks,
+    day_rows,
     descriptor_scales,
     fit_stack,
     prepare_data,
@@ -81,7 +82,8 @@ def _full_span(args):
 
 
 def cmd_synth(args) -> int:
-    overrides = json.loads(Path(args.synth_config).read_text()) if args.synth_config else {}
+    overrides = json.loads(Path(args.synth_config).read_text(encoding="utf-8")) \
+        if args.synth_config else {}
     if "start_date" in overrides:
         overrides["start_date"] = date_t.fromisoformat(overrides["start_date"])
     cfg = SyntheticConfig(**overrides)
@@ -222,11 +224,12 @@ def _feature_state(meta: dict):
 
 
 def cmd_predict(args) -> int:
-    descriptors, segments, meta = bundle_from_json(Path(args.model).read_text())
+    descriptors, segments, meta = bundle_from_json(Path(args.model).read_text(encoding="utf-8"))
     train_end, homes, bounds = _feature_state(meta)
     cfg = _data_config(args)
     target = date_t.fromisoformat(args.date) if args.date else train_end + timedelta(days=1)
-    blocks = day_blocks(load_bundle(args.data, skip=("speed", "zones")), cfg, [target])
+    bundle = load_bundle(args.data, skip=("speed", "zones"), keep=day_rows(cfg, target))
+    blocks = day_blocks(bundle, cfg, [target])
     road_matrix = road_features(blocks, [target], homes, bounds)
     served = {s.segment_id for s in blocks.segments}
     if served != set(segments):

@@ -120,24 +120,26 @@ def bulk_incident_features(incidents, road_segments, days, day_filter,
     day_pos = {d: i for i, d in enumerate(days)}
     out = {seg.segment_id: np.zeros((len(days), 2 * len(LOCATION_CODES) * N_HOURS))
            for seg in road_segments}
-    if not incidents:
-        return out
     orientation = road_orientation(road_segments)
     for rec in incidents:
+        # (row, closed hours) of each requested, usable day the closure reaches;
+        # the geometry is worked out only for a record that has one
+        hits = []
+        for day in incident_days(rec):
+            if day in day_pos and day_filter(rec, day):
+                hour_idx = np.flatnonzero(incident_time_window(rec, day))
+                if hour_idx.size:
+                    hits.append((day_pos[day], hour_idx))
+        if not hits:
+            continue
         geom = _IncidentGeometry(rec, road_segments)
         triples = {seg.segment_id: incident_location_impact(geom, seg, orientation,
                                                             d_thres_km)
                    for seg in road_segments}
         plane = 0 if rec.closure_type == "PARTIAL" else len(LOCATION_CODES)
-        for day in incident_days(rec):
-            if day not in day_pos or not day_filter(rec, day):
-                continue
-            hours = incident_time_window(rec, day)
-            if not hours.any():
-                continue
-            hour_idx = np.flatnonzero(hours)
+        for pos, hour_idx in hits:
             for seg in road_segments:
-                row = out[seg.segment_id][day_pos[day]]
+                row = out[seg.segment_id][pos]
                 for loc, impact in enumerate(triples[seg.segment_id]):
                     if impact > 0:
                         cols = (plane + loc) * N_HOURS + hour_idx

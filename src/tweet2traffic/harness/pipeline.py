@@ -3,7 +3,8 @@
 DayBlocks holds the split-independent feature blocks of a day list, one
 (n_days, n_cols) array per family in layout order: period counts and neutral
 shares, unscaled weather hours, time features and each segment's incident
-features. `t2t predict` builds them for the target day alone.
+features. `t2t predict` builds them for the target day alone, from the
+records that `day_rows` keeps.
 PreparedData adds what the training span needs over every speed day: the
 speed cube and its gap-filled mornings, cleaned tweet text, and the tract and
 land-use joins.
@@ -131,6 +132,38 @@ def clean_tweet_texts(cfg: PipelineConfig, tweets) -> dict[str, str]:
             for text in dict.fromkeys(t.text for t in tweets)}
 
 
+# A day's geo window (event indicators) runs from 05:00 on its eve to 05:00
+# on the day, and its sleep/wake window from 12:00 to 12:00.
+GEO_ANCHOR_HOUR, SLEEP_ANCHOR_HOUR = 5, 12
+
+
+def _anchor_day(ts: datetime, hour: int) -> date_t:
+    """The day whose window from `hour` on the eve to `hour` on the day holds `ts`."""
+    return ts.date() + timedelta(days=1) if ts.hour >= hour else ts.date()
+
+
+def day_rows(config: PipelineConfig, day: date_t):
+    """The `load_bundle` `keep` of the rows a one-day `day_blocks` of `day` reads.
+
+    Tweets from 05:00 on the eve up to 12:00 on the day, where the geo and
+    sleep/wake windows of `day` lie, and every tweet of an agency account,
+    whatever its time, since its series is assembled into incident records.
+    Weather from 00:00 on the day on: `weather_hours` fills forward only.
+    """
+    anchors = (GEO_ANCHOR_HOUR, SLEEP_ANCHOR_HOUR)
+    first = datetime.combine(day - timedelta(days=1), time(min(anchors)))
+    end = datetime.combine(day, time(max(anchors)))
+    midnight = datetime.combine(day, time(0))
+    agency = frozenset(config.tweets.agency_user_ids)
+
+    def keep(kind, ts, user_id):
+        if kind == "weather":
+            return ts >= midnight
+        return first <= ts < end or user_id in agency
+
+    return keep
+
+
 def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
                clean_texts: dict[str, str] | None = None) -> DayBlocks:
     """The split-independent feature blocks of `days`.
@@ -155,8 +188,7 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
     for t in bundle.tweets:
         if t.coord is None or not _in_bbox(t.coord, cfg.tweets.bbox):
             continue
-        anchor = t.timestamp.date() + timedelta(days=1) if t.timestamp.hour >= 5 \
-            else t.timestamp.date()
+        anchor = _anchor_day(t.timestamp, GEO_ANCHOR_HOUR)
         if anchor in geo_by_window:
             geo_by_window[anchor].append(t)
             in_window.append(t)
@@ -184,9 +216,8 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
     for t in bundle.tweets:
         if t.kind not in cfg.tweets.timeline_kinds_for_sleep:
             continue
-        h = t.timestamp.hour
-        anchor = t.timestamp.date() + timedelta(days=1) if h >= 12 else t.timestamp.date()
-        if anchor in sleep_buckets and h in pulse_hours:
+        anchor = _anchor_day(t.timestamp, SLEEP_ANCHOR_HOUR)
+        if anchor in sleep_buckets and t.timestamp.hour in pulse_hours:
             sleep_buckets[anchor].setdefault(t.user_id, []).append(t)
 
     # records parsed from agency tweets, merged with the RCRS rows

@@ -251,7 +251,7 @@ def _load_incidents(path):
     return out
 
 
-def _load_weather(path):
+def _load_weather(path, keep):
     out = []
     seen = set()
     for i, row in read_rows(path, "weather"):
@@ -267,16 +267,16 @@ def _load_weather(path):
         sev = int(_parse_float(row[8], i, "wx_severity"))
         if sev < 0:
             raise ParseError(i, "negative wx_severity")
-        out.append(WeatherRecord(
-            ts, _parse_float(row[1], i, "temp"), _parse_float(row[2], i, "humidity"),
-            _parse_float(row[3], i, "wind"), _parse_float(row[4], i, "pressure"),
-            _parse_float(row[5], i, "visibility"), _parse_float(row[6], i, "precip"),
-            wet in ("1", "true"), sev))
+        values = (_parse_float(row[1], i, "temp"), _parse_float(row[2], i, "humidity"),
+                  _parse_float(row[3], i, "wind"), _parse_float(row[4], i, "pressure"),
+                  _parse_float(row[5], i, "visibility"), _parse_float(row[6], i, "precip"))
+        if keep is None or keep("weather", ts, None):
+            out.append(WeatherRecord(ts, *values, wet in ("1", "true"), sev))
     out.sort(key=_SORT_KEYS["weather"])
     return out
 
 
-def _load_tweets(path):
+def _load_tweets(path, keep):
     out = []
     kinds = ("GEOCODED", "TIMELINE", "RETWEET", "FAVORITE")
     for i, row in read_rows(path, "tweets"):
@@ -287,8 +287,9 @@ def _load_tweets(path):
             coord = (_parse_float(row[4], i, "lat"), _parse_float(row[5], i, "lon"))
         if row[3] == "GEOCODED" and coord is None:
             raise ParseError(i, "GEOCODED tweet without coordinates")
-        out.append(Tweet(row[0], row[1], _parse_ts(row[2], i), row[7],
-                         coord, row[6] or None, row[3]))
+        ts = _parse_ts(row[2], i)
+        if keep is None or keep("tweets", ts, row[1]):
+            out.append(Tweet(row[0], row[1], ts, row[7], coord, row[6] or None, row[3]))
     out.sort(key=_SORT_KEYS["tweets"])
     return out
 
@@ -388,10 +389,16 @@ _LOADERS = {
 }
 
 
-def load_dataset(kind: str, path):
-    """Load and validate one dataset; see SCHEMAS for the expected headers."""
+def load_dataset(kind: str, path, keep=None):
+    """Load and validate one dataset; see SCHEMAS for the expected headers.
+
+    `keep` filters tweet and weather records as in `load_bundle`; the other
+    kinds load whole.
+    """
     if kind not in _LOADERS:
         raise ValueError(f"unknown dataset kind {kind!r}")
+    if kind in ("tweets", "weather"):
+        return _LOADERS[kind](path, keep)
     return _LOADERS[kind](path)
 
 
@@ -475,12 +482,15 @@ class DatasetBundle:
     calendar: list
 
 
-def load_bundle(data_dir, skip=()) -> DatasetBundle:
+def load_bundle(data_dir, skip=(), keep=None) -> DatasetBundle:
     """Load every dataset of a directory laid out per FILE_NAMES.
 
     A kind named in `skip` is neither read nor required and loads as None.
+    `keep(kind, timestamp, user_id)`, when given, decides which tweet and
+    weather rows become records once they pass every check; it sees a
+    tweet's user id and None for a weather row.
     """
     d = Path(data_dir)
     return DatasetBundle(**{f.name: None if f.name in skip
-                            else load_dataset(f.name, d / FILE_NAMES[f.name])
+                            else load_dataset(f.name, d / FILE_NAMES[f.name], keep)
                             for f in fields(DatasetBundle)})

@@ -47,6 +47,66 @@ def served(data_dir, tmp_path_factory):
     return Served(tmp / "m" / "model.json", days, train_days)
 
 
+@dataclasses.dataclass
+class Edged:
+    data: Path              # a copy of the data with records on a predict's window edges
+    day: object             # the day whose windows the edge records straddle
+    agency_start: object    # when the added agency closure starts, days before `day`
+
+
+@pytest.fixture(scope="module")
+def edged(data_dir, served, tmp_path_factory):
+    """The data plus tweets at 04:59 and 05:00 on the eve of a middle day and at
+    11:59 and 12:00 on it, an agency closure from three days before that day
+    to the morning after, and the day's 00:00 and 01:00 weather hours deleted,
+    so the fill takes them from 02:00."""
+    import shutil
+    from datetime import datetime, time, timedelta
+
+    from tweet2traffic.ingest.synthetic import AGENCY_USER
+
+    data = tmp_path_factory.mktemp("edged") / "data"
+    shutil.copytree(data_dir, data)
+    day = served.days[len(served.days) // 2]
+    eve = day - timedelta(days=1)
+    user = sorted(json.loads(served.model.read_text())["meta"]["features"]["homes"])[0]
+    stamps = [f"{eve}T04:59", f"{eve}T05:00", f"{day}T11:59", f"{day}T12:00"]
+    road = "Crash on I-279 southbound at Mile Post: 3.0. All lanes closed."
+    start = datetime.combine(day - timedelta(days=3), time(22))
+    series = [(start, road), (datetime.combine(eve, time(3)), f"UPDATE: {road}"),
+              (datetime.combine(day + timedelta(days=1), time(9)), f"CLEARED: {road}")]
+    with (data / "tweets.csv").open("a", encoding="utf-8") as fh:
+        for i, ts in enumerate(stamps):
+            fh.write(f"edge{i},{user},{ts},GEOCODED,40.45,-80.0,,going to sleep at home\n")
+        for i, (ts, text) in enumerate(series):
+            fh.write(f"edge_ag{i},{AGENCY_USER},{ts.isoformat(timespec='minutes')},"
+                     f"TIMELINE,,,,{text}\n")
+    header, *rows = (data / "weather.csv").read_text().splitlines(keepends=True)
+    gone = (f"{day}T00:00", f"{day}T01:00")
+    (data / "weather.csv").write_text(header + "".join(
+        r for r in rows if not r.startswith(gone)))
+    return Edged(data, day, start)
+
+
+def _assert_same_blocks(got, want):
+    """Every field of two DayBlocks holds the same values."""
+    import numpy as np
+
+    from tweet2traffic.harness.pipeline import DayBlocks
+
+    for field in dataclasses.fields(DayBlocks):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        elif field.name == "incident_features":
+            assert a.keys() == b.keys(), field.name
+            assert all(np.array_equal(a[sid], b[sid]) for sid in a), field.name
+        elif field.name == "geocoder":
+            assert a.tracts == b.tracts
+        else:
+            assert a == b, field.name
+
+
 class TestCli:
     def test_synth_writes_all_files(self, data_dir):
         for name in ("speed.csv", "incidents.csv", "weather.csv", "tweets.csv",
@@ -444,6 +504,10 @@ class TestCli:
     def test_predict_reads_no_speed_and_builds_no_split(self, data_dir, served, tmp_path,
                                                         monkeypatch):
         import shutil
+        from datetime import datetime, time, timedelta
+
+        from tweet2traffic.harness.pipeline import day_blocks
+        from tweet2traffic.ingest.synthetic import AGENCY_USER
 
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
@@ -455,6 +519,13 @@ class TestCli:
 
         monkeypatch.setattr("tweet2traffic.cli.build_split", refuse)
         monkeypatch.setattr("tweet2traffic.cli.prepare_data", refuse)
+        bundles = []
+
+        def capture(bundle, *args):
+            bundles.append(bundle)
+            return day_blocks(bundle, *args)
+
+        monkeypatch.setattr("tweet2traffic.cli.day_blocks", capture)
         day = served.days[-1].isoformat()
         assert main(["predict", "--model", str(served.model), "--data", str(data),
                      "--date", day, "--out", str(tmp_path / "p")]) == 0
@@ -462,6 +533,85 @@ class TestCli:
                      "--date", day, "--out", str(tmp_path / "full")]) == 0
         name = f"predictions_{day}.csv"
         assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+        # the records built are those of the day's windows and the agency
+        # accounts, not every row of the files
+        n_rows = len((data / "tweets.csv").read_text().splitlines()) - 1
+        first = datetime.combine(served.days[-1] - timedelta(days=1), time(5))
+        end = datetime.combine(served.days[-1], time(12))
+        assert len(bundles) == 2
+        for bundle in bundles:
+            assert 0 < len(bundle.tweets) < n_rows
+            assert all(first <= t.timestamp < end or t.user_id == AGENCY_USER
+                       for t in bundle.tweets)
+            assert all(r.timestamp >= datetime.combine(served.days[-1], time(0))
+                       for r in bundle.weather)
+
+    def test_predict_keeps_only_the_rows_its_day_reads(self, served, edged, tmp_path,
+                                                       monkeypatch, caplog):
+        """A one-day load keeps the eve-to-noon tweets, the agency tweets and
+        the weather from the day on; its blocks and predictions are those of
+        a load that keeps every row, on every day."""
+        import logging
+
+        from tweet2traffic import cli
+        from tweet2traffic.config import load_config
+        from tweet2traffic.harness.pipeline import day_blocks, day_rows
+        from tweet2traffic.ingest.loaders import load_bundle
+
+        cfg = load_config(edged.data / "config.json")
+        skip = ("speed", "zones")
+        full = load_bundle(edged.data, skip=skip)
+        kept = load_bundle(edged.data, skip=skip, keep=day_rows(cfg, edged.day))
+        ids = {t.tweet_id for t in kept.tweets}
+        assert {"edge1", "edge2", "edge_ag0", "edge_ag1", "edge_ag2"} <= ids
+        assert not ids & {"edge0", "edge3"}
+        assert len(kept.tweets) < len(full.tweets)
+        assert min(r.timestamp.date() for r in kept.weather) == edged.day
+        with caplog.at_level(logging.WARNING, logger="tweet2traffic.features.weather"):
+            blocks = day_blocks(kept, cfg, [edged.day])
+        assert f"weather: missing hour {edged.day} 00:00:00 filled from {edged.day} " \
+            "02:00:00" in caplog.messages
+        assert any(r.closure_start_ts == edged.agency_start for r in blocks.tweet_incidents)
+        assert any(block.any() for block in blocks.incident_features.values())
+        assert blocks.event_features.any()
+
+        for day in served.days:
+            kept = load_bundle(edged.data, skip=skip, keep=day_rows(cfg, day))
+            _assert_same_blocks(day_blocks(kept, cfg, [day]), day_blocks(full, cfg, [day]))
+
+        def predict(out):
+            for day in served.days:
+                assert main(["predict", "--model", str(served.model), "--data",
+                             str(edged.data), "--date", day.isoformat(),
+                             "--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        filtered = predict(tmp_path / "kept")
+        monkeypatch.setattr(cli, "day_rows", lambda _cfg, _day: None)
+        assert predict(tmp_path / "all") == filtered
+        assert len(filtered) == len(served.days)
+
+    @pytest.mark.parametrize("fname,row,reason", [
+        ("tweets.csv", "tbad,user001,{month_before}T24:30,GEOCODED,40.45,-80.0,,x\n",
+         "bad timestamp"),
+        ("weather.csv", "{month_before}T06:30,1.0,50.0,5.0,30.0,10.0,0.0,0,0\n",
+         "not hourly")])
+    def test_predict_rejects_a_bad_row_outside_its_window_exit_2(
+            self, data_dir, served, tmp_path, capsys, fname, row, reason):
+        import shutil
+        from datetime import timedelta
+
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        day = served.days[-1]
+        with (data / fname).open("a", encoding="utf-8") as fh:
+            fh.write(row.format(month_before=day - timedelta(days=30)))
+        rc = main(["predict", "--model", str(served.model), "--data", str(data),
+                   "--date", day.isoformat(), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     def test_predict_with_a_tract_the_bundle_lacks_exit_2(self, data_dir, served, tmp_path,
                                                           capsys):
