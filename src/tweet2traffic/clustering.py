@@ -11,7 +11,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
 
 from .errors import (
     DegenerateInput,
@@ -249,6 +248,9 @@ def build_tweeting_profiles(tweet_hours_by_day: dict, n_bins: int = 19,
 
 def chi_squared_cramers_v(labels_a, labels_b):
     """Pearson chi-squared test plus Cramer's V between two labelings."""
+    # loaded here so that only this test (`t2t describe`) loads scipy.special
+    from scipy.special import chdtrc
+
     a = np.asarray(labels_a)
     b = np.asarray(labels_b)
     if a.shape != b.shape or a.ndim != 1:
@@ -267,6 +269,6 @@ def chi_squared_cramers_v(labels_a, labels_b):
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
     chi2 = float(((table - expected) ** 2 / expected).sum())
     dof = (r - 1) * (c - 1)
-    p_value = float(chi2_dist.sf(chi2, dof))
+    p_value = float(chdtrc(dof, chi2))   # the chi-squared survival function
     v = float(np.sqrt(chi2 / (n * (min(r, c) - 1))))
     return chi2, p_value, v

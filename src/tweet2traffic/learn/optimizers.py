@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import daxpy, dcopy, ddot, dscal
 
 from ..errors import NotConverged
 
@@ -138,6 +137,9 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
     full sweep verifying the fixpoint. `warm_start` is a (weights, bias) pair
     in X's frame, such as a previous fit's.
     """
+    # loaded here so that a predict or a baseline-only run never loads scipy
+    from scipy.linalg.blas import daxpy, dcopy, ddot, dscal
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape

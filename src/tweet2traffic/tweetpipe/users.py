@@ -15,8 +15,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ..config import TweetConfig
 from .geo import first_ring_labels, haversine_km, pairwise_haversine_km
@@ -94,14 +92,20 @@ def dbscan_cluster(coords, eps_km: float) -> np.ndarray:
     n = len(pts)
     if n == 0:
         return np.empty(0, dtype=int)
-    adj = csr_matrix(pairwise_haversine_km(pts) <= eps_km)
-    _n, comp = connected_components(adj, directed=False)
-    labels = np.empty(n, dtype=int)
-    remap: dict[int, int] = {}
-    for i, c in enumerate(comp):
-        if c not in remap:
-            remap[c] = len(remap)
-        labels[i] = remap[c]
+    near = pairwise_haversine_km(pts) <= eps_km   # a NaN point has no neighbor
+    labels = np.full(n, -1, dtype=int)
+    n_labels = 0
+    for seed in range(n):
+        if labels[seed] >= 0:
+            continue
+        # breadth-first over the component, reading each point's row once;
+        # seeds go in index order, so labels follow first appearance
+        labels[seed] = n_labels
+        frontier = np.array([seed])
+        while frontier.size:
+            frontier = np.flatnonzero(near[frontier].any(axis=0) & (labels < 0))
+            labels[frontier] = n_labels
+        n_labels += 1
     return labels
 
 

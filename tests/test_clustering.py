@@ -257,6 +257,17 @@ class TestTweetingProfiles:
         assert np.allclose(prof["d2"], prof_swapped["d2"])
 
 
+@st.composite
+def label_pairs(draw):
+    """Two labelings whose contingency table is r x c, for r and c from 2 to 6."""
+    r, c = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cover = [(i % r, i % c) for i in range(max(r, c))]
+    extra = draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)),
+                          max_size=120))
+    pairs = cover + extra
+    return r, c, [x for x, _ in pairs], [y for _, y in pairs]
+
+
 class TestChiSquared:
     def test_perfect_association(self):
         a = [0] * 10 + [1] * 10
@@ -300,3 +311,11 @@ class TestChiSquared:
         with pytest.raises(DegenerateTable):
             chi_squared_cramers_v([0] * 10, [0, 1] * 5)
 
+    @given(label_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_p_value_is_the_chi_squared_survival_function(self, pairs):
+        from scipy.stats import chi2 as chi2_dist
+
+        r, c, a, b = pairs
+        chi2, p, _v = chi_squared_cramers_v(a, b)
+        assert p == chi2_dist.sf(chi2, (r - 1) * (c - 1))

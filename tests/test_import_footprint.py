@@ -1,0 +1,80 @@
+"""Each `t2t` call loads only the scipy it runs.
+
+Every check runs in a fresh interpreter, since the test process itself has
+long since loaded scipy. A probe prints the sorted scipy modules it ends with.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tweet2traffic
+from tweet2traffic.cli import main
+
+SRC = str(Path(tweet2traffic.__file__).resolve().parents[1])
+
+
+def scipy_modules_after(body: str) -> list[str]:
+    """The scipy modules loaded once `body` has run in a fresh interpreter."""
+    probe = (f"import json, sys\n{body}\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded(mods, package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in mods)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small synthetic world and a linear bundle trained on it."""
+    tmp = tmp_path_factory.mktemp("footprint")
+    sc = tmp / "sc.json"
+    sc.write_text(json.dumps({"n_days": 20, "n_roads": 1, "segments_per_road": 2,
+                              "n_users": 10, "n_tracts": 3}))
+    assert main(["synth", "--synth-config", str(sc), "--seed", "4",
+                 "--out", str(tmp / "data")]) == 0
+    assert main(["train", "--data", str(tmp / "data"), "--seed", "2",
+                 "--out", str(tmp / "m")]) == 0
+    return tmp
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert scipy_modules_after("import tweet2traffic.cli") == []
+
+
+def test_a_one_day_predict_loads_no_scipy(trained):
+    model, out = trained / "m" / "model.json", trained / "p"
+    day = json.loads(model.read_text())["meta"]["train_end"]   # a day with weather
+    mods = scipy_modules_after(
+        "from tweet2traffic.cli import main\n"
+        f"assert main(['predict', '--model', {str(model)!r}, '--data', {str(trained / 'data')!r},\n"
+        f"             '--date', {day!r}, '--out', {str(out)!r}]) == 0")
+    assert mods == []
+    assert (out / f"predictions_{day}.csv").exists()
+
+
+def test_the_chi_squared_test_loads_scipy_special_only():
+    mods = scipy_modules_after(
+        "from tweet2traffic.clustering import chi_squared_cramers_v\n"
+        "chi_squared_cramers_v([0, 0, 1, 1, 2], [0, 1, 1, 0, 1])")
+    assert loaded(mods, "scipy.special")
+    assert not any(loaded(mods, p) for p in ("scipy.stats", "scipy.sparse", "scipy.linalg"))
+
+
+def test_a_lasso_fit_loads_scipy_linalg_only():
+    mods = scipy_modules_after(
+        "import numpy as np\n"
+        "from tweet2traffic.learn.optimizers import fit_lasso\n"
+        "X = np.random.default_rng(0).normal(size=(20, 3))\n"
+        "fit_lasso(X, X @ [1.0, 0.0, -2.0], alpha=0.1)")
+    assert loaded(mods, "scipy.linalg")
+    assert not any(loaded(mods, p) for p in ("scipy.stats", "scipy.sparse", "scipy.special"))

@@ -3,7 +3,7 @@ from datetime import date, datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweet2traffic.config import TweetConfig
@@ -24,7 +24,7 @@ from tweet2traffic.tweetpipe import (
     sentiment_label,
     weighted_home_location,
 )
-from tweet2traffic.tweetpipe.geo import EARTH_RADIUS_KM, haversine_km
+from tweet2traffic.tweetpipe.geo import EARTH_RADIUS_KM, haversine_km, pairwise_haversine_km
 from tweet2traffic.tweetpipe.users import landuse_table
 from tweet2traffic.tweetpipe.sentiment import LexiconSentimentProvider
 
@@ -90,6 +90,30 @@ def offset_km(lat, lon, north_km):
     return lat + math.degrees(north_km / EARTH_RADIUS_KM), lon
 
 
+@st.composite
+def checkins(draw):
+    """Points in a 2 km box, some repeated and some with a NaN coordinate, shuffled."""
+    base = draw(st.lists(st.tuples(st.floats(40.40, 40.42), st.floats(-80.01, -79.99)),
+                         max_size=30))
+    dups = draw(st.lists(st.sampled_from(base), max_size=10)) if base else []
+    nans = draw(st.lists(st.sampled_from([(math.nan, -80.0), (40.41, math.nan)]), max_size=2))
+    return draw(st.permutations(base + dups + nans))
+
+
+def components_oracle(coords, eps_km) -> list[int]:
+    """scipy's connected components of the eps graph, numbered by first appearance."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    pts = np.asarray(coords, dtype=float)
+    if len(pts) == 0:
+        return []
+    _n, comp = connected_components(csr_matrix(pairwise_haversine_km(pts) <= eps_km),
+                                    directed=False)
+    first: dict[int, int] = {}
+    return [first.setdefault(c, len(first)) for c in comp.tolist()]
+
+
 class TestDbscan:
     def test_single_point_own_cluster(self):
         labels = dbscan_cluster([(40.4, -80.0)], eps_km=0.3)
@@ -120,6 +144,24 @@ class TestDbscan:
         pts = [(40.0 + rng.random(), -80.0 + rng.random()) for _ in range(30)]
         labels = dbscan_cluster(pts, eps_km=0.3)
         assert (labels >= 0).all()
+
+    @given(checkins())
+    @example([])
+    @example([(40.4, -80.0)])
+    @settings(max_examples=150, deadline=None)
+    def test_labels_match_the_components_oracle(self, pts):
+        assert dbscan_cluster(pts, eps_km=0.3).tolist() == components_oracle(pts, 0.3)
+
+    @given(st.lists(st.sampled_from([0.25, 0.35]), min_size=300, max_size=400).flatmap(
+        lambda steps: st.tuples(st.just(steps), st.permutations(range(len(steps) + 1)))))
+    @settings(max_examples=20, deadline=None)
+    def test_a_permuted_chain_matches_the_components_oracle(self, chain):
+        steps, order = chain
+        north = np.concatenate([[0.0], np.cumsum(steps)])
+        pts = [offset_km(40.4, -80.0, north[i]) for i in order]
+        labels = dbscan_cluster(pts, eps_km=0.3).tolist()
+        assert labels == components_oracle(pts, 0.3)
+        assert max(labels) == steps.count(0.35)
 
 
 def make_cluster(rank, midnight=True, industry_amenity=0.1, home_tweet=False,
