@@ -139,25 +139,25 @@ def cmd_tweets(args) -> int:
         return 2
     if args.augment or args.encode:
         prepared, art = _full_span(args)
-        cfg, bundle = prepared.config, prepared.bundle
+        cfg, tweets = prepared.config, prepared.tweets
     elif args.parse_incidents:
         prepared = _prepare(args)
-        cfg, bundle = prepared.config, prepared.bundle
+        cfg, tweets = prepared.config, prepared.tweets
     else:
-        cfg, bundle = _data_config(args), load_bundle(args.data)
+        cfg, tweets = _data_config(args), load_bundle(args.data).tweets
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.augment:
-        augmented = geotag_timeline(bundle.tweets, art.homes, cfg.tweets)
+        augmented = geotag_timeline(tweets, art.homes, cfg.tweets)
         write_dataset("tweets", augmented, out / "tweets_augmented.csv")
         write_rows(out / "homes.csv", ["user_id", "lat", "lon"],
                    ([uid, repr(lat), repr(lon)] for uid, (lat, lon) in sorted(art.homes.items())))
         print(f"augmented {len(art.homes)} users' timelines -> {out/'tweets_augmented.csv'}")
     if args.clean:
-        cleaned = clean_tweet_texts(cfg, bundle.tweets)
+        cleaned = clean_tweet_texts(cfg, tweets)
         write_rows(out / "tweets_clean.csv", ["tweet_id", "normalized_text"],
-                   ([t.tweet_id, cleaned[t.text]] for t in bundle.tweets))
-        print(f"cleaned {len(bundle.tweets)} tweets -> {out/'tweets_clean.csv'}")
+                   ([t.tweet_id, cleaned[t.text]] for t in tweets))
+        print(f"cleaned {len(tweets)} tweets -> {out/'tweets_clean.csv'}")
     if args.parse_incidents:
         write_dataset("incidents", prepared.tweet_incidents, out / "incidents_from_tweets.csv")
         print(f"parsed {len(prepared.tweet_incidents)} incident records from agency "
@@ -270,7 +270,7 @@ def cmd_evaluate(args) -> int:
     prepared = _prepare(args)
     models = tuple(args.models.split(","))
     report = run_nested_tscv(prepared, models=models, seed=args.seed)
-    geo_tweets = [t for t in prepared.bundle.tweets if t.coord is not None]
+    geo_tweets = [t for t in prepared.tweets if t.coord is not None]
     tokens = token_frequency(geo_tweets, prepared.clean_texts, prepared.config.tweets.periods)
     emit_report(report, Path(args.out), token_counts=tokens)
     for m in models:

@@ -36,7 +36,7 @@ def _tweet_profile_hours(prepared: PreparedData):
     """Hours past the profile day's midnight for every in-box geocoded tweet."""
     cfg = prepared.config.clustering
     out: dict = {}
-    for t in prepared.bundle.tweets:
+    for t in prepared.tweets:
         if t.coord is None or t.coord not in prepared.coord_tracts:
             continue
         h = t.timestamp.hour + t.timestamp.minute / 60.0

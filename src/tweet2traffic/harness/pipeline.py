@@ -5,9 +5,10 @@ DayBlocks holds the split-independent feature blocks of a day list, one
 shares, unscaled weather hours, time features and each segment's incident
 features. `t2t predict` builds them for the target day alone, from the
 records that `day_rows` keeps.
-PreparedData adds what the training span needs over every speed day: the
-speed cube and its gap-filled mornings, cleaned tweet text, and the tract and
-land-use joins.
+PreparedData adds what the training span needs over every speed day: views
+of the loaded speed cube and their gap-filled mornings, the tweet records,
+cleaned tweet text, and the tract and land-use joins. It keeps nothing else
+of the bundle, so the other records are freed once the blocks exist.
 build_split refits every leakage-sensitive artifact (reference speeds, user
 set and homes, the weather scaling, clustering, descriptors, segment models)
 from the training span only; `road_features` applies the fitted homes and
@@ -110,8 +111,8 @@ class DayBlocks:
 @dataclass
 class PreparedData(DayBlocks):
     """The blocks of every speed day and what a training span reads besides."""
-    bundle: DatasetBundle
-    speeds: dict[str, np.ndarray]          # (n_days, emit_slots) NaN when absent
+    tweets: list                            # every tweet record, for reports and `t2t tweets`
+    speeds: dict[str, np.ndarray]          # (n_days, emit_slots) cube views, NaN when absent
     filled: dict[str, np.ndarray]          # (n_days, 72) gap-filled mornings, NaN when incomplete
     incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
     morning_offset: int
@@ -248,34 +249,31 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
     """The day blocks of every speed day, plus the speed cube and the joins
     the training span reads."""
     cfg = config
-    table = bundle.speed
-    if not table.days:
+    cube = bundle.speed
+    if not cube.days:
         raise TooFewDays("no speed data")
     # cleaned text of every tweet with coordinates (the report's token
     # counts read all of them)
     coord_tweets = [t for t in bundle.tweets if t.coord is not None]
     clean_texts = clean_tweet_texts(cfg, coord_tweets)
-    blocks = day_blocks(bundle, cfg, table.days, clean_texts)
+    blocks = day_blocks(bundle, cfg, cube.days, clean_texts)
 
     segments = blocks.segments
-    seg_pos = {s.segment_id: i for i, s in enumerate(segments)}
-    unknown = [sid for sid in table.segment_ids if sid not in seg_pos]
+    known = {s.segment_id for s in segments}
+    unknown = [sid for sid in cube.segment_ids if sid not in known]
     if unknown:
         raise SchemaMismatch("segment_id", f"speed.csv segment {unknown[0]!r} "
                              "is not in segments.csv")
 
-    # one (segments, days, emit slots) speed cube, NaN when absent; the
-    # emitted range starts at the earliest hour in the data and ends at 11:00
-    emit_start = int(table.slot.min()) // 12
-    emit_slots = (11 - emit_start) * 12
-    morning_offset = (5 - emit_start) * 12
-    cube = np.full((len(segments), len(blocks.days), emit_slots), np.nan)
-    col = table.slot - emit_start * 12
-    emitted = col < emit_slots
-    cube_seg = np.array([seg_pos[sid] for sid in table.segment_ids], dtype=np.intp)
-    cube[cube_seg[table.segment[emitted]], table.day[emitted], col[emitted]] = \
-        table.speed[emitted]
-    speeds = {s.segment_id: cube[i] for i, s in enumerate(segments)}
+    # each segment's (days, emit slots) view of the loaded cube, NaN when
+    # absent; the emitted range starts at the cube's first hour and ends at 11:00
+    if cube.start_hour > 11:
+        raise SchemaMismatch("timestamp", "speed.csv has no row before 11:00")
+    emit_slots = (11 - cube.start_hour) * 12
+    morning_offset = (5 - cube.start_hour) * 12
+    views = dict(zip(cube.segment_ids, cube.speed[:, :, :emit_slots]))
+    speeds = {s.segment_id: views[s.segment_id] if s.segment_id in views
+              else np.full((len(blocks.days), emit_slots), np.nan) for s in segments}
     # bounded gap-fill of every morning, once per run
     filled, incomplete = {}, {}
     for sid, arr in speeds.items():
@@ -295,7 +293,7 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
                             bundle.zones)
 
     return PreparedData(
-        **vars(blocks), bundle=bundle, speeds=speeds, filled=filled,
+        **vars(blocks), tweets=bundle.tweets, speeds=speeds, filled=filled,
         incomplete=incomplete, morning_offset=morning_offset, clean_texts=clean_texts,
         coord_tracts=dict(zip(geo_coords, located)), user_geo=user_geo, landuse=landuse,
     )

@@ -2,7 +2,7 @@ from .types import (  # noqa: F401
     CalendarInfo,
     IncidentRecord,
     SegmentDescriptor,
-    SpeedTable,
+    SpeedCube,
     TractPolygon,
     Tweet,
     WeatherRecord,

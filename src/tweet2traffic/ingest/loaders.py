@@ -2,7 +2,7 @@
 
 Every loader validates the header, parses with row-indexed diagnostics,
 and returns records sorted by timestamp where one exists; speed.csv loads
-as one SpeedTable of columns rather than one record per row.
+as one dense SpeedCube rather than one record per row.
 Writers emit the canonical form, so write(load(x)) is a normalizing
 round trip. `read_rows` and `write_rows` are the program's one CSV codec:
 every CSV file it reads or writes goes through them.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from datetime import date as date_t
 from datetime import datetime
@@ -26,7 +27,7 @@ from .types import (
     IncidentRecord,
     SLOTS_PER_DAY,
     SegmentDescriptor,
-    SpeedTable,
+    SpeedCube,
     TractPolygon,
     Tweet,
     WeatherRecord,
@@ -130,6 +131,8 @@ def _speed_row_error(i: int, row: list[str]) -> None:
     v = _parse_float(row[2], i, "speed")
     if not v > 0:
         raise ParseError(i, "nonpositive speed")
+    if math.isinf(v):
+        raise ParseError(i, "infinite speed")
     if _off_grid(ts):
         raise ParseError(i, f"timestamp {row[1]} not on the 5-min grid")
 
@@ -145,79 +148,93 @@ def _grid_stamp(text: str):
     return ts.date(), ts.hour * 12 + ts.minute // 5
 
 
-def _speed_keys(segment, day, slot, n_segments: int) -> np.ndarray:
-    """One integer per row that orders rows by (timestamp, segment_id)."""
-    return (day.astype(np.int64) * SLOTS_PER_DAY + slot) * n_segments + segment
+def _regrid(cube: np.ndarray, lo: int, need: tuple[int, int], new_lo: int,
+            new_hi: int) -> np.ndarray:
+    """A NaN cube holding `cube`, whose slot axis starts at hour `lo`, with room
+    for `need` (segments, days) and slots over hours [new_lo, new_hi).
+
+    A segment or day axis that must grow at least doubles, so a file read in
+    chunks is copied O(log n) times.
+    """
+    n_seg, n_day = (c if n <= c else max(n, 2 * c) for n, c in zip(need, cube.shape))
+    out = np.full((n_seg, n_day, (new_hi - new_lo) * 12), np.nan)
+    at = (lo - new_lo) * 12
+    out[:cube.shape[0], :cube.shape[1], at:at + cube.shape[2]] = cube
+    return out
 
 
 _SPEED_CHUNK = 1 << 10
 
 
-def _load_speed(path) -> SpeedTable:
-    """Parse speed.csv into columns in (timestamp, segment_id) order.
+def _load_speed(path) -> SpeedCube:
+    """Parse speed.csv into one SpeedCube.
 
     Chunks of rows are checked as whole columns; a chunk that fails any
     check is re-read row by row so the first bad row raises its ParseError.
-    Each distinct timestamp text is parsed once. A repeated
-    (segment_id, timestamp) key raises SchemaMismatch.
+    Each chunk's speeds go straight into a cube laid out in order of first
+    appearance, which grows as segments, days and hours appear; it is put in
+    sorted order once, at the end. A repeated (segment_id, timestamp) key
+    raises SchemaMismatch naming the first row whose key an earlier row
+    holds, once every row has passed its checks.
     """
     fh, reader = _open_rows(path, "speed")
     seg_code: dict[str, int] = {}
-    stamp_code: dict[str, int] = {}     # timestamp text -> index into stamps, -1 if bad
-    stamps: list[tuple[date_t, int]] = []
-    seg_parts, stamp_parts, speed_parts = [np.empty(0, np.intp)], [np.empty(0, np.intp)], \
-        [np.empty(0)]
+    day_code: dict[date_t, int] = {}
+    cube = np.full((0, 0, 0), np.nan)
+    lo, hi = 24, 11                     # hours [lo, hi) of the slot axis, once a row is in
+    duplicate = None                    # SchemaMismatch of the first repeated key
     first = 1                           # row number of the chunk's first row
     with fh:
         while rows := list(islice(reader, _SPEED_CHUNK)):
             n = len(rows)
             if set(map(len, rows)) == {3}:
                 segs, texts, values = zip(*rows)
-                for t in dict.fromkeys(texts):
-                    if t not in stamp_code:
-                        stamp = _grid_stamp(t)
-                        stamp_code[t] = -1 if stamp is None else len(stamps)
-                        if stamp is not None:
-                            stamps.append(stamp)
-                stamp_idx = np.fromiter(map(stamp_code.__getitem__, texts), np.intp, n)
+                stamps = {t: _grid_stamp(t) for t in dict.fromkeys(texts)}
                 try:
                     speed = np.fromiter(map(float, values), float, n)
                 except ValueError:
                     speed = None
-                if speed is not None and (stamp_idx >= 0).all() and (speed > 0).all():
-                    for s in dict.fromkeys(segs):
-                        seg_code.setdefault(s, len(seg_code))
-                    seg_parts.append(np.fromiter(map(seg_code.__getitem__, segs), np.intp, n))
-                    stamp_parts.append(stamp_idx)
-                    speed_parts.append(speed)
+                if (speed is not None and None not in stamps.values()
+                        and ((speed > 0) & (speed < np.inf)).all()):
+                    code = {t: day_code.setdefault(d, len(day_code)) * SLOTS_PER_DAY + s
+                            for t, (d, s) in stamps.items()}
+                    day, slot = np.divmod(np.fromiter(map(code.__getitem__, texts), np.intp, n),
+                                          SLOTS_PER_DAY)
+                    for g in dict.fromkeys(segs):
+                        seg_code.setdefault(g, len(seg_code))
+                    seg = np.fromiter(map(seg_code.__getitem__, segs), np.intp, n)
+                    new_lo = min(lo, int(slot.min()) // 12)
+                    new_hi = max(hi, int(slot.max()) // 12 + 1)
+                    if (len(seg_code) > cube.shape[0] or len(day_code) > cube.shape[1]
+                            or (new_lo, new_hi) != (lo, hi)):
+                        cube = _regrid(cube, lo, (len(seg_code), len(day_code)),
+                                       new_lo, new_hi)
+                        lo, hi = new_lo, new_hi
+                    cells = (seg, day, slot - lo * 12)
+                    if duplicate is None and (i := _first_repeat(cube, cells)) is not None:
+                        d, s = stamps[texts[i]]
+                        duplicate = SchemaMismatch("timestamp", f"row {first + i}: duplicate "
+                                                   f"speed key ({segs[i]}, {d}{_SLOT_TEXT[s]})")
+                    cube[cells] = speed
                     first += n
                     continue
             for i, row in enumerate(rows, start=first):
                 _speed_row_error(i, row)
             raise AssertionError(f"speed rows {first}-{first + n - 1} flagged but valid")
+    if duplicate is not None:
+        raise duplicate
+    seg_ids, days = sorted(seg_code), sorted(day_code)
+    cube = cube[np.ix_([seg_code[g] for g in seg_ids], [day_code[d] for d in days])]
+    return SpeedCube(tuple(seg_ids), tuple(days), lo if seg_ids else 0, cube)
 
-    seg_ids = sorted(seg_code)
-    seg_rank = np.empty(len(seg_ids), np.intp)
-    seg_rank[[seg_code[s] for s in seg_ids]] = np.arange(len(seg_ids))
-    days = sorted({d for d, _slot in stamps})
-    day_pos = {d: i for i, d in enumerate(days)}
-    stamp_day = np.array([day_pos[d] for d, _slot in stamps], np.intp)
-    stamp_slot = np.array([slot for _d, slot in stamps], np.intp)
-    stamp_idx = np.concatenate(stamp_parts)
-    segment = seg_rank[np.concatenate(seg_parts)]
-    day, slot = stamp_day[stamp_idx], stamp_slot[stamp_idx]
-    speed = np.concatenate(speed_parts)
 
-    keys = _speed_keys(segment, day, slot, len(seg_ids))
-    order = np.argsort(keys, kind="stable")
-    repeats = np.flatnonzero(keys[order][1:] == keys[order][:-1]) + 1
-    if repeats.size:
-        i = int(order[repeats].min())   # first row whose key an earlier row holds
-        raise SchemaMismatch("timestamp", f"row {i + 1}: duplicate speed key "
-                             f"({seg_ids[segment[i]]}, {days[day[i]]}"
-                             f"{_SLOT_TEXT[slot[i]]})")
-    return SpeedTable(tuple(seg_ids), tuple(days), segment[order], day[order],
-                      slot[order], speed[order])
+def _first_repeat(cube: np.ndarray, cells) -> int | None:
+    """The index of the first of a chunk's rows whose cell holds a speed
+    already or is an earlier row's of the chunk too; None if there is none."""
+    later = np.ones(len(cells[0]), bool)    # not the chunk's first row of its cell
+    later[np.unique(np.ravel_multi_index(cells, cube.shape), return_index=True)[1]] = False
+    hits = np.flatnonzero(later | ~np.isnan(cube[cells]))
+    return int(hits[0]) if hits.size else None
 
 
 _SORT_KEYS = {
@@ -279,6 +296,7 @@ def _load_weather(path, keep):
 def _load_tweets(path, keep):
     out = []
     kinds = ("GEOCODED", "TIMELINE", "RETWEET", "FAVORITE")
+    share = {}.setdefault               # one string object per distinct user, kind, location
     for i, row in read_rows(path, "tweets"):
         if row[3] not in kinds:
             raise ParseError(i, f"unknown kind {row[3]!r}")
@@ -289,7 +307,8 @@ def _load_tweets(path, keep):
             raise ParseError(i, "GEOCODED tweet without coordinates")
         ts = _parse_ts(row[2], i)
         if keep is None or keep("tweets", ts, row[1]):
-            out.append(Tweet(row[0], row[1], ts, row[7], coord, row[6] or None, row[3]))
+            out.append(Tweet(row[0], share(row[1], row[1]), ts, row[7], coord,
+                             share(row[6], row[6]) or None, share(row[3], row[3])))
     out.sort(key=_SORT_KEYS["tweets"])
     return out
 
@@ -414,14 +433,19 @@ def _fmt_num(x: float) -> str:
 _SLOT_TEXT = [f"T{s // 12:02d}:{s % 12 * 5:02d}" for s in range(SLOTS_PER_DAY)]
 
 
-def _write_speed(table: SpeedTable, path: Path) -> None:
-    order = np.argsort(_speed_keys(table.segment, table.day, table.slot,
-                                   len(table.segment_ids)), kind="stable")
-    day_text = [d.isoformat() for d in table.days]
-    rows = ((table.segment_ids[g], day_text[d] + _SLOT_TEXT[t], _fmt_num(v))
-            for g, d, t, v in zip(table.segment[order].tolist(), table.day[order].tolist(),
-                                  table.slot[order].tolist(), table.speed[order].tolist()))
-    write_rows(path, SCHEMAS["speed"], rows)
+def _write_speed(cube: SpeedCube, path: Path) -> None:
+    """The cube's occupied cells as rows in (timestamp, segment_id) order."""
+    slot_text = _SLOT_TEXT[cube.start_hour * 12:]
+
+    def rows():
+        for d, day in enumerate(cube.days):
+            by_slot = cube.speed[:, d].T                # (slot, segment)
+            slot, seg = np.nonzero(~np.isnan(by_slot))
+            stamp = day.isoformat()
+            for t, g, v in zip(slot.tolist(), seg.tolist(), by_slot[slot, seg].tolist()):
+                yield cube.segment_ids[g], stamp + slot_text[t], _fmt_num(v)
+
+    write_rows(path, SCHEMAS["speed"], rows())
 
 
 def _tweet_row(r):
@@ -473,7 +497,7 @@ def write_dataset(kind: str, records, path) -> None:
 @dataclass
 class DatasetBundle:
     segments: list
-    speed: SpeedTable | None
+    speed: SpeedCube | None
     incidents: list
     weather: list
     tweets: list

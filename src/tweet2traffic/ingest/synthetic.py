@@ -30,7 +30,7 @@ from .types import (
     CalendarInfo,
     IncidentRecord,
     SegmentDescriptor,
-    SpeedTable,
+    SpeedCube,
     TractPolygon,
     Tweet,
     WeatherRecord,
@@ -329,9 +329,11 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     emit_start_h, emit_end_h = 3, 11
     slots_per_day = (emit_end_h - emit_start_h) * 12
     morning_offset = (5 - emit_start_h) * 12
+    seg_ids = sorted(s.segment_id for s in segments)
     speed_cube = np.empty((len(segments), cfg.n_days, slots_per_day))
     tti_all = {}
-    for g, seg in enumerate(segments):
+    for seg in segments:
+        g = seg_ids.index(seg.segment_id)
         ff = v_ff[seg.segment_id]
         for d in range(cfg.n_days):
             tti_target = np.ones(slots_per_day)
@@ -344,11 +346,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
             speeds = np.round(ff / tti_target * noise, 3)
             speed_cube[g, d] = speeds
             tti_all[key] = speeds[morning_offset:morning_offset + N_SLOTS]
-    seg_ids = sorted(s.segment_id for s in segments)
-    seg_rank = np.array([seg_ids.index(s.segment_id) for s in segments])
-    seg_i, day_i, slot_i = np.indices(speed_cube.shape).reshape(3, -1)
-    speed_table = SpeedTable(tuple(seg_ids), tuple(days), seg_rank[seg_i], day_i,
-                             emit_start_h * 12 + slot_i, speed_cube.ravel())
 
     # ---- weather ---------------------------------------------------------
     weather_records: list[WeatherRecord] = []
@@ -442,9 +439,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
                                      (extra + timedelta(days=i)) in HOLIDAYS_2014))
 
     bundle = DatasetBundle(
-        segments=segments, speed=speed_table, incidents=incidents,
-        weather=weather_records, tweets=tweets, tracts=tracts, zones=zones,
-        calendar=calendar,
+        segments=segments,
+        speed=SpeedCube(tuple(seg_ids), tuple(days), emit_start_h, speed_cube),
+        incidents=incidents, weather=weather_records, tweets=tweets, tracts=tracts,
+        zones=zones, calendar=calendar,
     )
 
     # ---- sidecar quadruples (from the emitted, rounded speeds) -----------

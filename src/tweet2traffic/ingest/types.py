@@ -26,22 +26,25 @@ SLOTS_PER_DAY = 288             # 5-minute slots from midnight
 
 
 @dataclass(frozen=True)
-class SpeedTable:
-    """speed.csv as columns, one entry per row.
+class SpeedCube:
+    """speed.csv as one dense (segment, day, slot) array, NaN where no row exists.
 
-    `segment_ids` and `days` are the sorted distinct values the rows use;
-    `segment` and `day` index into them. `slot` counts 5-minute slots from
-    midnight (05:00 is slot 60).
+    `segment_ids` and `days` are the sorted distinct values the rows use.
+    The slot axis covers whole hours from `start_hour`, the hour of the
+    earliest row, through 11:00 or the hour of the latest row, whichever is
+    later; column `c` is the 5-minute slot `start_hour * 12 + c` of the day.
     """
     segment_ids: tuple[str, ...]
     days: tuple[date_t, ...]
-    segment: np.ndarray         # int, index into segment_ids
-    day: np.ndarray             # int, index into days
-    slot: np.ndarray            # int in [0, SLOTS_PER_DAY)
-    speed: np.ndarray           # mph, > 0
+    start_hour: int
+    speed: np.ndarray           # (segments, days, slots) mph, > 0 and finite, NaN if absent
+
+    def __post_init__(self):
+        self.speed.flags.writeable = False     # prepare_data hands out views of it
 
     def __len__(self) -> int:
-        return len(self.speed)
+        """The number of rows: the occupied cells."""
+        return int(np.count_nonzero(~np.isnan(self.speed)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,7 +1,6 @@
 """Versioned JSON serialization of fitted model stacks, for audit and reload."""
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -111,5 +110,8 @@ def bundle_from_json(text: str):
 
 
 def bundle_hash(descriptors: dict, segment_models: dict) -> str:
+    # loaded here so that no `t2t` command loads hashlib and OpenSSL for this check
+    import hashlib
+
     payload = bundle_to_json(descriptors, segment_models, meta={})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import TweetConfig
+from ..ingest.types import Tweet
 from .geo import first_ring_labels, haversine_km, pairwise_haversine_km
 
 _COORD_RE = re.compile(r"(-?\d{1,3}\.\d+)[,\s]+(-?\d{1,3}\.\d+)")
@@ -248,13 +249,12 @@ def in_night_window(ts: datetime, window: tuple[int, int]) -> bool:
 def geotag_timeline(tweets, homes: dict[str, tuple[float, float]],
                     cfg: TweetConfig) -> list:
     """Fill missing coordinates of night-window timeline tweets with user homes."""
-    from dataclasses import replace
-
     out = []
     for t in tweets:
         if (t.coord is None and t.user_id in homes
                 and in_night_window(t.timestamp, cfg.night_window)):
-            out.append(replace(t, coord=homes[t.user_id]))
+            out.append(Tweet(t.tweet_id, t.user_id, t.timestamp, t.text, homes[t.user_id],
+                             t.user_profile_location, t.kind))
         else:
             out.append(t)
     return out

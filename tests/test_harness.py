@@ -99,15 +99,11 @@ def one_day_rollout(model, speeds, day_idx, morning_offset):
     return out
 
 
-def drop_days(table, cut):
-    """The speed table without the rows of the days in `cut`."""
-    kept = [i for i, d in enumerate(table.days) if d not in cut]
-    recode = np.full(len(table.days), -1)
-    recode[kept] = np.arange(len(kept))
-    rows = recode[table.day] >= 0
-    return dataclasses.replace(table, days=tuple(table.days[i] for i in kept),
-                               segment=table.segment[rows], day=recode[table.day[rows]],
-                               slot=table.slot[rows], speed=table.speed[rows])
+def drop_days(cube, cut):
+    """The speed cube without the days in `cut`."""
+    kept = [i for i, d in enumerate(cube.days) if d not in cut]
+    return dataclasses.replace(cube, days=tuple(cube.days[i] for i in kept),
+                               speed=cube.speed[:, kept])
 
 
 def make_speed_array(n_days, emit_slots, value=60.0):

@@ -1,8 +1,10 @@
-"""Each `t2t` call loads only the scipy it runs.
+"""Each `t2t` call loads only the scipy it runs, and none loads hashlib.
 
 Every check runs in a fresh interpreter, since the test process itself has
-long since loaded scipy. A probe prints the sorted scipy modules it ends with.
+long since loaded scipy and hashlib. A probe prints the sorted modules it
+ends with.
 """
+import hashlib
 import json
 import os
 import subprocess
@@ -13,20 +15,30 @@ import pytest
 
 import tweet2traffic
 from tweet2traffic.cli import main
+from tweet2traffic.learn.serialize import bundle_to_json
 
 SRC = str(Path(tweet2traffic.__file__).resolve().parents[1])
 
 
-def scipy_modules_after(body: str) -> list[str]:
-    """The scipy modules loaded once `body` has run in a fresh interpreter."""
-    probe = (f"import json, sys\n{body}\n"
-             "print(json.dumps(sorted(m for m in sys.modules\n"
-             "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+def run_fresh(body: str) -> list[str]:
+    """The stdout lines of `body`, then the sorted modules it ends with as one
+    JSON line, from a fresh interpreter."""
+    probe = f"import json, sys\n{body}\nprint(json.dumps(sorted(sys.modules)))\n"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()
+
+
+def modules_after(body: str) -> list[str]:
+    """The modules loaded once `body` has run in a fresh interpreter."""
+    return json.loads(run_fresh(body)[-1])
+
+
+def scipy_modules_after(body: str) -> list[str]:
+    """The scipy modules loaded once `body` has run in a fresh interpreter."""
+    return [m for m in modules_after(body) if loaded([m], "scipy")]
 
 
 def loaded(mods, package: str) -> bool:
@@ -51,15 +63,36 @@ def test_importing_the_cli_loads_no_scipy():
     assert scipy_modules_after("import tweet2traffic.cli") == []
 
 
-def test_a_one_day_predict_loads_no_scipy(trained):
-    model, out = trained / "m" / "model.json", trained / "p"
+def predict_probe(trained, out):
+    """A one-day `t2t predict` of the trained bundle, as a probe body, and its day."""
+    model = trained / "m" / "model.json"
     day = json.loads(model.read_text())["meta"]["train_end"]   # a day with weather
-    mods = scipy_modules_after(
-        "from tweet2traffic.cli import main\n"
-        f"assert main(['predict', '--model', {str(model)!r}, '--data', {str(trained / 'data')!r},\n"
-        f"             '--date', {day!r}, '--out', {str(out)!r}]) == 0")
-    assert mods == []
+    data = str(trained / "data")
+    return ("from tweet2traffic.cli import main\n"
+            f"assert main(['predict', '--model', {str(model)!r}, '--data', {data!r},\n"
+            f"             '--date', {day!r}, '--out', {str(out)!r}]) == 0"), day
+
+
+def test_a_one_day_predict_loads_no_scipy(trained):
+    out = trained / "p"
+    body, day = predict_probe(trained, out)
+    assert scipy_modules_after(body) == []
     assert (out / f"predictions_{day}.csv").exists()
+
+
+def test_the_cli_import_and_a_one_day_predict_load_no_hashlib(trained):
+    body, _day = predict_probe(trained, trained / "p_hashlib")
+    for probe in ("import tweet2traffic.cli", body):
+        mods = modules_after(probe)
+        assert not any(loaded(mods, p) for p in ("hashlib", "_hashlib")), probe
+
+
+def test_bundle_hash_hashes_in_a_fresh_interpreter():
+    *out, mods = run_fresh("from tweet2traffic.learn.serialize import bundle_hash\n"
+                           "print(bundle_hash({}, {}))")
+    payload = bundle_to_json({}, {}, meta={}).encode("utf-8")
+    assert out == [hashlib.sha256(payload).hexdigest()]
+    assert "hashlib" in json.loads(mods)
 
 
 def test_the_chi_squared_test_loads_scipy_special_only():

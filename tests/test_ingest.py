@@ -2,8 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 from collections import namedtuple
-from datetime import datetime, time
+from datetime import date, datetime, time, timedelta
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from tweet2traffic.config import PipelineConfig
 from tweet2traffic.errors import InvalidConfig, MissingFile, ParseError, SchemaMismatch
 from tweet2traffic.harness.pipeline import prepare_data
 from tweet2traffic.ingest import (
+    SpeedCube,
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
     write_dataset,
 )
+from tweet2traffic.ingest import loaders
 from tweet2traffic.ingest.loaders import (
     FILE_NAMES,
     _open_rows,
@@ -30,12 +33,15 @@ from tweet2traffic.ingest.loaders import (
 SpeedRow = namedtuple("SpeedRow", "segment_id timestamp observed_speed")
 
 
-def speed_rows(table):
-    """The table's rows as (segment_id, timestamp, observed_speed), in table order."""
-    return [SpeedRow(table.segment_ids[g],
-                     datetime.combine(table.days[d], time(t // 12, t % 12 * 5)), v)
-            for g, d, t, v in zip(table.segment.tolist(), table.day.tolist(),
-                                  table.slot.tolist(), table.speed.tolist())]
+def speed_rows(cube):
+    """The cube's occupied cells as (segment_id, timestamp, observed_speed) rows,
+    in (timestamp, segment_id) order."""
+    day, col, seg = np.nonzero(~np.isnan(np.moveaxis(cube.speed, 0, -1)))
+    slot = cube.start_hour * 12 + col
+    return [SpeedRow(cube.segment_ids[g],
+                     datetime.combine(cube.days[d], time(t // 12, t % 12 * 5)), v)
+            for g, d, t, v in zip(seg.tolist(), day.tolist(), slot.tolist(),
+                                  cube.speed[seg, day, col].tolist())]
 
 
 def row_by_row_load_speed(path):
@@ -59,6 +65,8 @@ def row_by_row_load_speed(path):
                 raise ParseError(i, f"bad speed {row[2]!r}") from None
             if not v > 0:
                 raise ParseError(i, "nonpositive speed")
+            if v == float("inf"):
+                raise ParseError(i, "infinite speed")
             if (ts.minute % 5) or ts.second or ts.microsecond:
                 raise ParseError(i, f"timestamp {row[1]} not on the 5-min grid")
             out.append(SpeedRow(row[0], ts, v))
@@ -66,12 +74,13 @@ def row_by_row_load_speed(path):
     return out
 
 
-def densify(records, segment_ids):
-    """Reference scatter: per-segment (days, emit slots) arrays, row by row."""
+def densify(records, segment_ids, end_hour=11):
+    """Reference scatter: per-segment (days, slots) arrays, row by row, over
+    the hours from the earliest row's up to `end_hour`."""
     days = sorted({r.timestamp.date() for r in records})
     day_index = {d: i for i, d in enumerate(days)}
     emit_start = min(r.timestamp.hour for r in records)
-    emit_slots = (11 - emit_start) * 12
+    emit_slots = (end_hour - emit_start) * 12
     speeds = {sid: np.full((len(days), emit_slots), np.nan) for sid in segment_ids}
     for rec in records:
         slot = (rec.timestamp.hour - emit_start) * 12 + rec.timestamp.minute // 5
@@ -100,6 +109,13 @@ class TestSpeedLoader:
                   "segment_id,timestamp,observed_speed\nT1,2014-03-04T05:00,-3\n")
         with pytest.raises(ParseError, match="nonpositive speed"):
             load_dataset("speed", p)
+
+    def test_infinite_speed(self, tmp_path):
+        for text in ("inf", "Infinity", "1e400"):
+            p = write(tmp_path, "speed.csv",
+                      f"segment_id,timestamp,observed_speed\nS1,2014-01-06T05:00,{text}\n")
+            with pytest.raises(ParseError, match="row 1: infinite speed"):
+                load_dataset("speed", p)
 
     def test_off_grid_timestamp(self, tmp_path):
         p = write(tmp_path, "speed.csv",
@@ -164,7 +180,7 @@ def speed_row(draw, defect_percent):
         stamp = draw(st.sampled_from(["2014-02-30T05:00", "nope", "", "05:00",
                                       stamp + "+01:00", stamp + "Z"]))
     if "speed" in defects:
-        speed = draw(st.sampled_from(["0", "-4.5", "nan", "-inf", "fast", "", " 7 "]))
+        speed = draw(st.sampled_from(["0", "-4.5", "nan", "inf", "-inf", "fast", "", " 7 "]))
     if "fields" in defects:
         return draw(st.sampled_from([[seg, stamp], [seg, stamp, speed, "x"], []]))
     return [seg, stamp, speed]
@@ -217,7 +233,7 @@ class TestSpeedColumnsMatchRowByRow:
         good = ["S1", "2014-03-03T05:00", "41.0"]
         stamps = ["2014-03-03T05:05", "2014-03-03T05:03", "2014-03-03T05:05:00.5", "nope",
                   "2014-03-03T05:05+00:00", "2014-03-03T05:03-05:00"]
-        speeds = ["42.0", "0", "nan", "fast"]
+        speeds = ["42.0", "0", "nan", "inf", "fast"]
         cases = [row for stamp in stamps for speed in speeds
                  for row in (["S2", stamp, speed], ["S2", stamp], ["S2", stamp, speed, "x"])]
         for i, row in enumerate(cases):
@@ -268,6 +284,124 @@ def test_prepared_cube_of_a_synthetic_world(tmp_path):
         assert (prepared.days, prepared.morning_offset) == (days, offset)
         for sid in seg_ids:
             assert np.array_equal(prepared.speeds[sid], want[sid], equal_nan=True)
+
+
+@st.composite
+def shuffled_speed_rows(draw):
+    """Valid speed rows with distinct keys in a random order, each as
+    (segment_id, timestamp text, speed), and a chunk size to read them in."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(SEGMENTS), st.sampled_from(DATES),
+                                   st.integers(0, 23), st.integers(0, 11)),
+                         min_size=1, max_size=60, unique=True))
+    rows = [(g, f"{d}T{h:02d}:{5 * m:02d}", draw(st.floats(0.5, 90.0)))
+            for g, d, h, m in keys]
+    return draw(st.permutations(rows)), draw(st.sampled_from([1, 2, 5, 1024]))
+
+
+def write_speed_rows(path, rows):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["segment_id", "timestamp", "observed_speed"]]
+                                 + [[g, ts, repr(v)] for g, ts, v in rows])
+
+
+class TestSpeedCube:
+    """The loaded cube against the row-by-row reference, read in chunks of any size."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=shuffled_speed_rows())
+    def test_cube_equals_the_row_by_row_scatter(self, tmp_path, drawn):
+        rows, chunk = drawn
+        p = tmp_path / "speed.csv"
+        write_speed_rows(p, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loaders, "_SPEED_CHUNK", chunk)
+            cube = load_dataset("speed", p)
+        records = row_by_row_load_speed(p)
+        seg_ids = sorted({r.segment_id for r in records})
+        end_hour = max(11, max(r.timestamp.hour for r in records) + 1)
+        days, _offset, want = densify(records, seg_ids, end_hour)
+        assert (cube.segment_ids, cube.days) == (tuple(seg_ids), tuple(days))
+        assert cube.start_hour == min(r.timestamp.hour for r in records)
+        assert cube.speed.shape == (len(seg_ids), len(days), (end_hour - cube.start_hour) * 12)
+        for g, sid in enumerate(seg_ids):
+            assert np.array_equal(cube.speed[g], want[sid], equal_nan=True), sid
+        assert len(cube) == len(rows)
+        assert not cube.speed.flags.writeable
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=shuffled_speed_rows(), data=st.data())
+    def test_duplicate_key_names_the_first_repeat(self, tmp_path, drawn, data):
+        """The error names the first row whose key an earlier row holds, as
+        the whole-file check did, in whichever chunk the two rows fall."""
+        rows, chunk = drawn
+        g, ts, _v = data.draw(st.sampled_from(rows))
+        at = data.draw(st.integers(0, len(rows)))
+        rows = rows[:at] + [(g, ts.replace("T", " "), 7.5)] + rows[at:]
+        seen, first = set(), None
+        for i, (g2, ts2, _v2) in enumerate(rows, start=1):
+            key = (g2, datetime.fromisoformat(ts2))
+            if key in seen:
+                first = (i, g2, ts2.replace(" ", "T"))
+                break
+            seen.add(key)
+        p = tmp_path / "speed.csv"
+        write_speed_rows(p, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loaders, "_SPEED_CHUNK", chunk)
+            with pytest.raises(SchemaMismatch) as err:
+                load_dataset("speed", p)
+        i, g, ts = first
+        assert str(err.value).endswith(f"row {i}: duplicate speed key ({g}, {ts})")
+
+    def test_a_parse_error_after_a_duplicate_wins(self, tmp_path):
+        p = write(tmp_path, "speed.csv",
+                  "segment_id,timestamp,observed_speed\n"
+                  "T1,2014-03-04T05:00,41.0\nT1,2014-03-04T05:00,42.0\n"
+                  "T1,2014-03-04T05:05,fast\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loaders, "_SPEED_CHUNK", 2)
+            with pytest.raises(ParseError, match="row 3: bad speed 'fast'"):
+                load_dataset("speed", p)
+
+    def test_synth_write_load_write_is_byte_identical(self, tmp_path):
+        cfg = SyntheticConfig(n_days=5, n_roads=2, segments_per_road=3, n_users=8, n_tracts=3)
+        synth = generate_synthetic(cfg, seed=8)[0].speed
+        write_dataset("speed", synth, tmp_path / "a.csv")
+        loaded = load_dataset("speed", tmp_path / "a.csv")
+        assert (loaded.segment_ids, loaded.days, loaded.start_hour) == \
+            (synth.segment_ids, synth.days, synth.start_hour)
+        assert np.array_equal(loaded.speed, synth.speed)
+        assert len(loaded) == synth.speed.size
+        write_dataset("speed", loaded, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_load_peak_memory_is_a_small_multiple_of_the_cube(self, tmp_path):
+        """One load of a 92,160-row file (120 days x 8 segments x 96 slots)
+        traces at most 4x the bytes of the cube it returns."""
+        rng = np.random.default_rng(3)
+        days = tuple(date(2014, 1, 1) + timedelta(days=i) for i in range(120))
+        speed = np.round(rng.uniform(20.0, 70.0, (8, len(days), 96)), 3)
+        write_dataset("speed", SpeedCube(tuple(f"S{g}" for g in range(8)), days, 3, speed),
+                      tmp_path / "speed.csv")
+        tracemalloc.start()
+        try:
+            cube = load_dataset("speed", tmp_path / "speed.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cube) == 92_160
+        assert np.array_equal(cube.speed, speed)
+        assert peak <= 4 * cube.speed.nbytes, (peak, cube.speed.nbytes)
+
+
+def test_speed_data_with_no_row_before_11_is_a_schema_error(tmp_path, small_bundle):
+    p = write(tmp_path, "speed.csv", "segment_id,timestamp,observed_speed\n"
+              f"{small_bundle.segments[0].segment_id},2014-03-04T12:00,41.0\n")
+    bundle = dataclasses.replace(small_bundle, speed=load_dataset("speed", p))
+    with pytest.raises(SchemaMismatch, match="no row before 11:00"):
+        prepare_data(bundle, PipelineConfig())
 
 
 class TestWeatherLoader:
@@ -325,6 +459,20 @@ class TestTweetLoader:
         p = write(tmp_path, "tweets.csv", self.HEADER
                   + "t1,u1,2014-03-04T22:00,TIMELINE,,,loc,text\n")
         assert load_dataset("tweets", p)[0].coord is None
+
+    def test_repeated_fields_share_one_string(self, tmp_path):
+        """Rows that repeat a user id, kind or profile location load with one
+        string object for each distinct value, and the same field values."""
+        p = write(tmp_path, "tweets.csv", self.HEADER + "".join(
+            f"t{i},user{i % 2},2014-03-04T22:{i:02d},{('TIMELINE', 'RETWEET')[i % 3 == 0]},,,"
+            f"{('Pittsburgh PA', '')[i % 4 == 0]},text {i}\n" for i in range(12)))
+        recs = load_dataset("tweets", p)
+        assert [(r.tweet_id, r.user_id, r.kind, r.user_profile_location) for r in recs] == [
+            (f"t{i}", f"user{i % 2}", ("TIMELINE", "RETWEET")[i % 3 == 0],
+             ("Pittsburgh PA", None)[i % 4 == 0]) for i in range(12)]
+        for field in ("user_id", "kind", "user_profile_location"):
+            values = [getattr(r, field) for r in recs]
+            assert len({id(v) for v in values}) == len(set(values)), field
 
 
 class TestGeojson:

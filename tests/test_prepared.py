@@ -45,12 +45,11 @@ class PerCallLanduse(dict):
         return landuse_of_points([coord], self.zones)[0]
 
 
-def per_call_reference(prepared):
+def per_call_reference(prepared, zones):
     """The prepared data with every hoisted join replaced by a per-call join:
     an empty tract table sends each coordinate to `TractGeocoder.locate`, and
-    each land-use lookup runs its own point-in-polygon join."""
-    return dataclasses.replace(
-        prepared, coord_tracts={}, landuse=PerCallLanduse(prepared.bundle.zones))
+    each land-use lookup runs its own point-in-polygon join over `zones`."""
+    return dataclasses.replace(prepared, coord_tracts={}, landuse=PerCallLanduse(zones))
 
 
 def test_tract_table_equals_locate(world):
@@ -131,13 +130,13 @@ def test_prepared_text_equals_fresh_clean_text(world):
 
 @pytest.mark.parametrize("n_train", [20, 32])
 def test_build_split_equals_per_call_joins(world, n_train):
-    _bundle, prepared = world
+    bundle, prepared = world
     days = prepared.days
     train, test = days[:n_train], days[n_train:n_train + 6]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = build_split(prepared, train, test, seed=4)
-        want = build_split(per_call_reference(prepared), train, test, seed=4)
+        want = build_split(per_call_reference(prepared, bundle.zones), train, test, seed=4)
     assert got.homes and got.homes == want.homes
     assert got.road_matrix.names == want.road_matrix.names
     assert np.array_equal(got.road_matrix.values, want.road_matrix.values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from datetime import date, datetime
 
@@ -25,7 +26,7 @@ from tweet2traffic.tweetpipe import (
     weighted_home_location,
 )
 from tweet2traffic.tweetpipe.geo import EARTH_RADIUS_KM, haversine_km, pairwise_haversine_km
-from tweet2traffic.tweetpipe.users import landuse_table
+from tweet2traffic.tweetpipe.users import in_night_window, landuse_table
 from tweet2traffic.tweetpipe.sentiment import LexiconSentimentProvider
 
 CFG = TweetConfig()
@@ -270,6 +271,26 @@ class TestGeotag:
         t = Tweet("t", "u1", datetime(2014, 3, 1, hour, minute), "", (40.3, -80.3), None, "TIMELINE")
         out = geotag_timeline([t], {"u1": self.HOME}, CFG)
         assert out[0].coord == (40.3, -80.3)
+
+    def test_records_equal_the_replace_result(self):
+        """Each record equals `dataclasses.replace(t, coord=home)` of its input,
+        field by field, and an untouched tweet is the input object itself."""
+        tweets = [Tweet(f"t{h}", user, datetime(2014, 3, 1, h, 30), f"text {h}", coord,
+                        "Pittsburgh, PA" if user == "u1" else None, kind)
+                  for h in range(24) for user in ("u1", "u2")
+                  for coord, kind in ((None, "TIMELINE"), ((40.3, -80.3), "GEOCODED"))]
+        out = geotag_timeline(tweets, {"u1": self.HOME}, CFG)
+        filled = 0
+        for t, got in zip(tweets, out, strict=True):
+            if got is t:
+                continue
+            want = dataclasses.replace(t, coord=self.HOME)
+            assert [getattr(got, f.name) for f in dataclasses.fields(Tweet)] == \
+                [getattr(want, f.name) for f in dataclasses.fields(Tweet)]
+            filled += 1
+        assert filled == sum(t.coord is None and t.user_id == "u1"
+                             and in_night_window(t.timestamp, CFG.night_window) for t in tweets)
+        assert filled > 0
 
 
 class TestCleaner:
