@@ -239,14 +239,8 @@ def cmd_predict(args) -> int:
         if desc is not None and desc.feature_names != road_matrix.names:
             raise SchemaMismatch("feature_names", f"--data lays out other road columns "
                                  f"than the bundle's {road} descriptor reads")
-    # BLAS rounds a one-row product (a dot) differently from the blocked
-    # matrix-vector product it runs over a training span's rows. Four copies
-    # of the row take the blocked path, so a training day in a full block of
-    # four rows is served the cluster scales it was trained on.
-    block = dataclasses.replace(road_matrix, days=[target] * 4,
-                                values=np.repeat(road_matrix.values, 4, axis=0))
-    scales = {road: s[:1] for road, s in descriptor_scales(descriptors, block).items()}
-    designs = segment_design(blocks, None, road_matrix, scales)
+    designs = segment_design(blocks, None, road_matrix,
+                             descriptor_scales(descriptors, road_matrix))
     rows = []
     for sid in sorted(segments):
         names, X_all, _pos = designs[sid]

@@ -266,9 +266,11 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
                              "is not in segments.csv")
 
     # each segment's (days, emit slots) view of the loaded cube, NaN when
-    # absent; the emitted range starts at the cube's first hour and ends at 11:00
-    if cube.start_hour > 11:
-        raise SchemaMismatch("timestamp", "speed.csv has no row before 11:00")
+    # absent; the emitted range starts at the cube's first hour and ends at
+    # 11:00. A cube that starts after 05:00 holds no whole morning.
+    if cube.start_hour > 5:
+        raise SchemaMismatch("timestamp", "speed.csv has no row before 06:00, so no "
+                             "morning from 05:00 can be filled")
     emit_slots = (11 - cube.start_hour) * 12
     morning_offset = (5 - cube.start_hour) * 12
     views = dict(zip(cube.segment_ids, cube.speed[:, :, :emit_slots]))

@@ -198,19 +198,25 @@ def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
         raise UnknownVariant(f"unknown model(s) {', '.join(map(repr, unknown))}; "
                              f"known: {', '.join(sorted(known))}")
     for split_id, train_idx, test_idx in plan.splits(len(prepared.days)):
-        train_days = [prepared.days[i] for i in train_idx]
-        test_days = [prepared.days[i] for i in test_idx]
-        art = build_split(prepared, train_days, test_days, seed=seed + split_id)
-        fits: dict = {}     # the fits this split's stack models share
-        for name in models:
-            if name == "hm":
-                predict = _hm_predictor(prepared, art)
-            elif name == "sar":
-                predict = _sar_predictor(prepared, art, split_id)
-            else:
-                predict = partial(stack_predictions, prepared, fit_stack(
-                    prepared, art, STACK_MODELS[name], seed=seed + split_id, fits=fits))
-            _score(prepared, art, report, name, split_id, predict)
-        log.info("split %d scored (%d train days, %d test days)",
-                 split_id, len(train_days), len(test_days))
+        _run_split(prepared, report, models, split_id,
+                   [prepared.days[i] for i in train_idx],
+                   [prepared.days[i] for i in test_idx], seed + split_id)
     return report.finalize()
+
+
+def _run_split(prepared, report, models, split_id, train_days, test_days, seed):
+    """Build one split, then fit and score every model on it. The split's
+    artifacts and fits are freed on return, before the next split is built."""
+    art = build_split(prepared, train_days, test_days, seed=seed)
+    fits: dict = {}     # the fits this split's stack models share
+    for name in models:
+        if name == "hm":
+            predict = _hm_predictor(prepared, art)
+        elif name == "sar":
+            predict = _sar_predictor(prepared, art, split_id)
+        else:
+            predict = partial(stack_predictions, prepared, fit_stack(
+                prepared, art, STACK_MODELS[name], seed=seed, fits=fits))
+        _score(prepared, art, report, name, split_id, predict)
+    log.info("split %d scored (%d train days, %d test days)",
+             split_id, len(train_days), len(test_days))

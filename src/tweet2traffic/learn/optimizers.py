@@ -50,7 +50,10 @@ class LinearModel:
     objective_path: list[float] = field(default_factory=list)
 
     def decision(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.weights + self.bias
+        """X.w + b, row by row: each row's sum is the same bits alone or in
+        any batch, which a BLAS product does not promise. The copy to C order
+        makes every row one contiguous reduction, whatever the layout of X."""
+        return (np.ascontiguousarray(X, dtype=float) * self.weights).sum(axis=1) + self.bias
 
     def predict_proba(self, X) -> np.ndarray:
         if self.task != "LOGISTIC":
@@ -257,7 +260,7 @@ def lasso_kkt_violation(X, y, model: LinearModel) -> float:
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    r = X @ model.weights + model.bias - y
+    r = model.decision(X) - y
     g = 2.0 * (X.T @ r)
     worst = 0.0
     for j, wj in enumerate(model.weights):

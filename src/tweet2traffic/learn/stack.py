@@ -35,7 +35,6 @@ class OrderedDescriptor:
     feature_names: list[str]
 
     def predict_scales(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         return np.column_stack([m.predict_proba(X) for m in self.classifiers])
 
 

@@ -100,23 +100,17 @@ def assemble_incident_records(parsed, milepost_geocoder) -> list[IncidentRecord]
 
     records = []
     counter = 0
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
+    for key in sorted(groups):
         series = sorted(groups[key], key=lambda p: p.timestamp)
         open_run: list[ParsedIncidentTweet] = []
         runs: list[list[ParsedIncidentTweet]] = []
         for p in series:
-            if not open_run:
-                if p.flag != "OCCUR":
-                    warnings.warn(f"orphan {p.flag} tweet on {key[0]} {key[1]}", OrphanUpdate)
-                open_run.append(p)
-                if p.flag == "CLEAR":
-                    runs.append(open_run)
-                    open_run = []
-            else:
-                open_run.append(p)
-                if p.flag == "CLEAR":
-                    runs.append(open_run)
-                    open_run = []
+            if not open_run and p.flag != "OCCUR":
+                warnings.warn(f"orphan {p.flag} tweet on {key[0]} {key[1]}", OrphanUpdate)
+            open_run.append(p)
+            if p.flag == "CLEAR":
+                runs.append(open_run)
+                open_run = []
         if open_run:    # feed ended before the cleared notice
             runs.append(open_run)
         for run in runs:
@@ -128,7 +122,7 @@ def assemble_incident_records(parsed, milepost_geocoder) -> list[IncidentRecord]
                             road_name, direction, mileposts)
                 continue
             road_id, lo_lat, lo_lon = lo
-            _road_id2, hi_lat, hi_lon = hi
+            _, hi_lat, hi_lon = hi
             counter += 1
             closure_type = "FULL" if any(p.lane_status == "FULL_CLOSURE" for p in run) else "PARTIAL"
             records.append(IncidentRecord(

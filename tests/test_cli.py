@@ -479,13 +479,12 @@ class TestCli:
             names, X_want, pos = want[sid]
             assert got[sid][0] == names == segments[sid].feature_names
             row_want, row_got = X_want[pos[target]], got[sid][1][0]
-            # road and incident columns are the same numbers; the descriptors'
-            # cluster scales of a lone row may round in the last bits
+            # road, incident and cluster-scale columns are the split row's bits
             scale = [i for i, n in enumerate(names) if n.startswith("c_")]
             rest = [i for i in range(len(names)) if i not in scale]
-            assert len(rest) > n_road
+            assert scale and len(rest) > n_road
             assert np.array_equal(row_got[rest], row_want[rest])
-            np.testing.assert_allclose(row_got[scale], row_want[scale], rtol=1e-12)
+            assert np.array_equal(row_got[scale], row_want[scale])
 
         # with no --date, the CLI predicts the day after the training span
         assert main(["predict", "--model", str(served.model), "--data", str(data_dir),
@@ -498,8 +497,8 @@ class TestCli:
             p = predict_day(segments[r["segment_id"]], X_want[pos[target]],
                             cfg.model.cs_threshold)
             assert r["date"] == target.isoformat() and int(r["cs"]) == p.cs
-            assert float(r["p_congested"]) == pytest.approx(p.p_congested, rel=1e-12)
-            assert float(r["cst_slots"]) == pytest.approx(p.cst, rel=1e-12)
+            assert float(r["p_congested"]) == p.p_congested
+            assert float(r["cst_slots"]) == p.cst
 
     def test_predict_reads_no_speed_and_builds_no_split(self, data_dir, served, tmp_path,
                                                         monkeypatch):
@@ -681,21 +680,25 @@ class TestCli:
             for row in X_all:
                 assert predict_day(segments[sid], row) == predict_day(fitted, row), sid
 
-        # an in-sample day is served from its training-time design row
-        day = prepared.days[len(prepared.days) // 2]
-        assert main(["predict", "--model", str(tmp_path / "m" / "model.json"),
-                     "--date", day.isoformat(), "--out", str(tmp_path / "p")] + common) == 0
-        with (tmp_path / "p" / f"predictions_{day}.csv").open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["segment_id"] for r in rows] == sorted(stack.segment_models)
-        for r in rows:
-            sid = r["segment_id"]
-            _names, X_all, pos = stack.designs[sid]
-            p = predict_day(stack.segment_models[sid], X_all[pos[day]], cfg.model.cs_threshold)
-            assert r == {"segment_id": sid, "date": day.isoformat(), "cs": str(p.cs),
-                         "cst_slots": repr(p.cst), "cd_slots": "" if p.cd is None else repr(p.cd),
-                         "pti": "" if p.pti is None else repr(p.pti),
-                         "p_congested": repr(p.p_congested)}
+        # an in-sample day, mid-span or last, is served from its training-time
+        # design row
+        for day in (prepared.days[len(prepared.days) // 2], prepared.days[-1]):
+            assert main(["predict", "--model", str(tmp_path / "m" / "model.json"),
+                         "--date", day.isoformat(), "--out", str(tmp_path / "p")]
+                        + common) == 0
+            with (tmp_path / "p" / f"predictions_{day}.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [r["segment_id"] for r in rows] == sorted(stack.segment_models)
+            for r in rows:
+                sid = r["segment_id"]
+                _names, X_all, pos = stack.designs[sid]
+                p = predict_day(stack.segment_models[sid], X_all[pos[day]],
+                                cfg.model.cs_threshold)
+                assert r == {"segment_id": sid, "date": day.isoformat(), "cs": str(p.cs),
+                             "cst_slots": repr(p.cst),
+                             "cd_slots": "" if p.cd is None else repr(p.cd),
+                             "pti": "" if p.pti is None else repr(p.pti),
+                             "p_congested": repr(p.p_congested)}
 
     @pytest.mark.parametrize("fname,column", [("tweets.csv", 2), ("weather.csv", 0),
                                               ("incidents.csv", 3), ("speed.csv", 1)])

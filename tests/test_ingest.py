@@ -261,6 +261,10 @@ class TestSpeedColumnsMatchRowByRow:
             f"{g},{ts},{v!r}\n" for (g, ts), v in lines.items()))
         bundle = dataclasses.replace(small_bundle, speed=load_dataset("speed", p))
         days, offset, want = densify(row_by_row_load_speed(p), seg_ids)
+        if offset < 0:      # the earliest row is after 05:59
+            with pytest.raises(SchemaMismatch, match="no row before 06:00"):
+                prepare_data(bundle, PipelineConfig())
+            return
         prepared = prepare_data(bundle, PipelineConfig())
         assert (prepared.days, prepared.morning_offset) == (days, offset)
         for sid in seg_ids:
@@ -400,8 +404,19 @@ def test_speed_data_with_no_row_before_11_is_a_schema_error(tmp_path, small_bund
     p = write(tmp_path, "speed.csv", "segment_id,timestamp,observed_speed\n"
               f"{small_bundle.segments[0].segment_id},2014-03-04T12:00,41.0\n")
     bundle = dataclasses.replace(small_bundle, speed=load_dataset("speed", p))
-    with pytest.raises(SchemaMismatch, match="no row before 11:00"):
+    with pytest.raises(SchemaMismatch, match="no row before 06:00"):
         prepare_data(bundle, PipelineConfig())
+
+
+def test_speed_data_with_no_row_before_6_is_a_schema_error(tmp_path, small_bundle):
+    """A file whose earliest row is at 06:00 holds no morning from 05:00."""
+    sid = small_bundle.segments[0].segment_id
+    p = write(tmp_path, "speed.csv", "segment_id,timestamp,observed_speed\n" + "".join(
+        f"{sid},2014-03-0{d}T{h:02d}:00,41.0\n" for d in (4, 5) for h in range(6, 12)))
+    bundle = dataclasses.replace(small_bundle, speed=load_dataset("speed", p))
+    with pytest.raises(SchemaMismatch, match="no row before 06:00") as exc:
+        prepare_data(bundle, PipelineConfig())
+    assert exc.value.column == "timestamp"
 
 
 class TestWeatherLoader:

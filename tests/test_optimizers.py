@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tweet2traffic.errors import NotConverged
+from tweet2traffic.features.assemble import FeatureMatrix
 from tweet2traffic.learn.optimizers import (
+    LinearModel,
     fit_l1_logistic,
     fit_lasso,
     lasso_kkt_violation,
@@ -159,6 +161,46 @@ class TestL1Logistic:
         model = standardized(fit_l1_logistic, X, y, 0.1)
         proba = model.predict_proba(X)
         assert np.all((proba > 0) & (proba < 1))
+
+
+def _feature_view(values, keep):
+    """`values` as `keep` sees it through a FeatureMatrix of mixed groups."""
+    groups = ["tweet_sleep", "weather", "time", "tweet_period"]
+    p = values.shape[1]
+    fm = FeatureMatrix([f"x{j}" for j in range(p)], [groups[j % 4] for j in range(p)],
+                       [float(j % 7) for j in range(p)], list(range(len(values))), values)
+    return keep(fm).values
+
+
+BATCH_LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "drop_groups": lambda v: _feature_view(v, lambda fm: fm.drop_groups({"weather"})),
+    "before_cutoff": lambda v: _feature_view(v, lambda fm: fm.before_cutoff(3.0)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BATCH_LAYOUTS))
+def test_linear_model_gives_each_row_the_same_bits_in_any_batch(layout):
+    """decision and predict_proba give a row the same bits alone, in four
+    stacked copies and in a batch with rows appended, whatever the layout of
+    the batch; the cluster scales and served rows depend on it."""
+    make = BATCH_LAYOUTS[layout]
+    rng = np.random.default_rng(20)
+    for trial in range(12):
+        n, extra = int(rng.integers(20, 120)), int(rng.integers(1, 30))
+        full = rng.normal(size=(n + extra, int(rng.integers(50, 260))))
+        X, appended = make(full[:n]), make(full)
+        model = LinearModel(rng.normal(size=X.shape[1]), float(rng.normal()),
+                            [], 0.0, "LOGISTIC")
+        for evaluate in (model.decision, model.predict_proba):
+            batch = evaluate(X)
+            assert np.array_equal(evaluate(appended)[:n], batch), (trial, evaluate)
+            for i in range(n):
+                alone = make(full[i:i + 1])
+                assert evaluate(alone)[0] == batch[i], (trial, i)
+                assert np.array_equal(evaluate(make(np.repeat(full[i:i + 1], 4, axis=0))),
+                                      np.repeat(batch[i], 4)), (trial, i)
 
 
 def test_soft_threshold():

@@ -284,7 +284,7 @@ class TestSerialize:
         text = bundle_to_json({"R1": desc}, {"S1": seg}, meta={"seed": 1})
         d2, s2, meta = bundle_from_json(text)
         assert meta["seed"] == 1
-        assert np.allclose(d2["R1"].predict_scales(X), desc.predict_scales(X))
+        assert np.array_equal(d2["R1"].predict_scales(X), desc.predict_scales(X))
         assert predict_day(s2["S1"], X[0]) == predict_day(seg, X[0])
 
     def test_hash_stable_and_sensitive(self):

@@ -5,6 +5,7 @@ import json
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from tweet2traffic.config import PipelineConfig, TweetConfig
@@ -214,3 +215,27 @@ def test_one_pass_fits_what_its_stack_models_share_once(prepared, monkeypatch):
         assert shared[name] > 0
         assert 3 * shared[name] == separate[name], name
     assert calls["fit_ordered_descriptor"] == 3 * len(prepared.roads)
+
+
+@pytest.mark.parametrize("name", ["t2t", "NO_TWEET"])
+def test_training_scales_do_not_depend_on_the_test_days(prepared, name):
+    """fit_stack gives each training day the same cluster-scale columns with
+    no test day, 5 or 7 of them. Neither those counts nor the 34 training
+    days are multiples of 4, the row block a BLAS product works in."""
+    train = prepared.days[:34]
+    scales = []
+    for n_test in (0, 5, 7):
+        art = build_split(prepared, train, prepared.days[34:34 + n_test], seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stack = fit_stack(prepared, art, STACK_MODELS[name], seed=4)
+        per_segment = {}
+        for sid, (names, X_all, pos) in stack.designs.items():
+            cols = [j for j, n in enumerate(names) if is_cluster(n)]
+            assert cols, sid
+            per_segment[sid] = X_all[[pos[d] for d in train]][:, cols]
+        scales.append(per_segment)
+    for other in scales[1:]:
+        assert other.keys() == scales[0].keys()
+        for sid, values in other.items():
+            assert np.array_equal(values, scales[0][sid]), sid

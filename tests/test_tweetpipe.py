@@ -396,6 +396,15 @@ class TestIncidentAssembly:
         assert len(recs) == 1
         assert recs[0].closure_start_ts == T1
 
+    def test_orphan_clear_is_a_one_tweet_record(self):
+        from tweet2traffic.errors import OrphanUpdate
+
+        with pytest.warns(OrphanUpdate):
+            recs = assemble_incident_records([parse_incident_tweet(CLEAR_TXT, T2)],
+                                             flat_geocoder)
+        assert len(recs) == 1
+        assert recs[0].closure_start_ts == recs[0].closure_end_ts == T2
+
     def test_partition_every_tweet_in_one_record(self):
         texts = [(OCCUR_TXT, T0), (UPDATE_TXT, T1), (CLEAR_TXT, T2),
                  (OCCUR_TXT, datetime(2019, 12, 28, 9, 0)),
