@@ -2,6 +2,7 @@
 
 All defaults match the production settings used in the experiments; a JSON
 config file can override any subset of fields (nested by section name).
+The clock (slot length, cutoff, morning window) is fixed, in `clock`.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .clock import SLOT_MINUTES
 from .errors import InvalidConfig
 
 
@@ -18,15 +20,17 @@ class CongestionParams:
     tti_thres: float = 2.0
     t_min: int = 15           # minutes a TTI excursion must last to count
     merge_gap: int = 15       # minutes; shorter gaps between periods are merged
-    slot: int = 5             # minutes per sample, fixed by the speed feed
 
     def __post_init__(self):
-        if self.slot <= 0:
-            raise InvalidConfig("slot must be positive")
         for name in ("t_min", "merge_gap"):
             v = getattr(self, name)
             if v <= 0 or v % self.slot != 0:
                 raise InvalidConfig(f"{name} must be a positive multiple of slot")
+
+    @property
+    def slot(self) -> int:
+        """Minutes per speed sample, fixed by the speed feed (`clock.SLOT_MINUTES`)."""
+        return SLOT_MINUTES
 
     @property
     def min_slots(self) -> int:
@@ -72,7 +76,6 @@ class TweetConfig:
         ("EM", 3, 5), ("AM", 5, 9), ("DA", 9, 18), ("EV", 18, 21), ("LN", 21, 24), ("MN", 0, 3),
     )
     agency_user_ids: tuple[str, ...] = ()
-    timeline_kinds_for_sleep: tuple[str, ...] = ("GEOCODED", "TIMELINE", "RETWEET", "FAVORITE")
 
     @property
     def sleep_hours(self) -> tuple[int, ...]:
@@ -91,8 +94,6 @@ def _window_hours(start: int, end: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FeatureConfig:
     d_thres_km: float = 5.0
-    weeks_per_year: int = 52
-    months_per_year: int = 12
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ class HarnessConfig:
     n_outer: int = 10
     hm_window_grid: tuple[int, ...] = (4, 8, 0)        # 0 means unbounded history
     sar_grid: tuple[tuple[int, int], ...] = ((12, 4), (6, 2))
-    cutoff_hour: int = 5                                # data feed cutoff for evaluation mode
     assume_all_known: bool = False                      # True = interpretation mode
 
 

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clock import N_SLOTS, SLOT_MINUTES
 from .config import CongestionParams
 from .errors import EmptyInput, IncompleteDay
-
-N_SLOTS = 72
 
 
 def percentile(values, q: float) -> float:
@@ -136,5 +135,5 @@ def congestion_measurements(tti: TtiSeries, params: CongestionParams,
     )
 
 
-def slots_to_hours(slots: float, slot_minutes: int = 5) -> float:
+def slots_to_hours(slots: float, slot_minutes: int = SLOT_MINUTES) -> float:
     return slots * slot_minutes / 60.0

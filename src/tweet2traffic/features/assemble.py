@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..clock import CUTOFF_HOUR, SLEEP_ANCHOR_HOUR
 from ..config import TweetConfig
 from .timefeat import TIME_FEATURE_NAMES
 from .weather import weather_feature_names
@@ -34,11 +35,12 @@ def tweet_feature_layout(tract_ids, cfg: TweetConfig):
     the prediction day (see `encode_event_indicators`), so they are complete
     by midnight; earlier periods complete at their end hour.
     """
-    cols = [(f"{hour}_{tract}", "tweet_sleep", 0.0 if hour >= 12 else float(hour + 1))
+    cols = [(f"{hour}_{tract}", "tweet_sleep",
+             0.0 if hour >= SLEEP_ANCHOR_HOUR else float(hour + 1))
             for hour, tract in pulse_keys(tract_ids, cfg.sleep_hours)]
     cols += [(f"{hour}_{tract}", "tweet_wake", float(hour + 1))
              for hour, tract in pulse_keys(tract_ids, cfg.wake_hours)]
-    avail = [0.0 if start >= 5 else float(end) for _name, start, end in cfg.periods]
+    avail = [0.0 if start >= CUTOFF_HOUR else float(end) for _name, start, end in cfg.periods]
     cols += [(name, "tweet_period", a) for (name, _s, _e), a in zip(cfg.periods, avail)]
     cols += [(f"Neu_{name}", "tweet_sentiment", a)
              for (name, _s, _e), a in zip(cfg.periods, avail)]
@@ -71,10 +73,9 @@ class FeatureMatrix:
         return self if len(keep) == len(self.groups) else self._take(keep)
 
     def before_cutoff(self, cutoff_hour: float) -> "FeatureMatrix":
-        """Drop tweet/weather columns whose data completes after the cutoff."""
-        maskable = {"tweet_sleep", "tweet_wake", "tweet_period", "tweet_sentiment", "weather"}
-        keep = [i for i, (g, a) in enumerate(zip(self.groups, self.avail_hours))
-                if g not in maskable or a <= cutoff_hour]
+        """Drop the columns whose data completes after the cutoff (time and
+        cluster columns are available `ALWAYS`)."""
+        keep = [i for i, a in enumerate(self.avail_hours) if a <= cutoff_hour]
         return self._take(keep)
 
     def _take(self, idx) -> "FeatureMatrix":

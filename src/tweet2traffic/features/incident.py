@@ -13,10 +13,10 @@ from datetime import datetime, time, timedelta
 
 import numpy as np
 
+from ..clock import MORNING_END_HOUR as N_HOURS   # hours 0..10 of the prediction day
 from ..tweetpipe.geo import haversine_km
 
 LOCATION_CODES = ("ds", "in", "us")
-N_HOURS = 11
 
 
 def road_orientation(segments) -> int:

@@ -32,16 +32,15 @@ def _days_to_rest(day: date_t, holidays: set, step: int) -> int:
     return 370
 
 
-def time_features(days, holidays: set,
-                  weeks_per_year: int = 52, months_per_year: int = 12) -> np.ndarray:
+def time_features(days, holidays: set) -> np.ndarray:
     """(n_days, n_cols) calendar block in `TIME_FEATURE_NAMES` order."""
     rows = []
     for day in days:
         # one of mon, tue_thu, fri, wkd_holiday
         kind = 3 if _is_rest(day, holidays) else (0, 1, 1, 1, 2)[day.weekday()]
         dow = [1.0 if k == kind else 0.0 for k in range(4)]
-        rows.append([*cyclic_encode(day.month - 1, months_per_year),
-                     *cyclic_encode(day.isocalendar().week - 1, weeks_per_year), *dow,
+        rows.append([*cyclic_encode(day.month - 1, 12),
+                     *cyclic_encode(day.isocalendar().week - 1, 52), *dow,
                      float(_days_to_rest(day, holidays, +1)),
                      float(_days_to_rest(day, holidays, -1))])
     return np.array(rows, dtype=float)

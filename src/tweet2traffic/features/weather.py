@@ -6,12 +6,12 @@ from datetime import datetime, time
 
 import numpy as np
 
+from ..clock import MORNING_END_HOUR as N_HOURS   # hours 0..10 of the prediction day
 from ..errors import EmptyInput
 
 log = logging.getLogger(__name__)
 
 CONTINUOUS = ("temp", "hum", "wspd", "pressure", "vis", "precip_hrly")
-N_HOURS = 11
 N_SCALED = len(CONTINUOUS) * N_HOURS     # the leading, min-max scaled columns
 
 _FIELD_OF = {

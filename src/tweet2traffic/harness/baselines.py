@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import CongestionParams
-from ..congestion import N_SLOTS, detect_congested_periods, morning_pti
+from ..clock import N_SLOTS
+from ..congestion import detect_congested_periods, morning_pti
 from ..errors import InsufficientHistory
 
 log = logging.getLogger(__name__)

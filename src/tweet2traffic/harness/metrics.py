@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..clock import SLOT_MINUTES
 from ..congestion import slots_to_hours
 
 METRIC_NAMES = ("accuracy", "precision", "recall", "rmse_cst_h", "rmse_cd_h", "rmse_pti")
@@ -23,7 +24,7 @@ class MetricSet:
 
 
 def compute_metrics(truth_quads, pred_cs, pred_cst, pred_cd, pred_pti,
-                    slot_minutes: int = 5) -> MetricSet:
+                    slot_minutes: int = SLOT_MINUTES) -> MetricSet:
     """Score one segment-split; regression errors cover truth-congested days only."""
     truth_cs = np.array([1 if q.cs else 0 for q in truth_quads])
     pred_cs = np.asarray(pred_cs, dtype=int)

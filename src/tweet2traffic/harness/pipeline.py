@@ -23,9 +23,9 @@ from datetime import datetime, time, timedelta
 
 import numpy as np
 
+from ..clock import CUTOFF_HOUR, MORNING_END_HOUR, N_SLOTS, SLEEP_ANCHOR_HOUR, SLOTS_PER_HOUR
 from ..config import PipelineConfig
 from ..congestion import (
-    N_SLOTS,
     CongestionMeasurements,
     TtiSeries,
     congestion_measurements,
@@ -133,11 +133,6 @@ def clean_tweet_texts(cfg: PipelineConfig, tweets) -> dict[str, str]:
             for text in dict.fromkeys(t.text for t in tweets)}
 
 
-# A day's geo window (event indicators) runs from 05:00 on its eve to 05:00
-# on the day, and its sleep/wake window from 12:00 to 12:00.
-GEO_ANCHOR_HOUR, SLEEP_ANCHOR_HOUR = 5, 12
-
-
 def _anchor_day(ts: datetime, hour: int) -> date_t:
     """The day whose window from `hour` on the eve to `hour` on the day holds `ts`."""
     return ts.date() + timedelta(days=1) if ts.hour >= hour else ts.date()
@@ -151,7 +146,7 @@ def day_rows(config: PipelineConfig, day: date_t):
     whatever its time, since its series is assembled into incident records.
     Weather from 00:00 on the day on: `weather_hours` fills forward only.
     """
-    anchors = (GEO_ANCHOR_HOUR, SLEEP_ANCHOR_HOUR)
+    anchors = (CUTOFF_HOUR, SLEEP_ANCHOR_HOUR)
     first = datetime.combine(day - timedelta(days=1), time(min(anchors)))
     end = datetime.combine(day, time(max(anchors)))
     midnight = datetime.combine(day, time(0))
@@ -189,7 +184,7 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
     for t in bundle.tweets:
         if t.coord is None or not _in_bbox(t.coord, cfg.tweets.bbox):
             continue
-        anchor = _anchor_day(t.timestamp, GEO_ANCHOR_HOUR)
+        anchor = _anchor_day(t.timestamp, CUTOFF_HOUR)
         if anchor in geo_by_window:
             geo_by_window[anchor].append(t)
             in_window.append(t)
@@ -215,8 +210,6 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
     pulse_hours = set(cfg.tweets.sleep_hours + cfg.tweets.wake_hours)
     sleep_buckets: dict[date_t, dict[str, list]] = {d: {} for d in days}
     for t in bundle.tweets:
-        if t.kind not in cfg.tweets.timeline_kinds_for_sleep:
-            continue
         anchor = _anchor_day(t.timestamp, SLEEP_ANCHOR_HOUR)
         if anchor in sleep_buckets and t.timestamp.hour in pulse_hours:
             sleep_buckets[anchor].setdefault(t.user_id, []).append(t)
@@ -239,8 +232,7 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
                                              list(bundle.incidents) + tweet_incidents, days),
         event_features=event_features,
         weather_hours=weather_hours(bundle.weather, days),
-        time_features=time_features(days, holidays, cfg.features.weeks_per_year,
-                                    cfg.features.months_per_year),
+        time_features=time_features(days, holidays),
         sleep_buckets=sleep_buckets,
     )
 
@@ -268,11 +260,12 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
     # each segment's (days, emit slots) view of the loaded cube, NaN when
     # absent; the emitted range starts at the cube's first hour and ends at
     # 11:00. A cube that starts after 05:00 holds no whole morning.
-    if cube.start_hour > 5:
-        raise SchemaMismatch("timestamp", "speed.csv has no row before 06:00, so no "
-                             "morning from 05:00 can be filled")
-    emit_slots = (11 - cube.start_hour) * 12
-    morning_offset = (5 - cube.start_hour) * 12
+    if cube.start_hour > CUTOFF_HOUR:
+        raise SchemaMismatch("timestamp", f"speed.csv has no row before "
+                             f"{CUTOFF_HOUR + 1:02d}:00, so no morning from "
+                             f"{CUTOFF_HOUR:02d}:00 can be filled")
+    emit_slots = (MORNING_END_HOUR - cube.start_hour) * SLOTS_PER_HOUR
+    morning_offset = (CUTOFF_HOUR - cube.start_hour) * SLOTS_PER_HOUR
     views = dict(zip(cube.segment_ids, cube.speed[:, :, :emit_slots]))
     speeds = {s.segment_id: views[s.segment_id] if s.segment_id in views
               else np.full((len(blocks.days), emit_slots), np.nan) for s in segments}
@@ -412,12 +405,11 @@ def road_features(blocks: DayBlocks, days, homes, bounds, coord_tracts=()) -> Fe
 def _incident_features(prepared_config, segs_by_road, incidents, days):
     """Per-segment (n_days, n_cols) incident blocks under the configured mode."""
     cfg = prepared_config
-    cutoff = cfg.harness.cutoff_hour
 
     def usable(rec, day):
         if cfg.harness.assume_all_known:
             return True
-        return rec.closure_start_ts < datetime.combine(day, time(cutoff, 0))
+        return rec.closure_start_ts < datetime.combine(day, time(CUTOFF_HOUR, 0))
 
     by_road: dict[str, list] = {}
     for rec in incidents:

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from ..congestion import N_SLOTS
+from ..clock import N_SLOTS
 from ..errors import InsufficientHistory, TooFewDays, UnknownVariant
 from .baselines import fit_sar, hm_predict, index_history, sar_quadruple, sar_rollout
 from .metrics import compute_metrics, weighted_aggregate

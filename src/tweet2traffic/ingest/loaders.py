@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ..clock import MORNING_END_HOUR, SLOT_MINUTES, SLOTS_PER_DAY, SLOTS_PER_HOUR
 from ..errors import MissingFile, ParseError, SchemaMismatch
 from .types import (
     LAND_USE_CLASSES,
     CalendarInfo,
     IncidentRecord,
-    SLOTS_PER_DAY,
     SegmentDescriptor,
     SpeedCube,
     TractPolygon,
@@ -120,7 +120,7 @@ def write_rows(path, header, rows) -> str:
 
 
 def _off_grid(ts: datetime) -> bool:
-    return bool((ts.minute % 5) or ts.second or ts.microsecond)
+    return bool((ts.minute % SLOT_MINUTES) or ts.second or ts.microsecond)
 
 
 def _speed_row_error(i: int, row: list[str]) -> None:
@@ -134,7 +134,7 @@ def _speed_row_error(i: int, row: list[str]) -> None:
     if math.isinf(v):
         raise ParseError(i, "infinite speed")
     if _off_grid(ts):
-        raise ParseError(i, f"timestamp {row[1]} not on the 5-min grid")
+        raise ParseError(i, f"timestamp {row[1]} not on the {SLOT_MINUTES}-min grid")
 
 
 def _grid_stamp(text: str):
@@ -145,7 +145,7 @@ def _grid_stamp(text: str):
         return None
     if ts.tzinfo is not None or _off_grid(ts):
         return None
-    return ts.date(), ts.hour * 12 + ts.minute // 5
+    return ts.date(), ts.hour * SLOTS_PER_HOUR + ts.minute // SLOT_MINUTES
 
 
 def _regrid(cube: np.ndarray, lo: int, need: tuple[int, int], new_lo: int,
@@ -157,8 +157,8 @@ def _regrid(cube: np.ndarray, lo: int, need: tuple[int, int], new_lo: int,
     chunks is copied O(log n) times.
     """
     n_seg, n_day = (c if n <= c else max(n, 2 * c) for n, c in zip(need, cube.shape))
-    out = np.full((n_seg, n_day, (new_hi - new_lo) * 12), np.nan)
-    at = (lo - new_lo) * 12
+    out = np.full((n_seg, n_day, (new_hi - new_lo) * SLOTS_PER_HOUR), np.nan)
+    at = (lo - new_lo) * SLOTS_PER_HOUR
     out[:cube.shape[0], :cube.shape[1], at:at + cube.shape[2]] = cube
     return out
 
@@ -181,7 +181,7 @@ def _load_speed(path) -> SpeedCube:
     seg_code: dict[str, int] = {}
     day_code: dict[date_t, int] = {}
     cube = np.full((0, 0, 0), np.nan)
-    lo, hi = 24, 11                     # hours [lo, hi) of the slot axis, once a row is in
+    lo, hi = 24, MORNING_END_HOUR       # hours [lo, hi) of the slot axis, once a row is in
     duplicate = None                    # SchemaMismatch of the first repeated key
     first = 1                           # row number of the chunk's first row
     with fh:
@@ -203,14 +203,14 @@ def _load_speed(path) -> SpeedCube:
                     for g in dict.fromkeys(segs):
                         seg_code.setdefault(g, len(seg_code))
                     seg = np.fromiter(map(seg_code.__getitem__, segs), np.intp, n)
-                    new_lo = min(lo, int(slot.min()) // 12)
-                    new_hi = max(hi, int(slot.max()) // 12 + 1)
+                    new_lo = min(lo, int(slot.min()) // SLOTS_PER_HOUR)
+                    new_hi = max(hi, int(slot.max()) // SLOTS_PER_HOUR + 1)
                     if (len(seg_code) > cube.shape[0] or len(day_code) > cube.shape[1]
                             or (new_lo, new_hi) != (lo, hi)):
                         cube = _regrid(cube, lo, (len(seg_code), len(day_code)),
                                        new_lo, new_hi)
                         lo, hi = new_lo, new_hi
-                    cells = (seg, day, slot - lo * 12)
+                    cells = (seg, day, slot - lo * SLOTS_PER_HOUR)
                     if duplicate is None and (i := _first_repeat(cube, cells)) is not None:
                         d, s = stamps[texts[i]]
                         duplicate = SchemaMismatch("timestamp", f"row {first + i}: duplicate "
@@ -430,12 +430,13 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
-_SLOT_TEXT = [f"T{s // 12:02d}:{s % 12 * 5:02d}" for s in range(SLOTS_PER_DAY)]
+_SLOT_TEXT = [f"T{s // SLOTS_PER_HOUR:02d}:{s % SLOTS_PER_HOUR * SLOT_MINUTES:02d}"
+              for s in range(SLOTS_PER_DAY)]
 
 
 def _write_speed(cube: SpeedCube, path: Path) -> None:
     """The cube's occupied cells as rows in (timestamp, segment_id) order."""
-    slot_text = _SLOT_TEXT[cube.start_hour * 12:]
+    slot_text = _SLOT_TEXT[cube.start_hour * SLOTS_PER_HOUR:]
 
     def rows():
         for d, day in enumerate(cube.days):

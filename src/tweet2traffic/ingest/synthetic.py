@@ -23,8 +23,9 @@ from datetime import datetime, time, timedelta
 
 import numpy as np
 
+from ..clock import CUTOFF_HOUR, MORNING_END_HOUR, N_SLOTS, SLOTS_PER_HOUR
 from ..config import CongestionParams
-from ..congestion import N_SLOTS, TtiSeries, congestion_measurements, reference_speed
+from ..congestion import TtiSeries, congestion_measurements, reference_speed
 from ..errors import InvalidConfig
 from .types import (
     CalendarInfo,
@@ -306,7 +307,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
                         new_dur = min(dur + cd_shift + (start - new_start), N_SLOTS - new_start)
                         plan[key] = (new_start, new_dur)
                     elif full and impact >= 0.5:
-                        new_start = int(np.clip(round(max(start_h - 5.0, 0.2) * 12), 0, 60))
+                        new_start = int(np.clip(round(max(start_h - CUTOFF_HOUR, 0.2)
+                                                      * SLOTS_PER_HOUR), 0, 60))
                         new_dur = min(6 + cd_shift, N_SLOTS - new_start)
                         plan[key] = (new_start, new_dur)
                         cst_shift = new_start + new_dur   # created from nothing
@@ -321,14 +323,14 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
                 "incident_id": inc_id if not as_tweets else f"tweeted{inc_counter:05d}",
                 "road_id": rid, "date": days[d].isoformat(), "full": full,
                 "as_tweets": as_tweets, "milepost": milepost,
-                "reported_before_cutoff": start_h < 5.0,
+                "reported_before_cutoff": start_h < CUTOFF_HOUR,
                 "affected": affected,
             })
 
     # ---- speeds ----------------------------------------------------------
-    emit_start_h, emit_end_h = 3, 11
-    slots_per_day = (emit_end_h - emit_start_h) * 12
-    morning_offset = (5 - emit_start_h) * 12
+    emit_start_h = 3
+    slots_per_day = (MORNING_END_HOUR - emit_start_h) * SLOTS_PER_HOUR
+    morning_offset = (CUTOFF_HOUR - emit_start_h) * SLOTS_PER_HOUR
     seg_ids = sorted(s.segment_id for s in segments)
     speed_cube = np.empty((len(segments), cfg.n_days, slots_per_day))
     tti_all = {}

@@ -22,9 +22,6 @@ class SegmentDescriptor:
     end_coord: tuple[float, float]
 
 
-SLOTS_PER_DAY = 288             # 5-minute slots from midnight
-
-
 @dataclass(frozen=True)
 class SpeedCube:
     """speed.csv as one dense (segment, day, slot) array, NaN where no row exists.
@@ -32,7 +29,8 @@ class SpeedCube:
     `segment_ids` and `days` are the sorted distinct values the rows use.
     The slot axis covers whole hours from `start_hour`, the hour of the
     earliest row, through 11:00 or the hour of the latest row, whichever is
-    later; column `c` is the 5-minute slot `start_hour * 12 + c` of the day.
+    later; column `c` is the slot `start_hour * SLOTS_PER_HOUR + c` of the day
+    (see `clock`).
     """
     segment_ids: tuple[str, ...]
     days: tuple[date_t, ...]

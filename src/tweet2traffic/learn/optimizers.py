@@ -92,7 +92,7 @@ def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
     z = X @ w + b
     obj = _logistic_objective(z, y, w, lam)
     path = [obj]
-    converged = False
+    converged = stalled = False
     it = 0
     for it in range(1, max_iter + 1):
         prob = sigmoid(z)
@@ -117,14 +117,19 @@ def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
                 break
         new_obj = smooth_new + lam * float(np.abs(w_new).sum())
         if new_obj > obj + 1e-12:      # safeguard: never accept an increase
+            stalled = True
             break
         w, b, z, prev_obj, obj = w_new, b_new, z_new, obj, new_obj
         path.append(obj)
         if prev_obj - obj < tol:
             converged = True
             break
-    if not converged:
-        warnings.warn(f"l1 logistic did not converge in {it} iterations", NotConverged)
+    if stalled:
+        warnings.warn(f"l1 logistic did not converge: the line search found no decrease "
+                      f"at iteration {it}", NotConverged)
+    elif not converged:
+        warnings.warn(f"l1 logistic did not converge: max_iter={max_iter} iterations ran out",
+                      NotConverged)
     return LinearModel(w, b, names, lam, "LOGISTIC", converged=converged,
                        n_iter=it, objective_path=path)
 
@@ -213,7 +218,8 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
     grad = X.T @ resid
     in_set = (np.abs(2.0 * grad) > alpha) | (w != 0.0)
     kkt_slack = 1e-9 * max(1.0, alpha)
-    for _round in range(100):
+    max_rounds = 100
+    for _round in range(max_rounds):
         working = np.flatnonzero(in_set).tolist()
         obj = objective()
         inner_ok = False
@@ -246,8 +252,12 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
             converged = inner_ok
             break
         in_set = (w != 0.0) | violators
-    if not converged:
-        warnings.warn(f"lasso did not converge in {sweeps} sweeps", NotConverged)
+    if not converged and sweeps >= max_iter:
+        warnings.warn(f"lasso did not converge: max_iter={max_iter} sweeps ran out",
+                      NotConverged)
+    elif not converged:
+        warnings.warn(f"lasso did not converge: {max_rounds} working-set rounds ran out "
+                      f"after {sweeps} of max_iter={max_iter} sweeps", NotConverged)
     return LinearModel(w, b, names, alpha, "LEAST_SQUARES", converged=converged,
                        n_iter=sweeps, objective_path=path)
 

@@ -53,7 +53,9 @@ def penalty_grid(critical: float, multipliers) -> list[float]:
 
 
 def contiguous_folds(n: int, k: int) -> list[np.ndarray]:
-    """Chronology-preserving blocks; the remainder joins the final block."""
+    """Chronology-preserving blocks with edges at round(i * n / k), so block
+    sizes differ by at most one: n=10, k=4 gives 2, 3, 3 and 2 (Python rounds
+    halves to even)."""
     k = max(1, min(k, n))
     edges = [round(i * n / k) for i in range(k + 1)]
     return [np.arange(edges[i], edges[i + 1]) for i in range(k) if edges[i + 1] > edges[i]]

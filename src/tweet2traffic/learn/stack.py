@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..congestion import N_SLOTS
+from ..clock import N_SLOTS
 from ..config import ModelConfig
 from .forest import RandomForestModel, rf_fit
 from .knn import KnnModel, knn_fit
@@ -106,7 +106,7 @@ def fit_segment_models(segment_id: str, X, quadruples, feature_names,
     regressors: dict[str, LinearModel] = {}
     if congested.size == 0:
         flags.append("no_congested_days")
-        log.warning("segment %s: no congested training days; median fallback in use",
+        log.warning("segment %s: no congested training days; fixed fallback defaults in use",
                     segment_id)
     else:
         Xc = X[congested]

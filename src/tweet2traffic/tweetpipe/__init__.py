@@ -19,4 +19,4 @@ from .sentiment import (  # noqa: F401
     PrecomputedSentimentProvider,
     sentiment_label,
 )
-from .encode import encode_event_indicators, encode_sleep_wake, feature_window  # noqa: F401
+from .encode import encode_event_indicators, encode_sleep_wake  # noqa: F401

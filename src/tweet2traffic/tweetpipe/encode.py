@@ -11,14 +11,8 @@ from __future__ import annotations
 from datetime import date as date_t
 from datetime import datetime, time, timedelta
 
-
+from ..clock import CUTOFF_HOUR
 from ..config import TweetConfig
-
-
-def feature_window(day: date_t) -> tuple[datetime, datetime]:
-    """Inputs for day d: [d-1 05:00, d 05:00)."""
-    end = datetime.combine(day, time(5, 0))
-    return end - timedelta(days=1), end
 
 
 def _window_bounds(day: date_t, start_hour: int, end_hour: int) -> tuple[datetime, datetime]:
@@ -76,7 +70,7 @@ def encode_event_indicators(day: date_t, geocoded_tweets, labels: dict[str, str]
     Periods on or after 05:00 (AM, DA, EV, LN) are read from day d-1; periods
     before 05:00 (MN, EM) from day d, so every input precedes the 05:00 cutoff.
     """
-    start, end = feature_window(day)
+    start, end = _window_bounds(day, CUTOFF_HOUR, CUTOFF_HOUR)
     counts = {name: 0 for name, _s, _e in cfg.periods}
     neutral = {name: 0 for name, _s, _e in cfg.periods}
     for t in geocoded_tweets:

@@ -163,6 +163,60 @@ class TestL1Logistic:
         assert np.all((proba > 0) & (proba < 1))
 
 
+
+def _the_warning(fit, *args, **kw):
+    """The fitted model and the one NotConverged message of `fit(*args, **kw)`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit(*args, **kw)
+    messages = [str(w.message) for w in caught if issubclass(w.category, NotConverged)]
+    assert len(messages) == 1, messages
+    return model, messages[0]
+
+
+class TestNotConvergedNamesItsCap:
+    def test_lasso_working_set_rounds(self):
+        # a rank-3 design plus noise at a small penalty: the KKT check keeps
+        # re-admitting a violator until the rounds run out, far below max_iter
+        rng = np.random.default_rng(52)
+        n, p = int(rng.integers(8, 30)), int(rng.integers(20, 80))
+        X = rng.normal(size=(n, 3)) @ rng.normal(size=(3, p)) + 0.05 * rng.normal(size=(n, p))
+        X = (X - X.mean(axis=0)) / X.std(axis=0)
+        y = X[:, 0] - X[:, 1] + 0.3 * rng.normal(size=n)
+        yc = y - y.mean()
+        critical = 2.0 * np.abs(X.T @ yc).max()
+        model, message = _the_warning(fit_lasso, X, y, 0.01 * critical,
+                                      tol=1e-6 * float(yc @ yc))
+        assert (n, p, model.converged, model.n_iter) == (29, 56, False, 548)
+        assert message == ("lasso did not converge: 100 working-set rounds ran out "
+                           "after 548 of max_iter=10000 sweeps")
+
+    def test_lasso_sweep_cap(self):
+        X, y = random_instance(np.random.default_rng(3), 40, 10)
+        model, message = _the_warning(fit_lasso, X, y, 1.0, tol=0.0, max_iter=3)
+        assert not model.converged and model.n_iter == 3
+        assert message == "lasso did not converge: max_iter=3 sweeps ran out"
+
+    def test_logistic_iteration_cap(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(60, 8))
+        y = (rng.random(60) < sigmoid(X[:, 0] - 0.5)).astype(float)
+        model, message = _the_warning(fit_l1_logistic, X, y, 1.0, tol=0.0, max_iter=2)
+        assert not model.converged and model.n_iter == 2
+        assert message == "l1 logistic did not converge: max_iter=2 iterations ran out"
+
+    def test_logistic_line_search(self):
+        # an objective above 2**14 has a unit in the last place above 2e-12, so
+        # with tol=0 the first rounding increase trips the no-increase guard
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40000, 8))
+        y = (rng.random(40000) < sigmoid(X[:, 0] - 0.5)).astype(float)
+        model, message = _the_warning(fit_l1_logistic, X, y, 1.0, tol=0.0)
+        assert model.objective_path[-1] > 2 ** 14 and not model.converged
+        assert message == ("l1 logistic did not converge: the line search found no "
+                           f"decrease at iteration {model.n_iter}")
+        assert model.n_iter < 10000
+
 def _feature_view(values, keep):
     """`values` as `keep` sees it through a FeatureMatrix of mixed groups."""
     groups = ["tweet_sleep", "weather", "time", "tweet_period"]

@@ -101,6 +101,11 @@ class TestSelection:
         assert sorted(flat.tolist()) == list(range(22))
         assert all(np.array_equal(f, np.arange(f[0], f[-1] + 1)) for f in folds)
 
+    def test_contiguous_folds_round_their_edges(self):
+        # edges at round(i * n / k): halves round to even, so 2.5 -> 2, 7.5 -> 8
+        assert [len(f) for f in contiguous_folds(10, 4)] == [2, 3, 3, 2]
+        assert [len(f) for f in contiguous_folds(22, 4)] == [6, 5, 5, 6]
+
     def test_penalty_grid_descending(self):
         grid = penalty_grid(10.0, (0.01, 0.1, 1.0, 10.0))
         assert grid == [100.0, 10.0, 1.0, 0.1]
