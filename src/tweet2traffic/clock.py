@@ -17,4 +17,5 @@ N_SLOTS = (MORNING_END_HOUR - CUTOFF_HOUR) * SLOTS_PER_HOUR
 # A day's sleep/wake pulses read its tweets from 12:00 on the eve to 12:00 on
 # the day, so `TweetConfig.sleep_window` and `wake_window` must lie in that
 # span: a window may not start before noon on the eve or end after noon.
+# `TweetConfig` rejects any other window with `InvalidConfig`.
 SLEEP_ANCHOR_HOUR = 12

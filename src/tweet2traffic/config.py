@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clock import SLOT_MINUTES
+from .clock import SLEEP_ANCHOR_HOUR, SLOT_MINUTES
 from .errors import InvalidConfig
 
 
@@ -76,6 +76,18 @@ class TweetConfig:
         ("EM", 3, 5), ("AM", 5, 9), ("DA", 9, 18), ("EV", 18, 21), ("LN", 21, 24), ("MN", 0, 3),
     )
     agency_user_ids: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # a day's pulses read one bucket, 12:00 on the eve to 12:00 on the
+        # day, and place a tweet in a window by its clock hour alone
+        for name in ("sleep_window", "wake_window"):
+            start, end = getattr(self, name)
+            if (not (0 <= start < 24 and 0 <= end <= SLEEP_ANCHOR_HOUR)
+                    or SLEEP_ANCHOR_HOUR > start >= end):
+                raise InvalidConfig(
+                    f"{name} ({start}, {end}) must lie from {SLEEP_ANCHOR_HOUR}:00 on the "
+                    f"eve to {SLEEP_ANCHOR_HOUR}:00 on the day: end <= {SLEEP_ANCHOR_HOUR}, "
+                    f"and start < end or start >= {SLEEP_ANCHOR_HOUR}")
 
     @property
     def sleep_hours(self) -> tuple[int, ...]:

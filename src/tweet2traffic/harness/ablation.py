@@ -4,10 +4,10 @@ from __future__ import annotations
 from ..errors import UnknownVariant
 from .metrics import METRIC_NAMES
 from .pipeline import ABLATION_VARIANTS
-from .tscv import EvaluationReport, TsCvPlan, run_nested_tscv
+from .tscv import EvaluationReport, run_nested_tscv
 
 
-def run_ablation(prepared, variant: str, plan: TsCvPlan | None = None, seed: int = 0):
+def run_ablation(prepared, variant: str, seed: int = 0):
     """Variant evaluation plus percentage deltas against the base model.
 
     One tsCV pass scores the base model and the variant on the same splits.
@@ -16,7 +16,7 @@ def run_ablation(prepared, variant: str, plan: TsCvPlan | None = None, seed: int
     """
     if variant not in ABLATION_VARIANTS:
         raise UnknownVariant(variant)
-    report = run_nested_tscv(prepared, models=("t2t", variant), plan=plan, seed=seed)
+    report = run_nested_tscv(prepared, models=("t2t", variant), seed=seed)
     deltas = {}
     for metric in METRIC_NAMES:
         base = report.aggregate_metric("t2t", metric)

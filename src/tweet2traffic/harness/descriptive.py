@@ -14,6 +14,7 @@ from ..clustering import (
     pca_fit,
     pca_transform,
 )
+from ..tweetpipe.geo import in_bbox
 from .pipeline import PreparedData, SplitArtifacts
 
 log = logging.getLogger(__name__)
@@ -35,9 +36,10 @@ class AssociationRow:
 def _tweet_profile_hours(prepared: PreparedData):
     """Hours past the profile day's midnight for every in-box geocoded tweet."""
     cfg = prepared.config.clustering
+    bbox = prepared.config.tweets.bbox
     out: dict = {}
     for t in prepared.tweets:
-        if t.coord is None or t.coord not in prepared.coord_tracts:
+        if t.coord is None or not in_bbox(t.coord, bbox):
             continue
         h = t.timestamp.hour + t.timestamp.minute / 60.0
         if h >= cfg.profile_start_hour:

@@ -3,12 +3,14 @@
 DayBlocks holds the split-independent feature blocks of a day list, one
 (n_days, n_cols) array per family in layout order: period counts and neutral
 shares, unscaled weather hours, time features and each segment's incident
-features. `t2t predict` builds them for the target day alone, from the
-records that `day_rows` keeps.
+features. It also keeps each day's tweet buckets, the one place a tweet is
+assigned to a day, and the tracts of the sleep/wake bucket's coordinates.
+`t2t predict` builds them for the target day alone, from the records that
+`day_rows` keeps.
 PreparedData adds what the training span needs over every speed day: views
 of the loaded speed cube and their gap-filled mornings, the tweet records,
-cleaned tweet text, and the tract and land-use joins. It keeps nothing else
-of the bundle, so the other records are freed once the blocks exist.
+cleaned tweet text, and the land-use join. It keeps nothing else of the
+bundle, so the other records are freed once the blocks exist.
 build_split refits every leakage-sensitive artifact (reference speeds, user
 set and homes, the weather scaling, clustering, descriptors, segment models)
 from the training span only; `road_features` applies the fitted homes and
@@ -65,6 +67,7 @@ from ..learn.stack import (
     predict_day,
 )
 from ..tweetpipe.encode import encode_event_indicators, encode_sleep_wake
+from ..tweetpipe.geo import in_bbox
 from ..tweetpipe.geocode import MilepostGeocoder, TractGeocoder
 from ..tweetpipe.incidents import assemble_incident_records, parse_incident_tweet
 from ..tweetpipe.sentiment import (
@@ -102,6 +105,7 @@ class DayBlocks:
     weather_hours: np.ndarray               # (n_days, 88) unscaled, NaN rows when unusable
     time_features: np.ndarray               # (n_days, 10)
     sleep_buckets: dict                     # day -> user -> [tweets in the sleep/wake windows]
+    pulse_tracts: dict                      # sleep_buckets coordinate -> tract or None
 
     @property
     def roads(self) -> list[str]:
@@ -117,13 +121,8 @@ class PreparedData(DayBlocks):
     incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
     morning_offset: int
     clean_texts: dict[str, str]             # text of every tweet with coordinates -> clean_text
-    coord_tracts: dict                      # in-box geocoded coordinate -> tract
     user_geo: dict[str, list]
     landuse: dict                           # user_geo coordinate -> land use
-
-
-def _in_bbox(coord, bbox) -> bool:
-    return bbox[0] <= coord[0] <= bbox[2] and bbox[1] <= coord[1] <= bbox[3]
 
 
 def clean_tweet_texts(cfg: PipelineConfig, tweets) -> dict[str, str]:
@@ -182,7 +181,7 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
     geo_by_window: dict[date_t, list] = {d: [] for d in days}
     in_window = []
     for t in bundle.tweets:
-        if t.coord is None or not _in_bbox(t.coord, cfg.tweets.bbox):
+        if t.coord is None or not in_bbox(t.coord, cfg.tweets.bbox):
             continue
         anchor = _anchor_day(t.timestamp, CUTOFF_HOUR)
         if anchor in geo_by_window:
@@ -202,17 +201,20 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
     period_names = [name for name, _s, _e in cfg.tweets.periods]
     event_features = np.zeros((len(days), 2 * len(period_names)))
     for i, d in enumerate(days):
-        counts, neu = encode_event_indicators(d, geo_by_window[d], labels, cfg.tweets)
+        counts, neu = encode_event_indicators(geo_by_window[d], labels, cfg.tweets)
         event_features[i] = [counts[n] for n in period_names] + [neu[n] for n in period_names]
 
     # tweet buckets over the sleep and wake windows for sleep/wake encoding
-    # (any kind, any user)
+    # (any kind, any user), and the tracts of their coordinates in one join
     pulse_hours = set(cfg.tweets.sleep_hours + cfg.tweets.wake_hours)
     sleep_buckets: dict[date_t, dict[str, list]] = {d: {} for d in days}
+    pulse_coords = {}
     for t in bundle.tweets:
         anchor = _anchor_day(t.timestamp, SLEEP_ANCHOR_HOUR)
         if anchor in sleep_buckets and t.timestamp.hour in pulse_hours:
             sleep_buckets[anchor].setdefault(t.user_id, []).append(t)
+            if t.coord is not None:
+                pulse_coords[t.coord] = None
 
     # records parsed from agency tweets, merged with the RCRS rows
     parsed = [parse_incident_tweet(t.text, t.timestamp) for t in bundle.tweets
@@ -234,6 +236,7 @@ def day_blocks(bundle: DatasetBundle, config: PipelineConfig, days,
         weather_hours=weather_hours(bundle.weather, days),
         time_features=time_features(days, holidays),
         sleep_buckets=sleep_buckets,
+        pulse_tracts=dict(zip(pulse_coords, geocoder.locate_many(list(pulse_coords)))),
     )
 
 
@@ -275,11 +278,6 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
         filled[sid], incomplete[sid] = fill_speed_gaps(
             arr[:, morning_offset:morning_offset + N_SLOTS], cfg.max_ffill_slots)
 
-    # tract join for every distinct in-box geocoded coordinate, once
-    geo_coords = list(dict.fromkeys(t.coord for t in coord_tweets
-                                    if _in_bbox(t.coord, cfg.tweets.bbox)))
-    located = blocks.geocoder.locate_many(geo_coords) if geo_coords else []
-
     user_geo: dict[str, list] = {}
     for t in bundle.tweets:
         if t.kind == "GEOCODED" and t.coord is not None:
@@ -290,7 +288,7 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
     return PreparedData(
         **vars(blocks), tweets=bundle.tweets, speeds=speeds, filled=filled,
         incomplete=incomplete, morning_offset=morning_offset, clean_texts=clean_texts,
-        coord_tracts=dict(zip(geo_coords, located)), user_geo=user_geo, landuse=landuse,
+        user_geo=user_geo, landuse=landuse,
     )
 
 
@@ -363,19 +361,14 @@ def _split_homes(prepared: PreparedData, train_days) -> dict[str, tuple[float, f
     return homes
 
 
-def _pulse_features(blocks: DayBlocks, days, homes, coord_tracts) -> np.ndarray:
+def _pulse_features(blocks: DayBlocks, days, homes) -> np.ndarray:
     """The (n_days, n_cols) sleep/wake pulse block of the residents' `homes`,
-    sleep columns then wake columns as `pulse_keys` orders them.
-    `coord_tracts` seeds the coordinate -> tract cache."""
+    sleep columns then wake columns as `pulse_keys` orders them."""
     cfg = blocks.config.tweets
-    coord_cache = dict(coord_tracts)
-
-    def tract_of(lat, lon):
-        key = (lat, lon)
-        if key not in coord_cache:
-            coord_cache[key] = blocks.geocoder.locate(lat, lon)
-        return coord_cache[key]
-
+    # geotagged timeline tweets sit at their user's home
+    home_coords = list(dict.fromkeys(homes.values()))
+    tracts = {**blocks.pulse_tracts,
+              **dict(zip(home_coords, blocks.geocoder.locate_many(home_coords)))}
     sleep_col = {k: j for j, k in enumerate(pulse_keys(blocks.tract_ids, cfg.sleep_hours))}
     wake_col = {k: len(sleep_col) + j
                 for j, k in enumerate(pulse_keys(blocks.tract_ids, cfg.wake_hours))}
@@ -384,7 +377,7 @@ def _pulse_features(blocks: DayBlocks, days, homes, coord_tracts) -> np.ndarray:
         bucket = blocks.sleep_buckets.get(d, {})
         tweets_by_user = {u: geotag_timeline(bucket[u], homes, cfg)
                           for u in homes if bucket.get(u)}
-        sleep, wake = encode_sleep_wake(d, tweets_by_user, tract_of, cfg)
+        sleep, wake = encode_sleep_wake(tweets_by_user, tracts, cfg)
         for key, v in sleep.items():
             pulses[i, sleep_col[key]] = v
         for key, v in wake.items():
@@ -392,11 +385,11 @@ def _pulse_features(blocks: DayBlocks, days, homes, coord_tracts) -> np.ndarray:
     return pulses
 
 
-def road_features(blocks: DayBlocks, days, homes, bounds, coord_tracts=()) -> FeatureMatrix:
+def road_features(blocks: DayBlocks, days, homes, bounds) -> FeatureMatrix:
     """The road feature matrix of `days` from their blocks and the state a
     training span fitted: the residents' homes and the weather bounds."""
     rows = [blocks.day_index[d] for d in days]
-    pulses = _pulse_features(blocks, days, homes, coord_tracts)
+    pulses = _pulse_features(blocks, days, homes)
     weather = weather_features(blocks.weather_hours[rows], days, bounds)
     return build_feature_matrix(days, [pulses, blocks.event_features[rows], weather,
                                        blocks.time_features[rows]], blocks.road_layout)
@@ -457,7 +450,7 @@ def build_split(prepared: PreparedData, train_days, test_days, seed: int) -> Spl
     homes = _split_homes(prepared, train_days)
     # an unusable training row makes NaN bounds, but road_features rejects it first
     bounds = weather_bounds(prepared.weather_hours[[prepared.day_index[d] for d in train_days]])
-    road_matrix = road_features(prepared, all_days, homes, bounds, prepared.coord_tracts)
+    road_matrix = road_features(prepared, all_days, homes, bounds)
     clusters = _split_clusters(prepared, tti, list(train_days), seed)
     return SplitArtifacts(list(train_days), list(test_days), v_ref, quads, tti,
                           road_matrix, clusters, homes, bounds)

@@ -30,27 +30,18 @@ from .pipeline import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TsCvPlan:
-    n_outer: int = 10
-
-    def folds(self, n_days: int) -> list[list[int]]:
-        k = self.n_outer + 1
-        if n_days < k:
-            raise TooFewDays(f"{n_days} days cannot form {k} folds")
-        size = n_days // k
-        folds = []
-        for i in range(k):
-            start = i * size
-            end = (i + 1) * size if i < k - 1 else n_days
-            folds.append(list(range(start, end)))
-        return folds
-
-    def splits(self, n_days: int):
-        folds = self.folds(n_days)
-        for k in range(1, len(folds)):
-            train = [i for fold in folds[:k] for i in fold]
-            yield k, train, folds[k]
+def outer_folds(n_days: int, n_outer: int) -> list[list[int]]:
+    """The n_outer+1 contiguous day-index folds of the outer splits."""
+    k = n_outer + 1
+    if n_days < k:
+        raise TooFewDays(f"{n_days} days cannot form {k} folds")
+    size = n_days // k
+    folds = []
+    for i in range(k):
+        start = i * size
+        end = (i + 1) * size if i < k - 1 else n_days
+        folds.append(list(range(start, end)))
+    return folds
 
 
 @dataclass
@@ -185,22 +176,23 @@ def _sar_predictor(prepared, art, split_id):
 
 
 def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
-                    plan: TsCvPlan | None = None, seed: int = 0) -> EvaluationReport:
+                    seed: int = 0) -> EvaluationReport:
     """Evaluate the requested models over every outer split.
 
-    `models` may name hm, sar and any key of `STACK_MODELS`.
+    `models` may name hm, sar and any key of `STACK_MODELS`; the config's
+    `harness.n_outer` sets the number of splits.
     """
-    plan = plan or TsCvPlan(prepared.config.harness.n_outer)
     report = EvaluationReport()
     known = {"hm", "sar", *STACK_MODELS}
     unknown = [name for name in models if name not in known]
     if unknown:
         raise UnknownVariant(f"unknown model(s) {', '.join(map(repr, unknown))}; "
                              f"known: {', '.join(sorted(known))}")
-    for split_id, train_idx, test_idx in plan.splits(len(prepared.days)):
+    folds = outer_folds(len(prepared.days), prepared.config.harness.n_outer)
+    for split_id in range(1, len(folds)):
         _run_split(prepared, report, models, split_id,
-                   [prepared.days[i] for i in train_idx],
-                   [prepared.days[i] for i in test_idx], seed + split_id)
+                   [prepared.days[i] for fold in folds[:split_id] for i in fold],
+                   [prepared.days[i] for i in folds[split_id]], seed + split_id)
     return report.finalize()
 
 

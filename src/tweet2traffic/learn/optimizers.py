@@ -251,6 +251,8 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
         if not violators.any():
             converged = inner_ok
             break
+        if sweeps >= max_iter:      # a further round could sweep no more
+            break
         in_set = (w != 0.0) | violators
     if not converged and sweeps >= max_iter:
         warnings.warn(f"lasso did not converge: max_iter={max_iter} sweeps ran out",

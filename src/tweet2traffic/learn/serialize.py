@@ -58,7 +58,6 @@ def segment_to_dict(model: SegmentModelSet) -> dict:
         "segment_id": model.segment_id,
         "classifier": _linear_to_dict(model.classifier),
         "regressors": {k: _linear_to_dict(v) for k, v in sorted(model.regressors.items())},
-        "fallbacks": {k: float(v) for k, v in sorted(model.fallbacks.items())},
         "feature_names": model.feature_names,
         "heads": {k: h.to_dict() for k, h in sorted(model.heads.items())},
         "flags": sorted(model.flags),
@@ -70,7 +69,6 @@ def segment_from_dict(doc: dict) -> SegmentModelSet:
         segment_id=doc["segment_id"],
         classifier=_linear_from_dict(doc["classifier"]),
         regressors={k: _linear_from_dict(v) for k, v in doc["regressors"].items()},
-        fallbacks=dict(doc["fallbacks"]),
         feature_names=doc["feature_names"],
         heads={k: HEAD_KINDS[h["kind"]].from_dict(h) for k, h in doc["heads"].items()},
         flags=list(doc["flags"]),

@@ -78,8 +78,7 @@ Head = KnnModel | RandomForestModel
 class SegmentModelSet:
     segment_id: str
     classifier: LinearModel
-    regressors: dict[str, LinearModel]              # may be empty: fallback path
-    fallbacks: dict[str, float]
+    regressors: dict[str, LinearModel]              # empty: FALLBACK_DEFAULTS are read
     feature_names: list[str]
     heads: dict[str, Head] = field(default_factory=dict)   # used in place of the linear model
     flags: list[str] = field(default_factory=list)
@@ -102,7 +101,6 @@ def fit_segment_models(segment_id: str, X, quadruples, feature_names,
     cs, congested, targets = _targets(quadruples)
     flags = ["degenerate_classifier"] if cs.min() == cs.max() else []
     classifier = _fit_classifier(X, cs, feature_names, cfg)
-    fallbacks = dict(FALLBACK_DEFAULTS)
     regressors: dict[str, LinearModel] = {}
     if congested.size == 0:
         flags.append("no_congested_days")
@@ -111,14 +109,12 @@ def fit_segment_models(segment_id: str, X, quadruples, feature_names,
     else:
         Xc = X[congested]
         for name in REGRESSION_TARGETS:
-            yc = targets[name][congested]
-            fallbacks[name] = float(np.median(yc))
             regressors[name] = fit_lasso_cv(
-                Xc, yc, cfg.grid_multipliers, n_folds=cfg.inner_folds,
+                Xc, targets[name][congested], cfg.grid_multipliers, n_folds=cfg.inner_folds,
                 tol=cfg.lasso_tol, cv_tol=max(cfg.lasso_tol * cfg.inner_cv_tol_factor, 1e-4),
                 max_iter=cfg.lasso_max_iter, feature_names=feature_names)
-    return SegmentModelSet(segment_id, classifier, regressors, fallbacks,
-                           list(feature_names), flags=flags)
+    return SegmentModelSet(segment_id, classifier, regressors, list(feature_names),
+                           flags=flags)
 
 
 def fit_segment_heads(linear: SegmentModelSet, X, quadruples, head: str,
@@ -179,7 +175,7 @@ def _regression_estimate(model: SegmentModelSet, name: str, row: np.ndarray) -> 
         return float(head.predict_values(row[None, :])[0])
     reg = model.regressors.get(name)
     if reg is None:
-        return model.fallbacks[name]
+        return FALLBACK_DEFAULTS[name]
     return float(reg.decision(row[None, :])[0])
 
 

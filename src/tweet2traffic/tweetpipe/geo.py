@@ -1,4 +1,4 @@
-"""Great-circle distances and point-in-polygon tests on WGS-84 lat/lon."""
+"""Great-circle distances, bounding-box and point-in-polygon tests on WGS-84 lat/lon."""
 from __future__ import annotations
 
 import numpy as np
@@ -18,6 +18,11 @@ def pairwise_haversine_km(coords: np.ndarray) -> np.ndarray:
     lat = coords[:, 0][:, None]
     lon = coords[:, 1][:, None]
     return haversine_km(lat, lon, lat.T, lon.T)
+
+
+def in_bbox(coord, bbox) -> bool:
+    """Whether (lat, lon) lies in (minlat, minlon, maxlat, maxlon), edges included."""
+    return bbox[0] <= coord[0] <= bbox[2] and bbox[1] <= coord[1] <= bbox[3]
 
 
 def points_in_ring(points: np.ndarray, ring) -> np.ndarray:

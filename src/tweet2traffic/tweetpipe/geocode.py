@@ -1,9 +1,7 @@
 """Census-tract spatial join and milepost-to-coordinate interpolation."""
 from __future__ import annotations
 
-import numpy as np
-
-from .geo import first_ring_labels, points_in_ring
+from .geo import first_ring_labels
 
 
 class TractGeocoder:
@@ -11,19 +9,6 @@ class TractGeocoder:
 
     def __init__(self, tracts):
         self.tracts = sorted(tracts, key=lambda t: t.tract_id)
-        self._boxes = []
-        for t in self.tracts:
-            ring = np.asarray(t.ring)
-            self._boxes.append((ring[:, 0].min(), ring[:, 0].max(),
-                                ring[:, 1].min(), ring[:, 1].max()))
-
-    def locate(self, lat: float, lon: float) -> str | None:
-        for t, (lat0, lat1, lon0, lon1) in zip(self.tracts, self._boxes):
-            if not (lat0 - 1e-12 <= lat <= lat1 + 1e-12 and lon0 - 1e-12 <= lon <= lon1 + 1e-12):
-                continue
-            if points_in_ring(np.array([[lat, lon]]), t.ring)[0]:
-                return t.tract_id
-        return None
 
     def locate_many(self, coords) -> list[str | None]:
         return first_ring_labels(coords, ((t.tract_id, t.ring) for t in self.tracts))

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..config import TweetConfig
 from ..ingest.types import Tweet
-from .geo import first_ring_labels, haversine_km, pairwise_haversine_km
+from .geo import first_ring_labels, haversine_km, in_bbox, pairwise_haversine_km
 
 _COORD_RE = re.compile(r"(-?\d{1,3}\.\d+)[,\s]+(-?\d{1,3}\.\d+)")
 
@@ -40,9 +40,7 @@ def profile_matches_resident(profile: str | None, lexicon, bbox) -> bool:
         return True
     m = _COORD_RE.search(lowered)
     if m:
-        lat, lon = float(m.group(1)), float(m.group(2))
-        minlat, minlon, maxlat, maxlon = bbox
-        return minlat <= lat <= maxlat and minlon <= lon <= maxlon
+        return in_bbox((float(m.group(1)), float(m.group(2))), bbox)
     return False
 
 

@@ -29,7 +29,7 @@ from tweet2traffic.harness.pipeline import (
     fit_stack,
     prepare_data,
 )
-from tweet2traffic.harness.tscv import TsCvPlan, run_nested_tscv
+from tweet2traffic.harness.tscv import outer_folds, run_nested_tscv
 from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
 from tweet2traffic.learn.serialize import bundle_hash
 from tweet2traffic.learn.stack import predict_day
@@ -272,14 +272,15 @@ NULL_SYNTH = dataclasses.replace(MAIN_SYNTH, sleep_effect=0.0,
 PIPELINE_CFG = PipelineConfig(tweets=TweetConfig(agency_user_ids=("agency511",)))
 
 
-def _sar_restricted_recall(prepared, sidecar, plan):
+def _sar_restricted_recall(prepared, sidecar):
     """SAR recall over test days whose true congestion starts after 05:00."""
     hits = positives = 0
     grid = prepared.config.harness.sar_grid[0]
     params = prepared.config.congestion
-    for _split, train_idx, test_idx in plan.splits(len(prepared.days)):
-        train_days = [prepared.days[i] for i in train_idx]
-        test_days = [prepared.days[i] for i in test_idx]
+    folds = outer_folds(len(prepared.days), prepared.config.harness.n_outer)
+    for k in range(1, len(folds)):
+        train_days = [prepared.days[i] for fold in folds[:k] for i in fold]
+        test_days = [prepared.days[i] for i in folds[k]]
         v_ref, quads, _tti = _split_quadruples(prepared, train_days,
                                                train_days + test_days)
         for seg in prepared.segments:
@@ -306,16 +307,15 @@ def big_world():
         warnings.simplefilter("ignore")
         bundle, sidecar = generate_synthetic(MAIN_SYNTH, seed=MAIN_SEED)
         prepared = prepare_data(bundle, PIPELINE_CFG)
-        plan = TsCvPlan(n_outer=10)
         report = run_nested_tscv(
-            prepared, plan=plan, seed=0,
+            prepared, seed=0,
             models=("t2t", "hm", "sar", "NO_TWEET", "BEFORE_MIDNIGHT"))
-        sar_recall_late = _sar_restricted_recall(prepared, sidecar, plan)
+        sar_recall_late = _sar_restricted_recall(prepared, sidecar)
 
         null_bundle, _null_sidecar = generate_synthetic(NULL_SYNTH, seed=MAIN_SEED)
         null_prepared = prepare_data(null_bundle, PIPELINE_CFG)
         null_report = run_nested_tscv(
-            null_prepared, plan=plan, seed=0, models=("t2t", "NO_TWEET"))
+            null_prepared, seed=0, models=("t2t", "NO_TWEET"))
 
         interp_cfg = dataclasses.replace(
             PIPELINE_CFG, harness=HarnessConfig(assume_all_known=True))

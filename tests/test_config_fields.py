@@ -94,3 +94,22 @@ def test_slot_is_the_clock_slot_and_bounds_the_run_lengths():
     for bad in ({"t_min": SLOT_MINUTES + 1}, {"merge_gap": 0}):
         with pytest.raises(InvalidConfig, match="multiple of slot"):
             CongestionParams(**bad)
+
+
+@pytest.mark.parametrize("field", ["sleep_window", "wake_window"])
+@pytest.mark.parametrize("hours", [(5, 3), (13, 15), (10, 14), (25, 3), (21, -1)])
+def test_a_pulse_window_must_lie_in_the_noon_to_noon_bucket(tmp_path, field, hours):
+    # each of these would count part or none of its window from the bucket,
+    # or names an hour no clock shows
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tweets": {field: list(hours)}}))
+    with pytest.raises(InvalidConfig, match=f"{field} \\({hours[0]}, {hours[1]}\\) must lie"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("hours", [(21, 3), (3, 5), (12, 12), (21, 0), (0, 12)])
+def test_a_pulse_window_in_the_bucket_loads(tmp_path, hours):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tweets": {"sleep_window": list(hours),
+                                           "wake_window": list(hours)}}))
+    assert load_config(path).tweets.sleep_window == hours

@@ -426,8 +426,7 @@ class TestSleepWakeLayout:
             ts = datetime.combine(day, datetime.min.time()).replace(hour=h, minute=30)
             tweets_by_user[f"u{h}"] = [Tweet(f"t{h}", f"u{h}", ts, "", (40.5, -80.0),
                                              None, "TIMELINE")]
-        sleep, wake = encode_sleep_wake(self.DAY, tweets_by_user, lambda lat, lon: "T01",
-                                        cfg)
+        sleep, wake = encode_sleep_wake(tweets_by_user, {(40.5, -80.0): "T01"}, cfg)
         return ({f"{h}_{t}" for h, t in sleep}, {f"{h}_{t}" for h, t in wake})
 
     def layout_columns(self, cfg, group):

@@ -3,13 +3,14 @@ import inspect
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweet2traffic.config import CongestionParams, PipelineConfig, TweetConfig
+from tweet2traffic.config import CongestionParams, HarnessConfig, PipelineConfig, TweetConfig
 from tweet2traffic.congestion import CongestionMeasurements, N_SLOTS
 from tweet2traffic.errors import TooFewDays, UnknownVariant
 from tweet2traffic.harness.baselines import (
@@ -23,7 +24,7 @@ from tweet2traffic.harness.baselines import (
 from tweet2traffic.harness.metrics import compute_metrics, weighted_aggregate
 from tweet2traffic.harness.pipeline import build_split, fit_stack, prepare_data
 from tweet2traffic.harness.report import emit_report
-from tweet2traffic.harness.tscv import EvaluationReport, TsCvPlan, run_nested_tscv
+from tweet2traffic.harness.tscv import EvaluationReport, outer_folds, run_nested_tscv
 from tweet2traffic.harness.ablation import run_ablation
 from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
 from tweet2traffic.learn.serialize import bundle_hash
@@ -170,24 +171,28 @@ class TestSar:
 
 
 class TestPlan:
-    def test_fold_arithmetic_22_days(self):
-        plan = TsCvPlan(n_outer=10)
-        folds = plan.folds(22)
+    def test_fold_arithmetic_22_days(self, monkeypatch):
+        folds = outer_folds(22, 10)
         assert len(folds) == 11
         assert all(len(f) == 2 for f in folds)
-        splits = list(plan.splits(22))
+        splits = []
+        monkeypatch.setattr("tweet2traffic.harness.tscv._run_split",
+                            lambda _p, _r, _m, k, train, test, _s: splits.append((k, train, test)))
+        days = day_seq(22)
+        prepared = SimpleNamespace(days=days, config=PipelineConfig())
+        run_nested_tscv(prepared, models=())
         k, train, test = splits[0]
-        assert k == 1 and train == [0, 1] and test == [2, 3]
+        assert k == 1 and train == days[:2] and test == days[2:4]
         k, train, test = splits[-1]
-        assert k == 10 and train == list(range(20)) and test == [20, 21]
+        assert k == 10 and train == days[:20] and test == days[20:]
 
     def test_remainder_joins_final_fold(self):
-        folds = TsCvPlan(n_outer=10).folds(25)
+        folds = outer_folds(25, 10)
         assert len(folds[-1]) == 5   # 25 = 11*2 + 3 extra
 
     def test_too_few_days(self):
         with pytest.raises(TooFewDays):
-            TsCvPlan(n_outer=10).folds(10)
+            outer_folds(10, 10)
 
 
 class TestMetrics:
@@ -238,7 +243,8 @@ def small_world():
     cfg = SyntheticConfig(n_days=48, n_roads=2, segments_per_road=3,
                           n_users=16, n_tracts=3)
     bundle, sidecar = generate_synthetic(cfg, seed=21)
-    pc = PipelineConfig(tweets=TweetConfig(agency_user_ids=("agency511",)))
+    pc = PipelineConfig(tweets=TweetConfig(agency_user_ids=("agency511",)),
+                        harness=HarnessConfig(n_outer=3))
     prepared = prepare_data(bundle, pc)
     return prepared, sidecar
 
@@ -248,8 +254,7 @@ def small_report(small_world):
     prepared, _ = small_world
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_nested_tscv(prepared, models=("t2t", "hm", "sar"),
-                               plan=TsCvPlan(n_outer=3), seed=0)
+        return run_nested_tscv(prepared, models=("t2t", "hm", "sar"), seed=0)
 
 
 class TestNestedTscv:
@@ -274,8 +279,7 @@ class TestNestedTscv:
         prepared, _ = small_world
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            again = run_nested_tscv(prepared, models=("t2t",),
-                                    plan=TsCvPlan(n_outer=3), seed=0)
+            again = run_nested_tscv(prepared, models=("t2t",), seed=0)
         for key, ms in again.per_split.items():
             assert small_report.per_split[key] == ms
 
@@ -292,7 +296,7 @@ class TestNestedTscv:
         monkeypatch.setattr("tweet2traffic.harness.tscv.sar_quadruple", spy)
         half = dataclasses.replace(
             prepared, config=dataclasses.replace(prepared.config, pti_quantile=0.5))
-        run_nested_tscv(half, models=("sar",), plan=TsCvPlan(n_outer=3))
+        run_nested_tscv(half, models=("sar",))
         assert quantiles and set(quantiles) == {0.5}
 
     def test_unknown_model_rejected_before_any_split(self, small_world, monkeypatch):
@@ -303,7 +307,7 @@ class TestNestedTscv:
 
         monkeypatch.setattr("tweet2traffic.harness.tscv.build_split", no_split)
         with pytest.raises(UnknownVariant, match="'bogus'"):
-            run_nested_tscv(prepared, models=("hm", "bogus"), plan=TsCvPlan(n_outer=3))
+            run_nested_tscv(prepared, models=("hm", "bogus"))
 
 
 class TestLeakage:
@@ -351,8 +355,7 @@ class TestAblation:
         prepared, _ = small_world
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            var_report, deltas = run_ablation(prepared, "NO_TWEET",
-                                              plan=TsCvPlan(n_outer=3), seed=0)
+            var_report, deltas = run_ablation(prepared, "NO_TWEET", seed=0)
         assert ("NO_TWEET", "ALL") in var_report.aggregate
         assert deltas["accuracy"] is not None
 
@@ -385,8 +388,7 @@ class TestVariantModels:
         prepared, _ = small_world
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = run_nested_tscv(prepared, models=("t2t_rf", "t2t_knn"),
-                                     plan=TsCvPlan(n_outer=3), seed=0)
+            report = run_nested_tscv(prepared, models=("t2t_rf", "t2t_knn"), seed=0)
         for m in ("t2t_rf", "t2t_knn"):
             agg = report.aggregate[(m, "ALL")]
             assert agg["accuracy"] is not None

@@ -24,8 +24,6 @@ ALLOWED = {
         "test seam: a forest without resampling has a hand-checkable split",
     "tweet2traffic/learn/forest.py:rf_fit:max_depth":
         "test seam: depth-capped trees are checked against the cap",
-    "tweet2traffic/harness/ablation.py:run_ablation:plan":
-        "test seam: the tests score an ablation on a short split plan",
 }
 
 

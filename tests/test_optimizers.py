@@ -197,6 +197,15 @@ class TestNotConvergedNamesItsCap:
         assert not model.converged and model.n_iter == 3
         assert message == "lasso did not converge: max_iter=3 sweeps ran out"
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_lasso_sweep_cap_ends_the_rounds(self, max_iter):
+        # once the sweeps are spent no working-set round can move the weights,
+        # so the path holds the start and the one capped round
+        X, y = random_instance(np.random.default_rng(3), 40, 10)
+        model, message = _the_warning(fit_lasso, X, y, 1.0, tol=0.0, max_iter=max_iter)
+        assert model.n_iter == max_iter and len(model.objective_path) == 2
+        assert message == f"lasso did not converge: max_iter={max_iter} sweeps ran out"
+
     def test_logistic_iteration_cap(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(60, 8))
@@ -375,6 +384,8 @@ def reference_fit_lasso(X, y, alpha, tol=1e-8, max_iter=10000, standardize=True,
         violators = (w == 0.0) & (np.abs(2.0 * grad) > alpha + kkt_slack)
         if not violators.any():
             converged = inner_ok
+            break
+        if sweeps >= max_iter:
             break
         in_set = (w != 0.0) | violators
     w_out, b_out = _reference_destandardize(w, b, mean, scale, alive)

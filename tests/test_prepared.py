@@ -22,10 +22,6 @@ from tweet2traffic.tweetpipe.users import (
 PC = PipelineConfig(tweets=TweetConfig(agency_user_ids=("agency511",)))
 
 
-def in_box(coord, bbox):
-    return bbox[0] <= coord[0] <= bbox[2] and bbox[1] <= coord[1] <= bbox[3]
-
-
 @pytest.fixture(scope="module")
 def world():
     cfg = SyntheticConfig(n_days=40, n_roads=2, segments_per_road=3,
@@ -45,21 +41,26 @@ class PerCallLanduse(dict):
         return landuse_of_points([coord], self.zones)[0]
 
 
+def per_point_tracts(prepared):
+    """The sleep/wake tract table rebuilt from one join per coordinate."""
+    return {coord: prepared.geocoder.locate_many([coord])[0] for coord in prepared.pulse_tracts}
+
+
 def per_call_reference(prepared, zones):
     """The prepared data with every hoisted join replaced by a per-call join:
-    an empty tract table sends each coordinate to `TractGeocoder.locate`, and
-    each land-use lookup runs its own point-in-polygon join over `zones`."""
-    return dataclasses.replace(prepared, coord_tracts={}, landuse=PerCallLanduse(zones))
+    each tract comes from its own one-point join, and each land-use lookup
+    runs its own point-in-polygon join over `zones`."""
+    return dataclasses.replace(prepared, pulse_tracts=per_point_tracts(prepared),
+                               landuse=PerCallLanduse(zones))
 
 
 def test_tract_table_equals_locate(world):
-    bundle, prepared = world
-    geo = {t.coord for t in bundle.tweets
-           if t.coord is not None and in_box(t.coord, PC.tweets.bbox)}
-    assert set(prepared.coord_tracts) == geo
-    assert len(set(prepared.coord_tracts.values()) - {None}) == 3
-    for coord, tract in prepared.coord_tracts.items():
-        assert tract == prepared.geocoder.locate(*coord), coord
+    _bundle, prepared = world
+    bucketed = {t.coord for users in prepared.sleep_buckets.values()
+                for tweets in users.values() for t in tweets if t.coord is not None}
+    assert set(prepared.pulse_tracts) == bucketed
+    assert len(set(prepared.pulse_tracts.values()) - {None}) == 3
+    assert prepared.pulse_tracts == per_point_tracts(prepared)
 
 
 def test_landuse_table_equals_landuse_of_points(world):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tweet2traffic.learn.serialize import (
     descriptor_to_dict,
 )
 from tweet2traffic.learn.stack import (
+    FALLBACK_DEFAULTS,
     descriptor_targets,
     fit_ordered_descriptor,
     fit_segment_heads,
@@ -159,7 +162,7 @@ class TestSegmentModels:
         assert "no_congested_days" in model.flags
         assert model.regressors == {}
         pred = predict_day(model, X[0])
-        assert pred.raw["cst"] == model.fallbacks["cst"]
+        assert pred.raw["cst"] == FALLBACK_DEFAULTS["cst"]
 
     def test_constant_feature_zero_coefficient(self):
         X, names, quads = self.make_data()
@@ -291,6 +294,19 @@ class TestSerialize:
         assert meta["seed"] == 1
         assert np.array_equal(d2["R1"].predict_scales(X), desc.predict_scales(X))
         assert predict_day(s2["S1"], X[0]) == predict_day(seg, X[0])
+
+    def test_reads_bundles_that_store_fallbacks(self):
+        # format 3 bundles once carried an unread per-segment fallback map
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(50, 4))
+        for cs in ((X[:, 1] > 0).astype(int).tolist(), [0] * 50):
+            quads = make_quads(cs, [40] * 50, [12] * 50, [2.0] * 50)
+            seg = fit_segment_models("S1", X, quads, [f"f{i}" for i in range(4)], CFG)
+            doc = json.loads(bundle_to_json({}, {"S1": seg}))
+            doc["segments"]["S1"]["fallbacks"] = {"cd": 9.0, "cst": 30.0, "pti": 1.2}
+            _d, s2, _meta = bundle_from_json(json.dumps(doc))
+            for row in X:
+                assert predict_day(s2["S1"], row) == predict_day(seg, row)
 
     def test_hash_stable_and_sensitive(self):
         rng = np.random.default_rng(9)

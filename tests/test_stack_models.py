@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tweet2traffic.config import PipelineConfig, TweetConfig
+from tweet2traffic.config import HarnessConfig, PipelineConfig, TweetConfig
 from tweet2traffic.harness import pipeline, tscv
 from tweet2traffic.harness.ablation import run_ablation
 from tweet2traffic.harness.pipeline import (
@@ -18,7 +18,7 @@ from tweet2traffic.harness.pipeline import (
     fit_stack,
     prepare_data,
 )
-from tweet2traffic.harness.tscv import TsCvPlan, run_nested_tscv
+from tweet2traffic.harness.tscv import run_nested_tscv
 from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
 from tweet2traffic.learn import stack as stack_module
 from tweet2traffic.learn.forest import RandomForestModel
@@ -32,7 +32,7 @@ def prepared():
                           n_users=16, n_tracts=3)
     bundle, _ = generate_synthetic(cfg, seed=21)
     return prepare_data(bundle, PipelineConfig(
-        tweets=TweetConfig(agency_user_ids=("agency511",))))
+        tweets=TweetConfig(agency_user_ids=("agency511",)), harness=HarnessConfig(n_outer=3)))
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +134,10 @@ def test_heads_follow_the_model(fitted):
 
 
 def test_ablation_builds_each_split_once(prepared, monkeypatch):
-    plan = TsCvPlan(n_outer=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        base = run_nested_tscv(prepared, models=("t2t",), plan=plan, seed=0)
-        alone = run_nested_tscv(prepared, models=("NO_INCIDENT",), plan=plan, seed=0)
+        base = run_nested_tscv(prepared, models=("t2t",), seed=0)
+        alone = run_nested_tscv(prepared, models=("NO_INCIDENT",), seed=0)
         calls = []
 
         def counting(*args, **kwargs):
@@ -146,7 +145,7 @@ def test_ablation_builds_each_split_once(prepared, monkeypatch):
             return build_split(*args, **kwargs)
 
         monkeypatch.setattr(tscv, "build_split", counting)
-        report, deltas = run_ablation(prepared, "NO_INCIDENT", plan=plan, seed=0)
+        report, deltas = run_ablation(prepared, "NO_INCIDENT", seed=0)
     assert len(calls) == 3
     assert report.per_split == alone.per_split
     assert report.aggregate == alone.aggregate
@@ -189,7 +188,6 @@ def test_shared_fits_equal_each_stack_fitted_alone(prepared, art, fitted):
 
 
 def test_one_pass_fits_what_its_stack_models_share_once(prepared, monkeypatch):
-    plan = TsCvPlan(n_outer=3)
     heads = ("t2t", "t2t_rf", "t2t_knn")
     calls = Counter()
     for module, name in ((stack_module, "fit_lasso_cv"), (stack_module, "fit_l1_logistic_cv"),
@@ -200,16 +198,16 @@ def test_one_pass_fits_what_its_stack_models_share_once(prepared, monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        together = run_nested_tscv(prepared, models=heads, plan=plan, seed=0)
+        together = run_nested_tscv(prepared, models=heads, seed=0)
         shared, separate = Counter(calls), Counter()
         per_split = {}
         for name in heads:
             calls.clear()
-            per_split.update(run_nested_tscv(prepared, models=(name,), plan=plan,
+            per_split.update(run_nested_tscv(prepared, models=(name,),
                                              seed=0).per_split)
             separate += calls
         calls.clear()
-        run_ablation(prepared, "NO_INCIDENT", plan=plan, seed=0)
+        run_ablation(prepared, "NO_INCIDENT", seed=0)
     assert together.per_split == per_split
     for name in ("fit_lasso_cv", "fit_l1_logistic_cv"):
         assert shared[name] > 0

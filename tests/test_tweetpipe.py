@@ -1,6 +1,6 @@
 import dataclasses
 import math
-from datetime import date, datetime
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -424,20 +424,15 @@ SQ2 = TractPolygon("T02", ((40.0, -79.0), (40.0, -78.0), (41.0, -78.0), (41.0, -
 class TestTractGeocoder:
     def test_interior_point(self):
         geo = TractGeocoder([SQ, SQ2])
-        assert geo.locate(40.5, -79.5) == "T01"
+        assert geo.locate_many([(40.5, -79.5), (40.5, -78.5)]) == ["T01", "T02"]
 
     def test_outside_bbox(self):
         geo = TractGeocoder([SQ, SQ2])
-        assert geo.locate(45.0, -70.0) is None
+        assert geo.locate_many([(40.5, -78.5), (45.0, -70.0)]) == ["T02", None]
 
     def test_shared_edge_lowest_id(self):
         geo = TractGeocoder([SQ2, SQ])
-        assert geo.locate(40.5, -79.0) == "T01"
-
-    def test_locate_many_matches_scalar(self):
-        geo = TractGeocoder([SQ, SQ2])
-        pts = [(40.5, -79.5), (40.5, -78.5), (45.0, -70.0), (40.5, -79.0)]
-        assert geo.locate_many(pts) == [geo.locate(*p) for p in pts]
+        assert geo.locate_many([(40.5, -79.0), (40.5, -79.5)]) == ["T01", "T01"]
 
 
 class TestSentiment:
@@ -467,12 +462,17 @@ class TestSentiment:
         assert lex.score("c", "the road is a road") == 0.5
 
 
+def sq_tracts(tweets_by_user):
+    """The tract table of every coordinate of `tweets_by_user`, against SQ."""
+    coords = list({t.coord for ts in tweets_by_user.values() for t in ts})
+    return dict(zip(coords, TractGeocoder([SQ]).locate_many(coords)))
+
+
 class TestEncoders:
-    DAY = date(2014, 3, 5)
 
     def test_single_last_tweet(self):
         tweets = {"u1": [tw("a", "u1", datetime(2014, 3, 4, 22, 15), coord=(40.5, -79.5))]}
-        sleep, wake = encode_sleep_wake(self.DAY, tweets, TractGeocoder([SQ]).locate, CFG)
+        sleep, wake = encode_sleep_wake(tweets, sq_tracts(tweets), CFG)
         assert sleep == {(22, "T01"): 1.0}
         assert wake == {}
 
@@ -481,17 +481,17 @@ class TestEncoders:
             tw("a", "u1", datetime(2014, 3, 4, 22, 0), coord=(40.5, -79.5)),
             tw("b", "u1", datetime(2014, 3, 4, 23, 30), coord=(40.5, -79.5)),
         ]}
-        sleep, _ = encode_sleep_wake(self.DAY, tweets, TractGeocoder([SQ]).locate, CFG)
+        sleep, _ = encode_sleep_wake(tweets, sq_tracts(tweets), CFG)
         assert sleep == {(23, "T01"): 1.0}
 
     def test_wake_window_empty(self):
         tweets = {"u1": [tw("a", "u1", datetime(2014, 3, 4, 22, 0), coord=(40.5, -79.5))]}
-        _, wake = encode_sleep_wake(self.DAY, tweets, TractGeocoder([SQ]).locate, CFG)
+        _, wake = encode_sleep_wake(tweets, sq_tracts(tweets), CFG)
         assert wake == {}
 
     def test_sleep_window_wraps_midnight(self):
         tweets = {"u1": [tw("a", "u1", datetime(2014, 3, 5, 2, 30), coord=(40.5, -79.5))]}
-        sleep, _ = encode_sleep_wake(self.DAY, tweets, TractGeocoder([SQ]).locate, CFG)
+        sleep, _ = encode_sleep_wake(tweets, sq_tracts(tweets), CFG)
         assert sleep == {(2, "T01"): 1.0}
 
     def test_histogram_normalized(self):
@@ -500,26 +500,27 @@ class TestEncoders:
             "u2": [tw("b", "u2", datetime(2014, 3, 4, 21, 20), coord=(40.5, -79.5))],
             "u3": [tw("c", "u3", datetime(2014, 3, 4, 23, 50), coord=(40.5, -79.5))],
         }
-        sleep, _ = encode_sleep_wake(self.DAY, tweets, TractGeocoder([SQ]).locate, CFG)
+        sleep, _ = encode_sleep_wake(tweets, sq_tracts(tweets), CFG)
         assert sum(sleep.values()) == pytest.approx(1.0)
         assert sleep[(21, "T01")] == pytest.approx(2 / 3)
 
     def test_event_periods(self):
         tweets = [tw(f"t{i}", "u1", datetime(2014, 3, 4, 19, 0)) for i in range(3)]
-        counts, pct = encode_event_indicators(self.DAY, tweets, {}, CFG)
+        counts, pct = encode_event_indicators(tweets, {}, CFG)
         assert counts["EV"] == 3
         assert counts["MN"] == 0 and pct["MN"] == 0.0
 
     def test_all_neutral_ev(self):
         tweets = [tw(f"t{i}", "u1", datetime(2014, 3, 4, 19, 0)) for i in range(4)]
         labels = {t.tweet_id: "NEU" for t in tweets}
-        _, pct = encode_event_indicators(self.DAY, tweets, labels, CFG)
+        _, pct = encode_event_indicators(tweets, labels, CFG)
         assert pct["EV"] == 1.0
 
     def test_sum_counts_equals_window_tweets(self):
+        # a tweet outside the window is in another day's bucket: see
+        # test_day_windows.py::test_a_noon_tweet_counts_for_the_next_day
         tweets = [tw(f"t{i}", "u1", datetime(2014, 3, 4, 6 + i, 0)) for i in range(12)]
-        tweets.append(tw("late", "u1", datetime(2014, 3, 5, 12, 0)))   # outside window
-        counts, _ = encode_event_indicators(self.DAY, tweets, {}, CFG)
+        counts, _ = encode_event_indicators(tweets, {}, CFG)
         assert sum(counts.values()) == 12
 
 
