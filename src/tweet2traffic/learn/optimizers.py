@@ -14,9 +14,13 @@ that a full-gradient KKT check keeps honest.
 """
 from __future__ import annotations
 
+import functools
 import logging
+import sys
 import warnings
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -134,6 +138,34 @@ def fit_l1_logistic(X, y, lam: float, tol: float = 1e-6, max_iter: int = 10000,
                        n_iter=it, objective_path=path)
 
 
+@functools.cache
+def _blas():
+    """scipy's Fortran BLAS `daxpy`, `dcopy`, `ddot` and `dscal`, loaded on a
+    fit's first call so that a predict or a baseline-only run loads no scipy.
+
+    These are the functions `scipy.linalg.blas` re-exports, taken from their
+    f2py extension `scipy.linalg._fblas` alone: importing `scipy.linalg`
+    would load its whole package (over 300 modules) for four level-1
+    routines. The extension is registered under its own name, so
+    `scipy.linalg` imported before or after reuses this module object.
+    """
+    import scipy   # the top-level package only: its platform set-up
+
+    name = "scipy.linalg._fblas"
+    fblas = sys.modules.get(name)
+    if fblas is None:
+        finder = FileFinder(f"{scipy.__path__[0]}/linalg",
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy {scipy.__version__} has no {name} extension",
+                              name=name)
+        fblas = module_from_spec(spec)
+        sys.modules[name] = fblas
+        spec.loader.exec_module(fblas)
+    return fblas.daxpy, fblas.dcopy, fblas.ddot, fblas.dscal
+
+
 def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
               feature_names=None, fit_bias: bool = True,
               warm_start: tuple | None = None) -> LinearModel:
@@ -145,8 +177,7 @@ def fit_lasso(X, y, alpha: float, tol: float = 1e-8, max_iter: int = 10000,
     full sweep verifying the fixpoint. `warm_start` is a (weights, bias) pair
     in X's frame, such as a previous fit's.
     """
-    # loaded here so that a predict or a baseline-only run never loads scipy
-    from scipy.linalg.blas import daxpy, dcopy, ddot, dscal
+    daxpy, dcopy, ddot, dscal = _blas()
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -108,7 +108,8 @@ def bundle_from_json(text: str):
 
 
 def bundle_hash(descriptors: dict, segment_models: dict) -> str:
-    # loaded here so that no `t2t` command loads hashlib and OpenSSL for this check
+    # loaded here so that the CLI import and a one-day predict load no hashlib
+    # and OpenSSL (a command that builds a split loads both via numpy.random)
     import hashlib
 
     payload = bundle_to_json(descriptors, segment_models, meta={})

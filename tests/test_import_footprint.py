@@ -1,4 +1,6 @@
-"""Each `t2t` call loads only the scipy it runs, and none loads hashlib.
+"""Each `t2t` call loads only the scipy it runs, and the CLI import and a
+one-day predict load no hashlib. (A command that builds a split loads
+hashlib through `numpy.random`.)
 
 Every check runs in a fresh interpreter, since the test process itself has
 long since loaded scipy and hashlib. A probe prints the sorted modules it
@@ -12,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import tweet2traffic
 from tweet2traffic.cli import main
@@ -103,11 +106,73 @@ def test_the_chi_squared_test_loads_scipy_special_only():
     assert not any(loaded(mods, p) for p in ("scipy.stats", "scipy.sparse", "scipy.linalg"))
 
 
+def linalg_modules(mods) -> list[str]:
+    return [m for m in mods if loaded([m], "scipy.linalg")]
+
+
 def test_a_lasso_fit_loads_scipy_linalg_only():
     mods = scipy_modules_after(
         "import numpy as np\n"
         "from tweet2traffic.learn.optimizers import fit_lasso\n"
         "X = np.random.default_rng(0).normal(size=(20, 3))\n"
         "fit_lasso(X, X @ [1.0, 0.0, -2.0], alpha=0.1)")
-    assert loaded(mods, "scipy.linalg")
+    assert linalg_modules(mods) == ["scipy.linalg._fblas"]
     assert not any(loaded(mods, p) for p in ("scipy.stats", "scipy.sparse", "scipy.special"))
+
+
+def test_t2t_train_loads_the_blas_extension_alone(trained):
+    data, out = str(trained / "data"), str(trained / "m_fresh")
+    mods = scipy_modules_after(
+        "from tweet2traffic.cli import main\n"
+        f"assert main(['train', '--data', {data!r}, '--seed', '2', '--out', {out!r}]) == 0")
+    assert linalg_modules(mods) == ["scipy.linalg._fblas"]
+    assert (trained / "m_fresh" / "model.json").exists()
+
+
+# Prints a fit's weights, bias, sweep count and objective path as exact bits.
+FIT_BITS = ("import json\n"
+            "import numpy as np\n"
+            "from tweet2traffic.learn.optimizers import fit_lasso\n"
+            "rng = np.random.default_rng(3)\n"
+            "X = rng.normal(size=(40, 10))\n"
+            "y = X @ rng.normal(size=10) + rng.normal(size=40)\n"
+            "m = fit_lasso(X, y, alpha=2.0)\n"
+            "print(json.dumps([[float(w).hex() for w in m.weights], m.bias.hex(), m.n_iter,\n"
+            "                  [float(o).hex() for o in m.objective_path]]))")
+
+# The solver's four wrappers are those `scipy.linalg.blas` exports, from one module.
+SAME_BLAS = ("import sys\n"
+             "import scipy.linalg.blas as blas\n"
+             "from tweet2traffic.learn.optimizers import _blas\n"
+             "assert all(a is b for a, b in zip(_blas(), (blas.daxpy, blas.dcopy,\n"
+             "                                            blas.ddot, blas.dscal)))\n"
+             "assert sys.modules['scipy.linalg._fblas'] is blas._fblas")
+
+
+@pytest.fixture(scope="module")
+def fit_alone():
+    """A fit's bits and modules from a process that never imports `scipy.linalg`."""
+    *out, mods = run_fresh(FIT_BITS)
+    assert "scipy.linalg" not in json.loads(mods)
+    return out
+
+
+@pytest.mark.parametrize("body", [FIT_BITS + "\n" + SAME_BLAS,
+                                  "import scipy.linalg.blas\n" + FIT_BITS + "\n" + SAME_BLAS],
+                         ids=["fit_then_import", "import_then_fit"])
+def test_the_solver_and_scipy_linalg_share_one_blas_module(body, fit_alone):
+    *out, mods = run_fresh(body)
+    assert "scipy.linalg.blas" in json.loads(mods)
+    assert out == fit_alone
+
+
+def test_a_missing_blas_extension_names_the_scipy_version(tmp_path):
+    out = run_fresh(
+        "import scipy\n"
+        f"scipy.__path__ = [{str(tmp_path)!r}]\n"
+        "from tweet2traffic.learn.optimizers import _blas\n"
+        "try:\n"
+        "    _blas()\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n")
+    assert out[0] == f"scipy {scipy.__version__} has no scipy.linalg._fblas extension"
