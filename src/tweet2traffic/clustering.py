@@ -119,7 +119,100 @@ def _assign(X, centroids):
     d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(X.shape[0]), labels].sum())
+    if not np.isfinite(inertia):
+        raise DegenerateInput(f"squared distances to the centroids sum to {inertia}")
     return labels, inertia
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's `SeedSequence(seed).generate_state(4, np.uint64)`."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_b, out = 0x8B51F9DD, []
+    for i in range(8):
+        v = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        v = v * hash_b & _M32
+        out.append(v ^ v >> 16)
+    return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
+
+
+class _Pcg64:
+    """The draws k-means makes, bit for bit those of `np.random.default_rng(seed)`.
+
+    PCG64 (XSL-RR 128/64) seeded through numpy's SeedSequence, with numpy's
+    Lemire bounded integers and its 32-bit half-word buffer. Python ints
+    keep `numpy.random`, and the `secrets`/`hashlib`/OpenSSL it imports, out
+    of every command that clusters.
+    """
+
+    def __init__(self, seed: int):
+        s = _seed_words(int(seed))
+        self._inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+        # state 0, step, add the initial state, step
+        self._state = ((self._inc + (s[0] << 64 | s[1])) * _PCG_MULT + self._inc) & _M128
+        self._half = None         # the high half of a 64-bit draw, kept for the next 32-bit one
+
+    def _next64(self) -> int:
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> rot | x << (64 - rot)) & _M64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _M32
+
+    def integers(self, n: int) -> int:
+        """One draw from [0, n), by Lemire's rejection on 32 bits while n <= 2**32."""
+        if n == 1:
+            return 0
+        bits, draw = (32, self._next32) if n - 1 <= _M32 else (64, self._next64)
+        mask = (1 << bits) - 1
+        m = draw() * n
+        if m & mask < n:
+            threshold = (1 << bits) % n
+            while m & mask < threshold:
+                m = draw() * n
+        return m >> bits
+
+    def choice(self, p: np.ndarray) -> int:
+        """An index into `p` drawn with probabilities `p`, which sum to 1."""
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted((self._next64() >> 11) * 2.0 ** -53, side="right"))
 
 
 def _kmeans_pp_init(X, k, rng):
@@ -129,11 +222,13 @@ def _kmeans_pp_init(X, k, rng):
     d2 = ((X - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise DegenerateInput(f"squared distances to the centroids sum to {total}")
         if total <= 0:
             centroids[j] = X[rng.integers(n)]
         else:
             probs = d2 / total
-            centroids[j] = X[rng.choice(n, p=probs)]
+            centroids[j] = X[rng.choice(probs)]
         d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
     return centroids
 
@@ -145,11 +240,12 @@ def kmeans_fit(rows, k: int, seed: int, n_init: int = 10, max_iter: int = 300) -
         raise KTooLarge(f"k={k} > {X.shape[0]} rows")
     if k < 1:
         raise KTooLarge("k must be >= 1")
+    if not np.all(np.isfinite(X)):
+        raise DegenerateInput("non-finite entries")
     best = None
-    master = np.random.default_rng(seed)
-    restart_seeds = master.integers(0, 2 ** 63 - 1, size=n_init)
-    for rs in restart_seeds:
-        rng = np.random.default_rng(int(rs))
+    master = _Pcg64(seed)
+    for _ in range(n_init):
+        rng = _Pcg64(master.integers(2 ** 63 - 1))
         centroids = _kmeans_pp_init(X, k, rng)
         labels, inertia = _assign(X, centroids)
         path = [inertia]

@@ -108,8 +108,9 @@ def bundle_from_json(text: str):
 
 
 def bundle_hash(descriptors: dict, segment_models: dict) -> str:
-    # loaded here so that the CLI import and a one-day predict load no hashlib
-    # and OpenSSL (a command that builds a split loads both via numpy.random)
+    # loaded here so that importing the CLI loads no hashlib and OpenSSL; of the
+    # commands, only `synth`, the rf variant and `describe` load them (through
+    # numpy.random)
     import hashlib
 
     payload = bundle_to_json(descriptors, segment_models, meta={})

@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweet2traffic.clustering import (
     KMeansModel,
+    _Pcg64,
     build_road_profiles,
     build_tweeting_profiles,
     chi_squared_cramers_v,
@@ -17,7 +18,14 @@ from tweet2traffic.clustering import (
     pca_inverse_transform,
     pca_transform,
 )
-from tweet2traffic.errors import DegenerateTable, EmptyDay, EmptyRoad, KTooLarge, RangeTooSmall
+from tweet2traffic.errors import (
+    DegenerateInput,
+    DegenerateTable,
+    EmptyDay,
+    EmptyRoad,
+    KTooLarge,
+    RangeTooSmall,
+)
 
 
 class TestRoadProfiles:
@@ -152,6 +160,23 @@ class TestKMeans:
         with pytest.raises(KTooLarge):
             kmeans_fit(np.zeros((3, 2)), 4, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rows_without_finite_distances_are_rejected(self, bad):
+        # 1e200 is finite, but its squared distances overflow
+        X = np.random.default_rng(13).normal(size=(20, 3))
+        X[4, 1] = bad
+        with pytest.raises(DegenerateInput):
+            kmeans_fit(X, 3, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_one_cluster_whose_distances_overflow_is_rejected(self):
+        # k = 1 draws no k-means++ index, so only the inertia can overflow
+        X = np.random.default_rng(13).normal(size=(20, 3))
+        X[4, 1] = 1e200
+        with pytest.raises(DegenerateInput):
+            kmeans_fit(X, 1, seed=0)
+
 
 def make_blobs(rng, centers, n_per, sigma):
     rows = [rng.normal(size=(n_per, len(centers[0]))) * sigma + np.asarray(c) for c in centers]
@@ -201,6 +226,120 @@ class TestElbow:
         X = np.random.default_rng(0).normal(size=(10, 2))
         with pytest.raises(RangeTooSmall):
             elbow_select_k(X, [2, 3], seed=0)
+
+
+# Each draw is None for `integers(0, 2**63 - 1)`, an int n for `integers(n)`, or
+# a list of weights for `choice(len(p), p=p)` with p the normalised weights.
+DRAWS = st.lists(st.one_of(
+    st.none(),
+    st.integers(1, 2 ** 33),
+    st.lists(st.integers(0, 1000), min_size=1, max_size=8).filter(any)),
+    min_size=1, max_size=40)
+
+
+def draw_both(ours, theirs, draw):
+    if draw is None:
+        return ours.integers(2 ** 63 - 1), int(theirs.integers(0, 2 ** 63 - 1))
+    if isinstance(draw, int):
+        return ours.integers(draw), int(theirs.integers(draw))
+    p = np.asarray(draw, dtype=float) / sum(draw)
+    return ours.choice(p), int(theirs.choice(len(p), p=p))
+
+
+# a 32-bit draw, a 64-bit one, then the 32-bit draw from the kept half-word
+@example(seed=0, draws=[5, None, 5])
+@example(seed=0, draws=[5, [1, 2], 5])
+@example(seed=2 ** 32 - 1, draws=[2 ** 32, 2 ** 32 + 1, 1, 2 ** 31 + 5])
+@example(seed=10 ** 30, draws=[None, 7, None])
+@given(seed=st.integers(0, 2 ** 128 - 1), draws=DRAWS)
+@settings(max_examples=300, deadline=None)
+def test_the_kmeans_stream_is_numpys_default_rng(seed, draws):
+    ours, theirs = _Pcg64(seed), np.random.default_rng(seed)
+    pairs = [draw_both(ours, theirs, d) for d in draws]
+    assert [a for a, _ in pairs] == [b for _, b in pairs]
+
+
+def reference_kmeans_pp_init(X, k, rng):
+    """k-means++ seeding as it was written against `np.random.default_rng`."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[j] = X[rng.integers(n)]
+        else:
+            probs = d2 / total
+            centroids[j] = X[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def reference_kmeans_fit(X, k, seed, n_init=10, max_iter=300):
+    """`kmeans_fit` as it was written against `np.random.default_rng`."""
+    best = None
+    master = np.random.default_rng(seed)
+    for rs in master.integers(0, 2 ** 63 - 1, size=n_init):
+        rng = np.random.default_rng(int(rs))
+        centroids = reference_kmeans_pp_init(X, k, rng)
+        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(X.shape[0]), labels].sum())
+        path = [inertia]
+        for _ in range(max_iter):
+            new_centroids = centroids.copy()
+            for j in range(k):
+                members = X[labels == j]
+                if members.shape[0]:
+                    new_centroids[j] = members.mean(axis=0)
+            d2 = ((X[:, None, :] - new_centroids[None, :, :]) ** 2).sum(axis=2)
+            new_labels = np.argmin(d2, axis=1)
+            new_inertia = float(d2[np.arange(X.shape[0]), new_labels].sum())
+            centroids = new_centroids
+            path.append(new_inertia)
+            if np.array_equal(new_labels, labels):
+                labels = new_labels
+                inertia = new_inertia
+                break
+            labels, inertia = new_labels, new_inertia
+        if best is None or inertia < best.inertia:
+            best = KMeansModel(centroids, labels, inertia, path)
+    return best
+
+
+def model_bits(model):
+    return (model.centroids.shape, [float(v).hex() for v in model.centroids.ravel()],
+            model.labels.tolist(), model.inertia.hex(), [v.hex() for v in model.inertia_path])
+
+
+# The inputs of TestKMeans and TestElbow, plus one with repeated rows, whose
+# zero distance total takes the `integers(n)` branch of the seeding.
+ORACLE_INPUTS = {
+    "k1": (np.random.default_rng(5).normal(size=(20, 3)), [1]),
+    "two_pairs": (np.array([[0, 0], [0, 0.1], [10, 10], [10, 10.1]]), [2]),
+    "gauss100": (np.random.default_rng(6).normal(size=(100, 4)), [5]),
+    "gauss50": (np.random.default_rng(7).normal(size=(50, 3)), [3]),
+    "scaled": (np.random.default_rng(8).normal(size=(40, 2)) * 3.7, [3]),
+    "blobs": (make_blobs(np.random.default_rng(10), [(0, 0), (20, 0), (0, 20)], 30, 0.5)[0],
+              list(range(2, 9))),
+    "grid": (np.arange(64, dtype=float)[:, None], [2, 3, 4, 5]),
+    "repeated": (np.repeat(np.random.default_rng(9).normal(size=(2, 3)), 4, axis=0), [3, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 32 + 3])
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_kmeans_fit_matches_its_numpy_seeded_reference(name, seed):
+    X, ks = ORACLE_INPUTS[name]
+    for k in ks:
+        for n_init, max_iter in ((10, 300), (3, 1)):
+            assert (model_bits(kmeans_fit(X, k, seed=seed, n_init=n_init, max_iter=max_iter))
+                    == model_bits(reference_kmeans_fit(X, k, seed, n_init, max_iter)))
+    if len(ks) >= 3:
+        _k, models = elbow_select_k(X, ks, seed=seed, n_init=3)
+        for k, model in models.items():
+            assert model_bits(model) == model_bits(reference_kmeans_fit(X, k, seed, n_init=3))
 
 
 class TestOrdering:

@@ -1,6 +1,7 @@
-"""Each `t2t` call loads only the scipy it runs, and the CLI import and a
-one-day predict load no hashlib. (A command that builds a split loads
-hashlib through `numpy.random`.)
+"""Each `t2t` call loads only the scipy it runs, and a command that clusters
+loads no `numpy.random`, `secrets` or hashlib, since k-means draws from its
+own PCG64 stream. Only `synth` and the rf variant use `numpy.random`
+(`describe` loads it through `scipy.special`).
 
 Every check runs in a fresh interpreter, since the test process itself has
 long since loaded scipy and hashlib. A probe prints the sorted modules it
@@ -88,6 +89,26 @@ def test_the_cli_import_and_a_one_day_predict_load_no_hashlib(trained):
     for probe in ("import tweet2traffic.cli", body):
         mods = modules_after(probe)
         assert not any(loaded(mods, p) for p in ("hashlib", "_hashlib")), probe
+
+
+RNG_AND_HASH = ("numpy.random", "secrets", "hashlib", "_hashlib")
+
+
+@pytest.mark.parametrize("args", [["evaluate", "--models", "hm,sar"],
+                                  ["evaluate", "--models", "t2t"],
+                                  ["train"],
+                                  ["cluster"]],
+                         ids=["evaluate_hm_sar", "evaluate_t2t", "train", "cluster"])
+def test_a_command_that_clusters_loads_no_numpy_random(args, trained):
+    out = trained / ("rng_" + "_".join(args).replace(",", "_"))
+    config = trained / "three_splits.json"      # the 20-day world is too short for ten
+    config.write_text(json.dumps({"harness": {"n_outer": 3}}))
+    argv = args + ["--data", str(trained / "data"), "--config", str(config),
+                   "--seed", "2", "--out", str(out)]
+    mods = modules_after("from tweet2traffic.cli import main\n"
+                         f"assert main({argv!r}) == 0")
+    assert [p for p in RNG_AND_HASH if loaded(mods, p)] == []
+    assert any(out.iterdir())
 
 
 def test_bundle_hash_hashes_in_a_fresh_interpreter():
