@@ -8,6 +8,7 @@ morning patterns, relabeled so the label index grows with centroid severity.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -342,29 +343,33 @@ def build_tweeting_profiles(tweet_hours_by_day: dict, n_bins: int = 19,
     return out
 
 
-def chi_squared_cramers_v(labels_a, labels_b):
-    """Pearson chi-squared test plus Cramer's V between two labelings."""
-    # loaded here so that only this test (`t2t describe`) loads scipy.special
-    from scipy.special import chdtrc
+def _chi2_tail(k: int, x: float) -> float:
+    """P(X > x) for X chi-squared with integer k degrees of freedom, in closed
+    form (Abramowitz & Stegun 26.4.4-26.4.5): exp(-x/2) times the sum of
+    (x/2)^i / i! for i < k/2 if k is even, erfc(sqrt(x/2)) plus the sum of
+    exp(-x/2) (x/2)^(i+1/2) / Gamma(i+3/2) for i < (k-1)/2 if k is odd. Each
+    term is taken from its logarithm, so the tail does not underflow where
+    exp(-x/2) alone would."""
+    if x <= 0.0:
+        return 1.0
+    h, half = x / 2.0, (k % 2) / 2.0
+    head = math.erfc(math.sqrt(h)) if k % 2 else 0.0
+    terms = (math.exp((i + half) * math.log(h) - h - math.lgamma(i + half + 1.0))
+             for i in range(k // 2))
+    return min(1.0, head + math.fsum(terms))   # a rounded sum may pass 1 near x = 0
 
-    a = np.asarray(labels_a)
-    b = np.asarray(labels_b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DegenerateTable("label sequences must be equal-length vectors")
-    cats_a = sorted(set(a.tolist()))
-    cats_b = sorted(set(b.tolist()))
-    table = np.zeros((len(cats_a), len(cats_b)))
-    ia = {c: i for i, c in enumerate(cats_a)}
-    ib = {c: i for i, c in enumerate(cats_b)}
-    for x, y in zip(a.tolist(), b.tolist()):
-        table[ia[x], ib[y]] += 1
+
+def chi_squared_cramers_v(table):
+    """Pearson chi-squared test plus Cramer's V on a contingency table of
+    counts; its all-zero rows and columns are dropped first."""
+    table = np.asarray(table, dtype=float)
+    table = table[np.ix_(table.sum(axis=1) > 0, table.sum(axis=0) > 0)]
     r, c = table.shape
     if r < 2 or c < 2:
         raise DegenerateTable("need at least 2 categories on each axis")
     n = table.sum()
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
     chi2 = float(((table - expected) ** 2 / expected).sum())
-    dof = (r - 1) * (c - 1)
-    p_value = float(chdtrc(dof, chi2))   # the chi-squared survival function
+    p_value = _chi2_tail((r - 1) * (c - 1), chi2)
     v = float(np.sqrt(chi2 / (n * (min(r, c) - 1))))
     return chi2, p_value, v

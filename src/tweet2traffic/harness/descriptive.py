@@ -82,10 +82,10 @@ def run_descriptive_analysis(prepared: PreparedData, art: SplitArtifacts,
         lab_map = dict(zip(dates, labels))
         a = np.array([lab_map[d] for d in common])
         b = np.array([tweet_labels[d] for d in common])
-        chi2, p, v = chi_squared_cramers_v(a, b)
         table = np.zeros((int(a.max()) + 1, int(b.max()) + 1))
         for x, y in zip(a, b):
             table[int(x), int(y)] += 1
+        chi2, p, v = chi_squared_cramers_v(table)
         col_sums = table.sum(axis=0, keepdims=True)
         conditional = np.divide(table, col_sums, out=np.zeros_like(table),
                                 where=col_sums > 0)

@@ -29,6 +29,9 @@ from .pipeline import (
 
 log = logging.getLogger(__name__)
 
+# Every split's road-profile PCA needs two training days, whatever the models.
+MIN_FIRST_SPAN = 2
+
 
 def outer_folds(n_days: int, n_outer: int) -> list[list[int]]:
     """The n_outer+1 contiguous day-index folds of the outer splits."""
@@ -188,7 +191,13 @@ def run_nested_tscv(prepared: PreparedData, models=("t2t", "hm", "sar"),
     if unknown:
         raise UnknownVariant(f"unknown model(s) {', '.join(map(repr, unknown))}; "
                              f"known: {', '.join(sorted(known))}")
-    folds = outer_folds(len(prepared.days), prepared.config.harness.n_outer)
+    n_days, n_outer = len(prepared.days), prepared.config.harness.n_outer
+    first_span = n_days // (n_outer + 1)        # split 1 trains on fold 1 alone
+    if first_span < MIN_FIRST_SPAN:
+        raise TooFewDays(f"{n_days} days in {n_outer + 1} folds (harness.n_outer {n_outer}) "
+                         f"give the first split {first_span} training day(s); it needs "
+                         f"{MIN_FIRST_SPAN}: lower harness.n_outer or add days")
+    folds = outer_folds(n_days, n_outer)
     for split_id in range(1, len(folds)):
         _run_split(prepared, report, models, split_id,
                    [prepared.days[i] for fold in folds[:split_id] for i in fold],

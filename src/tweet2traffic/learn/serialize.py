@@ -109,8 +109,7 @@ def bundle_from_json(text: str):
 
 def bundle_hash(descriptors: dict, segment_models: dict) -> str:
     # loaded here so that importing the CLI loads no hashlib and OpenSSL; of the
-    # commands, only `synth`, the rf variant and `describe` load them (through
-    # numpy.random)
+    # commands, only `synth` and the rf variant load them (through numpy.random)
     import hashlib
 
     payload = bundle_to_json(descriptors, segment_models, meta={})

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tweet2traffic.clustering import (
     KMeansModel,
+    _chi2_tail,
     _Pcg64,
     build_road_profiles,
     build_tweeting_profiles,
@@ -396,6 +397,14 @@ class TestTweetingProfiles:
         assert np.allclose(prof["d2"], prof_swapped["d2"])
 
 
+def count_table(labels_a, labels_b):
+    """The contingency table of two non-negative integer labelings."""
+    a, b = np.asarray(labels_a), np.asarray(labels_b)
+    table = np.zeros((a.max() + 1, b.max() + 1))
+    np.add.at(table, (a, b), 1)
+    return table
+
+
 @st.composite
 def label_pairs(draw):
     """Two labelings whose contingency table is r x c, for r and c from 2 to 6."""
@@ -410,7 +419,7 @@ def label_pairs(draw):
 class TestChiSquared:
     def test_perfect_association(self):
         a = [0] * 10 + [1] * 10
-        chi2, p, v = chi_squared_cramers_v(a, a)
+        chi2, p, v = chi_squared_cramers_v(count_table(a, a))
         assert chi2 == pytest.approx(20.0)
         assert v == pytest.approx(1.0)
         assert p < 1e-4
@@ -418,7 +427,7 @@ class TestChiSquared:
     def test_exact_independence(self):
         a = [0, 0, 1, 1] * 5
         b = [0, 1, 0, 1] * 5
-        chi2, p, v = chi_squared_cramers_v(a, b)
+        chi2, p, v = chi_squared_cramers_v(count_table(a, b))
         assert chi2 == pytest.approx(0.0)
         assert v == pytest.approx(0.0)
         assert p == pytest.approx(1.0)
@@ -431,7 +440,7 @@ class TestChiSquared:
     def test_v_self_is_one(self):
         rng = np.random.default_rng(12)
         labels = rng.integers(0, 4, size=200)
-        _, _, v = chi_squared_cramers_v(labels, labels)
+        _, _, v = chi_squared_cramers_v(count_table(labels, labels))
         assert v == pytest.approx(1.0)
 
     @given(st.lists(st.integers(0, 3), min_size=20, max_size=60),
@@ -442,13 +451,20 @@ class TestChiSquared:
         a, b = a[:n], b[:n]
         if len(set(a)) < 2 or len(set(b)) < 2:
             return
-        _, p, v = chi_squared_cramers_v(a, b)
+        _, p, v = chi_squared_cramers_v(count_table(a, b))
         assert -1e-9 <= v <= 1 + 1e-9
         assert 0 <= p <= 1
 
     def test_degenerate_table(self):
         with pytest.raises(DegenerateTable):
-            chi_squared_cramers_v([0] * 10, [0, 1] * 5)
+            chi_squared_cramers_v(count_table([0] * 10, [0, 1] * 5))
+
+    def test_all_zero_rows_and_columns_are_dropped(self):
+        table = np.array([[5.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 6.0]])
+        assert (chi_squared_cramers_v(table)
+                == chi_squared_cramers_v([[5.0, 2.0], [1.0, 6.0]]))
+        with pytest.raises(DegenerateTable):
+            chi_squared_cramers_v([[0.0, 0.0], [3.0, 4.0]])
 
     @given(label_pairs())
     @settings(max_examples=200, deadline=None)
@@ -456,5 +472,18 @@ class TestChiSquared:
         from scipy.stats import chi2 as chi2_dist
 
         r, c, a, b = pairs
-        chi2, p, _v = chi_squared_cramers_v(a, b)
-        assert p == chi2_dist.sf(chi2, (r - 1) * (c - 1))
+        chi2, p, _v = chi_squared_cramers_v(count_table(a, b))
+        assert p == pytest.approx(chi2_dist.sf(chi2, (r - 1) * (c - 1)), rel=1e-12, abs=0)
+
+    def test_the_closed_form_tail_is_chdtrc(self):
+        """k = 1..49 over [0, 3k + 30] and log-spaced up to 2,000, wherever
+        the tail is above 1e-300."""
+        from scipy.special import chdtrc
+
+        for k in range(1, 50):
+            xs = np.concatenate([np.linspace(0.0, 3 * k + 30, 200),
+                                 np.logspace(-6, np.log10(2000.0), 200)])
+            ref = chdtrc(k, xs)
+            keep = ref > 1e-300
+            got = np.array([_chi2_tail(k, float(x)) for x in xs[keep]])
+            np.testing.assert_allclose(got, ref[keep], rtol=1e-12, atol=0, err_msg=f"k={k}")

@@ -55,7 +55,9 @@ class TestDescriptive:
             b = np.array(b)
             null_vs = []
             for _ in range(200):
-                _c, _p, v = chi_squared_cramers_v(a, rng.permutation(b))
+                table = np.zeros_like(row.table)
+                np.add.at(table, (a, rng.permutation(b)), 1)
+                _c, _p, v = chi_squared_cramers_v(table)
                 null_vs.append(v)
             assert row.cramers_v <= np.quantile(null_vs, 0.95) + 1e-9
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tweet2traffic.config import CongestionParams, HarnessConfig, PipelineConfig, TweetConfig
 from tweet2traffic.congestion import CongestionMeasurements, N_SLOTS
-from tweet2traffic.errors import TooFewDays, UnknownVariant
+from tweet2traffic.errors import TooFewDays, Tweet2TrafficError, UnknownVariant
 from tweet2traffic.harness.baselines import (
     SarModel,
     fit_sar,
@@ -24,7 +24,12 @@ from tweet2traffic.harness.baselines import (
 from tweet2traffic.harness.metrics import compute_metrics, weighted_aggregate
 from tweet2traffic.harness.pipeline import build_split, fit_stack, prepare_data
 from tweet2traffic.harness.report import emit_report
-from tweet2traffic.harness.tscv import EvaluationReport, outer_folds, run_nested_tscv
+from tweet2traffic.harness.tscv import (
+    MIN_FIRST_SPAN,
+    EvaluationReport,
+    outer_folds,
+    run_nested_tscv,
+)
 from tweet2traffic.harness.ablation import run_ablation
 from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
 from tweet2traffic.learn.serialize import bundle_hash
@@ -308,6 +313,51 @@ class TestNestedTscv:
         monkeypatch.setattr("tweet2traffic.harness.tscv.build_split", no_split)
         with pytest.raises(UnknownVariant, match="'bogus'"):
             run_nested_tscv(prepared, models=("hm", "bogus"))
+
+
+def short_world(n_days, n_outer):
+    """A 1 road x 2 segment world whose folds are `n_days // (n_outer + 1)` days."""
+    cfg = SyntheticConfig(n_days=n_days, n_roads=1, segments_per_road=2,
+                          n_users=10, n_tracts=3)
+    bundle, _ = generate_synthetic(cfg, seed=4)
+    pc = PipelineConfig(tweets=TweetConfig(agency_user_ids=("agency511",)),
+                        harness=HarnessConfig(n_outer=n_outer))
+    return prepare_data(bundle, pc)
+
+
+class TestFirstSpan:
+    """The first split trains on the first fold alone, so the fold must hold
+    the fewest training days that every model's split accepts."""
+
+    def test_the_shortest_first_span_runs_every_model(self):
+        prepared = short_world(12, 5)
+        assert len(outer_folds(12, 5)[0]) == MIN_FIRST_SPAN
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_nested_tscv(prepared, models=("t2t", "hm", "sar"), seed=0)
+        assert {(m, k) for m, _s, k in report.per_split} == {
+            (m, k) for m in ("t2t", "hm", "sar") for k in range(1, 6)}
+
+    def test_one_day_shorter_fails_inside_the_split(self, monkeypatch):
+        monkeypatch.setattr("tweet2traffic.harness.tscv.MIN_FIRST_SPAN", MIN_FIRST_SPAN - 1)
+        for models in (("t2t",), ("hm",), ("sar",)):
+            with pytest.raises(Tweet2TrafficError) as info:
+                run_nested_tscv(short_world(12, 6), models=models, seed=0)
+            assert not isinstance(info.value, TooFewDays)
+
+    @pytest.mark.parametrize("run", [lambda p: run_nested_tscv(p, models=("hm",)),
+                                     lambda p: run_ablation(p, "NO_TWEET")],
+                             ids=["tscv", "ablation"])
+    def test_a_shorter_first_span_is_rejected_before_any_split(self, run, monkeypatch):
+        def no_split(*_a, **_k):
+            raise AssertionError("build_split ran before the fold length was checked")
+
+        monkeypatch.setattr("tweet2traffic.harness.tscv.build_split", no_split)
+        with pytest.raises(TooFewDays, match=r"^20 days in 11 folds \(harness.n_outer 10\) "
+                                             r"give the first split 1 training day"):
+            run(short_world(20, 10))
+        with pytest.raises(TooFewDays, match=r"harness.n_outer 30\) give the first split 0"):
+            run(short_world(20, 30))
 
 
 class TestLeakage:

@@ -1,12 +1,13 @@
-"""Each `t2t` call loads only the scipy it runs, and a command that clusters
-loads no `numpy.random`, `secrets` or hashlib, since k-means draws from its
-own PCG64 stream. Only `synth` and the rf variant use `numpy.random`
-(`describe` loads it through `scipy.special`).
+"""Each `t2t` call loads only the scipy it runs, and no pipeline command
+loads `numpy.random`, `secrets` or hashlib: k-means draws from its own PCG64
+stream and `describe` takes the chi-squared tail in closed form. scipy is the
+Lasso's BLAS alone, and only `synth` and the rf variant use `numpy.random`.
 
-Every check runs in a fresh interpreter, since the test process itself has
-long since loaded scipy and hashlib. A probe prints the sorted modules it
-ends with.
+Every check but the first runs in a fresh interpreter, since the test process
+itself has long since loaded scipy and hashlib. A probe prints the sorted
+modules it ends with.
 """
+import ast
 import hashlib
 import json
 import os
@@ -119,12 +120,48 @@ def test_bundle_hash_hashes_in_a_fresh_interpreter():
     assert "hashlib" in json.loads(mods)
 
 
-def test_the_chi_squared_test_loads_scipy_special_only():
-    mods = scipy_modules_after(
-        "from tweet2traffic.clustering import chi_squared_cramers_v\n"
-        "chi_squared_cramers_v([0, 0, 1, 1, 2], [0, 1, 1, 0, 1])")
-    assert loaded(mods, "scipy.special")
-    assert not any(loaded(mods, p) for p in ("scipy.stats", "scipy.sparse", "scipy.linalg"))
+def test_t2t_describe_loads_no_scipy_special_or_numpy_random(trained):
+    data, out = str(trained / "data"), trained / "described"
+    mods = modules_after(
+        "from tweet2traffic.cli import main\n"
+        f"assert main(['describe', '--data', {data!r}, '--seed', '2',\n"
+        f"             '--out', {str(out)!r}]) == 0")
+    assert [p for p in ("scipy.special", *RNG_AND_HASH) if loaded(mods, p)] == []
+    assert (out / "associations.csv").read_text().count("\n") > 1
+
+
+def scipy_imports(tree: ast.AST, scope: str = "") -> list[str]:
+    """`scope` names, as `function.inner`, of every import of scipy in `tree`."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += scipy_imports(node, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        else:
+            out += scipy_imports(node, scope)
+            continue
+        out += [scope for name in names if name.split(".")[0] == "scipy"]
+    return out
+
+
+def test_src_imports_scipy_only_to_load_the_blas():
+    found = {}
+    for path in sorted(Path(SRC, "tweet2traffic").rglob("*.py")):
+        for scope in scipy_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            found.setdefault(path.relative_to(SRC).as_posix(), []).append(scope)
+    assert found == {"tweet2traffic/learn/optimizers.py": ["_blas"]}
+
+
+def test_the_scipy_import_guard_sees_every_form():
+    tree = ast.parse("import scipy.special\n"
+                     "def f():\n    from scipy import linalg\n"
+                     "class C:\n    def g(self):\n        if True:\n            import scipy\n"
+                     "from .scipy import x\nimport scipyx\n")
+    assert scipy_imports(tree) == ["", "f", "C.g"]
 
 
 def linalg_modules(mods) -> list[str]:
