@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import sys
+import warnings
 from datetime import date as date_t
 from datetime import timedelta
 from pathlib import Path
@@ -360,10 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, *_where) -> str:
+    """A printed warning as one line, `Category: message`, without the source
+    file and line that would differ between checkouts and edits."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except Tweet2TrafficError as exc:
@@ -372,6 +380,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

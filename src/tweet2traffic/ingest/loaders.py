@@ -4,8 +4,10 @@ Every loader validates the header, parses with row-indexed diagnostics,
 and returns records sorted by timestamp where one exists; speed.csv loads
 as one dense SpeedCube rather than one record per row.
 Writers emit the canonical form, so write(load(x)) is a normalizing
-round trip. `read_rows` and `write_rows` are the program's one CSV codec:
-every CSV file it reads or writes goes through them.
+round trip. `_open_rows` and `write_rows` are the program's one CSV codec:
+every CSV file it reads or writes goes through them. The small files are
+read through `read_rows`; speed, tweets and weather, the large ones, read
+`_open_rows` in a loop of their own.
 """
 from __future__ import annotations
 
@@ -269,46 +271,81 @@ def _load_incidents(path):
 
 
 def _load_weather(path, keep):
+    """Every row is checked in a fixed order. A value is parsed directly;
+    only one that fails goes to `_parse_ts` or `_parse_float`, which word
+    its row's ParseError."""
     out = []
     seen = set()
-    for i, row in read_rows(path, "weather"):
-        ts = _parse_ts(row[0], i)
-        if ts.minute or ts.second:
-            raise ParseError(i, f"weather timestamp {row[0]} not hourly")
-        if ts in seen:
-            raise SchemaMismatch("timestamp", f"duplicate hourly key {row[0]}")
-        seen.add(ts)
-        wet = row[7].strip().lower()
-        if wet not in ("0", "1", "true", "false"):
-            raise ParseError(i, f"bad pavement_wet {row[7]!r}")
-        sev = int(_parse_float(row[8], i, "wx_severity"))
-        if sev < 0:
-            raise ParseError(i, "negative wx_severity")
-        values = (_parse_float(row[1], i, "temp"), _parse_float(row[2], i, "humidity"),
-                  _parse_float(row[3], i, "wind"), _parse_float(row[4], i, "pressure"),
-                  _parse_float(row[5], i, "visibility"), _parse_float(row[6], i, "precip"))
-        if keep is None or keep("weather", ts, None):
-            out.append(WeatherRecord(ts, *values, wet in ("1", "true"), sev))
+    fh, reader = _open_rows(path, "weather")
+    with fh:
+        for i, row in enumerate(reader, start=1):
+            try:
+                stamp, temp, humidity, wind, pressure, visibility, precip, wet, sev = row
+            except ValueError:
+                raise ParseError(i, f"expected 9 fields, got {len(row)}") from None
+            try:
+                ts = datetime.fromisoformat(stamp)
+            except ValueError:
+                ts = None
+            if ts is None or ts.tzinfo is not None:
+                ts = _parse_ts(stamp, i)        # raises the row's ParseError
+            if ts.minute or ts.second:
+                raise ParseError(i, f"weather timestamp {stamp} not hourly")
+            if ts in seen:
+                raise SchemaMismatch("timestamp", f"duplicate hourly key {stamp}")
+            seen.add(ts)
+            flag = wet.strip().lower()
+            if flag not in ("0", "1", "true", "false"):
+                raise ParseError(i, f"bad pavement_wet {wet!r}")
+            try:
+                severity = int(float(sev))
+            except ValueError:
+                severity = int(_parse_float(sev, i, "wx_severity"))
+            if severity < 0:
+                raise ParseError(i, "negative wx_severity")
+            try:
+                values = (float(temp), float(humidity), float(wind), float(pressure),
+                          float(visibility), float(precip))
+            except ValueError:
+                values = tuple(_parse_float(text, i, name)
+                               for name, text in zip(SCHEMAS["weather"][1:7], row[1:7]))
+            if keep is None or keep("weather", ts, None):
+                out.append(WeatherRecord(ts, *values, flag in ("1", "true"), severity))
     out.sort(key=_SORT_KEYS["weather"])
     return out
 
 
 def _load_tweets(path, keep):
+    """Every row is checked in a fixed order, as in `_load_weather`."""
     out = []
     kinds = ("GEOCODED", "TIMELINE", "RETWEET", "FAVORITE")
     share = {}.setdefault               # one string object per distinct user, kind, location
-    for i, row in read_rows(path, "tweets"):
-        if row[3] not in kinds:
-            raise ParseError(i, f"unknown kind {row[3]!r}")
-        coord = None
-        if row[4] != "" or row[5] != "":
-            coord = (_parse_float(row[4], i, "lat"), _parse_float(row[5], i, "lon"))
-        if row[3] == "GEOCODED" and coord is None:
-            raise ParseError(i, "GEOCODED tweet without coordinates")
-        ts = _parse_ts(row[2], i)
-        if keep is None or keep("tweets", ts, row[1]):
-            out.append(Tweet(row[0], share(row[1], row[1]), ts, row[7], coord,
-                             share(row[6], row[6]) or None, share(row[3], row[3])))
+    fh, reader = _open_rows(path, "tweets")
+    with fh:
+        for i, row in enumerate(reader, start=1):
+            try:
+                tweet_id, user, stamp, kind, lat, lon, place, text = row
+            except ValueError:
+                raise ParseError(i, f"expected 8 fields, got {len(row)}") from None
+            if kind not in kinds:
+                raise ParseError(i, f"unknown kind {kind!r}")
+            coord = None
+            if lat or lon:
+                try:
+                    coord = (float(lat), float(lon))
+                except ValueError:
+                    coord = (_parse_float(lat, i, "lat"), _parse_float(lon, i, "lon"))
+            elif kind == "GEOCODED":
+                raise ParseError(i, "GEOCODED tweet without coordinates")
+            try:
+                ts = datetime.fromisoformat(stamp)
+            except ValueError:
+                ts = None
+            if ts is None or ts.tzinfo is not None:
+                ts = _parse_ts(stamp, i)        # raises the row's ParseError
+            if keep is None or keep("tweets", ts, user):
+                out.append(Tweet(tweet_id, share(user, user), ts, text, coord,
+                                 share(place, place) or None, share(kind, kind)))
     out.sort(key=_SORT_KEYS["tweets"])
     return out
 

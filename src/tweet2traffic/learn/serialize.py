@@ -28,8 +28,16 @@ def _linear_to_dict(model: LinearModel) -> dict:
 
 
 def _linear_from_dict(doc: dict) -> LinearModel:
+    """Zeros, then each stored (nonzero) coefficient at its name's position."""
     names = doc["feature_names"]
-    weights = np.array([doc["coefficients"].get(n, 0.0) for n in names])
+    weights = np.zeros(len(names))
+    for name, w in doc["coefficients"].items():
+        try:
+            j = names.index(name)
+        except ValueError:
+            raise SchemaMismatch("coefficients", f"model bundle coefficient {name!r} "
+                                 "names no feature") from None
+        weights[j] = w
     return LinearModel(weights, doc["bias"], names, doc["l1_strength"],
                        doc["task"], converged=doc["converged"])
 

@@ -645,6 +645,52 @@ class TestCli:
         assert f"segment {gone!r}" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
+    def test_predict_bundle_coefficient_naming_no_feature_exit_2(self, data_dir, served,
+                                                                 tmp_path, capsys):
+        """A stored coefficient whose name is not among its model's features is
+        rejected, not dropped, so no loaded model differs from the saved one."""
+        doc = json.loads(served.model.read_text())
+        sid = sorted(doc["segments"])[0]
+        doc["segments"][sid]["classifier"]["coefficients"]["no_such_feature"] = 0.5
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = main(["predict", "--model", str(model), "--data", str(data_dir),
+                   "--date", served.train_days[-1].isoformat(), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "schema mismatch on column 'coefficients'" in err
+        assert "'no_such_feature' names no feature" in err
+        assert not (tmp_path / "p").exists()
+
+    def test_capped_fit_warns_in_one_line_naming_no_source(self, data_dir, tmp_path):
+        """A NotConverged warning on stderr reads `NotConverged: <message>`: no
+        source path or line number, which change with any edit or checkout.
+        It runs in a fresh interpreter, whose warnings print as a user sees them."""
+        import os
+        import re
+        import subprocess
+        import sys
+
+        import tweet2traffic
+
+        cfg = tmp_path / "capped.json"
+        cfg.write_text(json.dumps({"model": {"lasso_max_iter": 2}}))
+        env = dict(os.environ)
+        src = str(Path(tweet2traffic.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "tweet2traffic.cli", "train",
+                               "--data", str(data_dir), "--config", str(cfg),
+                               "--out", str(tmp_path / "m")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        capped = [line for line in lines if "did not converge" in line]
+        assert capped
+        assert all(re.fullmatch(r"NotConverged: lasso did not converge: (max_iter=2 sweeps "
+                                r"ran out|\d+ working-set rounds ran out after \d+ of "
+                                r"max_iter=2 sweeps)", line) for line in capped), capped
+        assert not [line for line in lines if ".py" in line or "warnings.warn" in line]
+
     @pytest.mark.parametrize("variant", ["linear", "rf", "knn"])
     def test_saved_bundle_serves_the_trained_stack(self, data_dir, tmp_path, variant):
         import csv

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tweet2traffic.config import PipelineConfig
 from tweet2traffic.errors import InvalidConfig, MissingFile, ParseError, SchemaMismatch
-from tweet2traffic.harness.pipeline import prepare_data
+from tweet2traffic.harness.pipeline import day_rows, prepare_data
 from tweet2traffic.ingest import (
     SpeedCube,
     SyntheticConfig,
@@ -269,6 +269,210 @@ class TestSpeedColumnsMatchRowByRow:
         assert (prepared.days, prepared.morning_offset) == (days, offset)
         for sid in seg_ids:
             assert np.array_equal(prepared.speeds[sid], want[sid], equal_nan=True), sid
+
+
+def reference_load_weather(path, keep):
+    """The weather loader as it was before its one-pass loop: `read_rows`, then
+    each field through `_parse_ts` or `_parse_float`."""
+    out = []
+    seen = set()
+    for i, row in read_rows(path, "weather"):
+        ts = loaders._parse_ts(row[0], i)
+        if ts.minute or ts.second:
+            raise ParseError(i, f"weather timestamp {row[0]} not hourly")
+        if ts in seen:
+            raise SchemaMismatch("timestamp", f"duplicate hourly key {row[0]}")
+        seen.add(ts)
+        wet = row[7].strip().lower()
+        if wet not in ("0", "1", "true", "false"):
+            raise ParseError(i, f"bad pavement_wet {row[7]!r}")
+        sev = int(loaders._parse_float(row[8], i, "wx_severity"))
+        if sev < 0:
+            raise ParseError(i, "negative wx_severity")
+        values = tuple(loaders._parse_float(row[j], i, name) for j, name in
+                       enumerate(("temp", "humidity", "wind", "pressure", "visibility",
+                                  "precip"), start=1))
+        if keep is None or keep("weather", ts, None):
+            out.append(loaders.WeatherRecord(ts, *values, wet in ("1", "true"), sev))
+    out.sort(key=lambda r: r.timestamp)
+    return out
+
+
+def reference_load_tweets(path, keep):
+    """The tweet loader as it was before its one-pass loop."""
+    out = []
+    for i, row in read_rows(path, "tweets"):
+        if row[3] not in ("GEOCODED", "TIMELINE", "RETWEET", "FAVORITE"):
+            raise ParseError(i, f"unknown kind {row[3]!r}")
+        coord = None
+        if row[4] != "" or row[5] != "":
+            coord = (loaders._parse_float(row[4], i, "lat"),
+                     loaders._parse_float(row[5], i, "lon"))
+        if row[3] == "GEOCODED" and coord is None:
+            raise ParseError(i, "GEOCODED tweet without coordinates")
+        ts = loaders._parse_ts(row[2], i)
+        if keep is None or keep("tweets", ts, row[1]):
+            out.append(loaders.Tweet(row[0], row[1], ts, row[7], coord, row[6] or None, row[3]))
+    out.sort(key=lambda r: (r.timestamp, r.tweet_id))
+    return out
+
+
+AGENCY = "agency1"
+PARITY_DAY = date(2014, 3, 4)
+PARITY_CONFIG = dataclasses.replace(
+    PipelineConfig(),
+    tweets=dataclasses.replace(PipelineConfig().tweets, agency_user_ids=(AGENCY,)))
+
+
+def outcome(load):
+    """The records of `load()` as reprs (so NaN fields compare equal), or the
+    type, row and message of what it raised. A `wx_severity` of nan or inf
+    escapes both loaders as ValueError or OverflowError."""
+    try:
+        return [repr(r) for r in load()]
+    except (ParseError, SchemaMismatch, ValueError, OverflowError) as exc:
+        return type(exc).__name__, getattr(exc, "row", None), str(exc)
+
+
+def assert_loaders_agree(kind, path):
+    """Both loaders give equal records or raise alike, keeping every row or one
+    day's rows as a one-day predict does."""
+    reference = {"tweets": reference_load_tweets, "weather": reference_load_weather}[kind]
+    for keep in (None, day_rows(PARITY_CONFIG, PARITY_DAY)):
+        want = outcome(lambda: reference(path, keep))
+        assert outcome(lambda: load_dataset(kind, path, keep)) == want
+
+
+def write_csv(path, kind, rows, quoting=csv.QUOTE_MINIMAL, lineterminator="\n"):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=quoting, lineterminator=lineterminator)
+        writer.writerow(loaders.SCHEMAS[kind])
+        writer.writerows(rows)
+    return path
+
+
+PARITY_STAMPS = [f"2014-03-0{d}T{h:02d}:{m:02d}" for d in (3, 4, 5) for h in (0, 4, 5, 11, 12, 23)
+                 for m in (0, 59)]
+BAD_STAMPS = ["2014-02-30T05:00", "nope", "", "2014-03-04T05:00+00:00", "2014-03-04T05:00Z",
+              "2014-03-04 05:00:00-05:00"]
+BAD_NUMBERS = ["north", "", "1,5", "--1"]
+
+
+@st.composite
+def tweet_row(draw, defect_percent):
+    """One tweets.csv row as fields; with the given chance it carries a set of
+    defects, so one row can fail several checks."""
+    defects = set()
+    if draw(st.integers(0, 99)) < defect_percent:
+        defects = draw(st.sets(st.sampled_from(["fields", "kind", "lat", "lon", "coords",
+                                                "stamp"]), min_size=1))
+    kind = draw(st.sampled_from(["GEOCODED", "TIMELINE", "RETWEET", "FAVORITE"]))
+    coord = draw(st.sampled_from([("40.4", "-80.0"), ("nan", "inf"), (" 40 ", "-8e1"),
+                                  ("", "")]))
+    if kind == "GEOCODED" and coord == ("", ""):
+        coord = ("40.5", "-79.9")
+    lat, lon = coord
+    row = [draw(st.sampled_from(["t1", "t2", "t3", "a,b"])),
+           draw(st.sampled_from(["u1", "u2", AGENCY])),
+           draw(st.sampled_from(PARITY_STAMPS)), kind, lat, lon,
+           draw(st.sampled_from(["", "Pittsburgh", "home, PA"])),
+           draw(st.sampled_from(["going to sleep", "", "a \"quoted\", text"]))]
+    if "kind" in defects:
+        row[3] = draw(st.sampled_from(["geocoded", "", "REPLY"]))
+    if "lat" in defects:
+        row[4] = draw(st.sampled_from(BAD_NUMBERS))
+    if "lon" in defects:
+        row[5] = draw(st.sampled_from(BAD_NUMBERS))
+    if "coords" in defects:
+        row[3:6] = ["GEOCODED", "", ""]
+    if "stamp" in defects:
+        row[2] = draw(st.sampled_from(BAD_STAMPS))
+    if "fields" in defects:
+        return draw(st.sampled_from([row[:7], row + ["x"], []]))
+    return row
+
+
+WEATHER_FLOATS = ["12.5", "-3", "1e3", "nan", "inf", " 7 "]
+
+
+@st.composite
+def weather_row(draw, defect_percent):
+    """One weather.csv row as fields, as `tweet_row`."""
+    defects = set()
+    if draw(st.integers(0, 99)) < defect_percent:
+        defects = draw(st.sets(st.sampled_from(["fields", "stamp", "hourly", "wet", "sev",
+                                                "float"]), min_size=1))
+    day = draw(st.sampled_from(["2014-03-03", "2014-03-04", "2014-03-05"]))
+    stamp = f"{day}T{draw(st.integers(0, 23)):02d}:00"     # repeats make duplicate hours
+    row = [stamp, *(draw(st.sampled_from(WEATHER_FLOATS)) for _ in range(6)),
+           draw(st.sampled_from(["0", "1", "true", " False ", "TRUE"])),
+           draw(st.sampled_from(["0", "2", "3.9", "1e1"]))]
+    if "hourly" in defects:
+        row[0] = draw(st.sampled_from([stamp[:-2] + "30", stamp + ":30", stamp + ":00.5"]))
+    if "stamp" in defects:
+        row[0] = draw(st.sampled_from(BAD_STAMPS))
+    if "wet" in defects:
+        row[7] = draw(st.sampled_from(["yes", "", "2"]))
+    if "sev" in defects:
+        row[8] = draw(st.sampled_from(["-1", "-0.5", "high", "", "nan", "inf"]))
+    if "float" in defects:
+        for j in draw(st.sets(st.integers(1, 6), min_size=1)):
+            row[j] = draw(st.sampled_from(BAD_NUMBERS))
+    if "fields" in defects:
+        return draw(st.sampled_from([row[:8], row + ["x"], []]))
+    return row
+
+
+@st.composite
+def loader_file(draw, kind):
+    make = {"tweets": tweet_row, "weather": weather_row}[kind]
+    rows = draw(st.lists(make(draw(st.sampled_from([0, 5, 40]))), max_size=30))
+    return (rows, draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+            draw(st.sampled_from(["\n", "\r\n"])))
+
+
+class TestTweetAndWeatherLoopsMatchTheReference:
+    """The one-pass tweet and weather loops keep every record, check and
+    message of the loops they replaced, which called a field helper per field."""
+
+    @pytest.mark.parametrize("kind", ["tweets", "weather"])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_files(self, tmp_path, kind, data):
+        rows, quoting, end = data.draw(loader_file(kind))
+        assert_loaders_agree(kind, write_csv(tmp_path / f"{kind}.csv", kind, rows, quoting, end))
+
+    def test_tweets_on_every_combination_of_defects(self, tmp_path):
+        """A row that fails several checks reports the first, in the fixed order."""
+        good = ["t0", "u1", "2014-03-04T06:00", "GEOCODED", "40.4", "-80.0", "", "hi"]
+        path = tmp_path / "tweets.csv"
+        for kind in ("GEOCODED", "TIMELINE", "bogus"):
+            for lat in ("40.4", "", "north"):
+                for lon in ("-80.0", "", "west"):
+                    for stamp in ("2014-03-04T07:00", "nope", "2014-03-04T07:00+00:00",
+                                  "2014-02-30T07:00"):
+                        row = ["t1", AGENCY, stamp, kind, lat, lon, "PA", "text"]
+                        for case in (row, row[:7], row + ["x"]):
+                            assert_loaders_agree("tweets", write_csv(path, "tweets",
+                                                                     [good, case]))
+
+    def test_weather_on_every_combination_of_defects(self, tmp_path):
+        """As for tweets, with a duplicate hour and each of the six floats."""
+        good = ["2014-03-04T05:00", "1", "2", "3", "4", "5", "6", "0", "0"]
+        floats = [["8.5"] * 6, ["nan", "inf", "-inf", "1e3", " 2 ", "-0"]]
+        floats += [["8.5"] * j + ["bad"] + ["8.5"] * (5 - j) for j in range(6)]
+        floats += [["bad", "8.5", "8.5", "8.5", "8.5", ""]]
+        path = tmp_path / "weather.csv"
+        for stamp in ("2014-03-04T06:00", "2014-03-04T05:00", "nope", "2014-03-04T06:00+00:00",
+                      "2014-03-04T06:30", "2014-03-04T06:00:30"):
+            for wet in ("1", " True ", "maybe"):
+                for sev in ("0", "2.7", "-1", "bad", "nan"):
+                    for values in floats:
+                        row = [stamp, *values, wet, sev]
+                        for case in (row, row[:8], row + ["x"]):
+                            assert_loaders_agree("weather", write_csv(path, "weather",
+                                                                      [good, case]))
 
 
 @pytest.fixture(scope="module")
