@@ -117,12 +117,39 @@ class KMeansModel:
 
 
 def _assign(X, centroids):
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-    if not np.isfinite(inertia):
-        raise DegenerateInput(f"squared distances to the centroids sum to {inertia}")
+    """Each restart's nearest centroid for every row, and its inertia.
+
+    `centroids` is (restarts, k, p). Distances are summed over the last
+    axis and the inertia over the rows, as for one restart at a time. One
+    centroid index at a time keeps the differences to (restarts, n, p).
+    """
+    restarts, k, _p = centroids.shape
+    d2 = np.empty((restarts, X.shape[0], k))
+    for j in range(k):
+        diff = X[None, :, :] - centroids[:, None, j, :]
+        d2[:, :, j] = np.square(diff, out=diff).sum(axis=2)
+    labels = d2.argmin(axis=2)
+    inertia = d2.min(axis=2).sum(axis=1)
+    bad = inertia[~np.isfinite(inertia)]
+    if bad.size:
+        raise DegenerateInput(f"squared distances to the centroids sum to {float(bad[0])}")
     return labels, inertia
+
+
+def _cluster_means(X, labels, centroids):
+    """Each restart's cluster means, bit for bit `X[labels == j].mean(axis=0)`:
+    numpy sums the rows of a cluster one by one in row order, except a single
+    column, which it sums pairwise. An empty cluster keeps its centroid."""
+    restarts, k, p = centroids.shape
+    cells = (labels + k * np.arange(restarts)[:, None]).ravel()
+    counts = np.bincount(cells, minlength=restarts * k).reshape(restarts, k, 1)
+    if p == 1:
+        sums = np.array([[X[row == j].sum(axis=0) for j in range(k)] for row in labels])
+    else:
+        sums = np.zeros((restarts * k, p))
+        np.add.at(sums, cells, np.tile(X, (restarts, 1)))
+        sums = sums.reshape(restarts, k, p)
+    return np.divide(sums, counts, out=centroids.copy(), where=counts > 0)
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -209,33 +236,46 @@ class _Pcg64:
                 m = draw() * n
         return m >> bits
 
-    def choice(self, p: np.ndarray) -> int:
-        """An index into `p` drawn with probabilities `p`, which sum to 1."""
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted((self._next64() >> 11) * 2.0 ** -53, side="right"))
+    def random(self) -> float:
+        """One double from [0, 1), from the top 53 bits of a 64-bit draw."""
+        return (self._next64() >> 11) * 2.0 ** -53
 
 
-def _kmeans_pp_init(X, k, rng):
+def _kmeans_pp_init(X, k, rngs):
+    """The k-means++ seeds of every restart, (restarts, k, p), each restart
+    drawing from its own stream. A row is drawn with probability its squared
+    distance to the nearest seed over their total, as numpy's
+    `choice(n, p=p)` draws it: the first index whose normalised cumulative
+    sum passes a uniform draw. A zero total draws a row uniformly."""
     n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    centroids = np.empty((len(rngs), k, X.shape[1]))
+    centroids[:, 0] = X[[rng.integers(n) for rng in rngs]]
+    d2 = ((X[None, :, :] - centroids[:, :1, :]) ** 2).sum(axis=2)
     for j in range(1, k):
-        total = d2.sum()
-        if not np.isfinite(total):
-            raise DegenerateInput(f"squared distances to the centroids sum to {total}")
-        if total <= 0:
-            centroids[j] = X[rng.integers(n)]
-        else:
-            probs = d2 / total
-            centroids[j] = X[rng.choice(probs)]
-        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        bad = total[~np.isfinite(total)]
+        if bad.size:
+            raise DegenerateInput(f"squared distances to the centroids sum to {float(bad[0])}")
+        with np.errstate(invalid="ignore"):       # 0 / 0 on a zero total's row
+            cdf = (d2 / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+        totals = total.tolist()
+        u = np.array([rng.random() if t > 0 else 0.0 for rng, t in zip(rngs, totals)])
+        picks = (cdf <= u[:, None]).sum(axis=1)
+        for r, t in enumerate(totals):
+            if t <= 0:
+                picks[r] = rngs[r].integers(n)
+        centroids[:, j] = X[picks]
+        d2 = np.minimum(d2, ((X[None, :, :] - centroids[:, j:j + 1, :]) ** 2).sum(axis=2))
     return centroids
 
 
 def kmeans_fit(rows, k: int, seed: int, n_init: int = 10, max_iter: int = 300) -> KMeansModel:
-    """Best of `n_init` k-means++ restarts, Lloyd iterations to a fixpoint."""
+    """Best of `n_init` k-means++ restarts, Lloyd iterations to a fixpoint.
+
+    Each restart is seeded from its own stream; then the restarts advance
+    together, each stopping when its labels repeat.
+    """
     X = np.asarray(rows, dtype=float)
     if k > X.shape[0]:
         raise KTooLarge(f"k={k} > {X.shape[0]} rows")
@@ -243,30 +283,25 @@ def kmeans_fit(rows, k: int, seed: int, n_init: int = 10, max_iter: int = 300) -
         raise KTooLarge("k must be >= 1")
     if not np.all(np.isfinite(X)):
         raise DegenerateInput("non-finite entries")
-    best = None
     master = _Pcg64(seed)
-    for _ in range(n_init):
-        rng = _Pcg64(master.integers(2 ** 63 - 1))
-        centroids = _kmeans_pp_init(X, k, rng)
-        labels, inertia = _assign(X, centroids)
-        path = [inertia]
-        for _ in range(max_iter):
-            new_centroids = centroids.copy()
-            for j in range(k):
-                members = X[labels == j]
-                if members.shape[0]:
-                    new_centroids[j] = members.mean(axis=0)
-            new_labels, new_inertia = _assign(X, new_centroids)
-            centroids = new_centroids
-            path.append(new_inertia)
-            if np.array_equal(new_labels, labels):
-                labels = new_labels
-                inertia = new_inertia
-                break
-            labels, inertia = new_labels, new_inertia
-        if best is None or inertia < best.inertia:
-            best = KMeansModel(centroids, labels, inertia, path)
-    return best
+    centroids = _kmeans_pp_init(X, k, [_Pcg64(master.integers(2 ** 63 - 1))
+                                       for _ in range(n_init)])
+    labels, inertia = _assign(X, centroids)
+    paths = [[v] for v in inertia.tolist()]
+    # every restart whose labels have not yet repeated takes the next step
+    active = np.arange(n_init)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        centroids[active] = _cluster_means(X, labels[active], centroids[active])
+        new_labels, new_inertia = _assign(X, centroids[active])
+        for i, v in zip(active.tolist(), new_inertia.tolist()):
+            paths[i].append(v)
+        moved = (new_labels != labels[active]).any(axis=1)
+        labels[active], inertia[active] = new_labels, new_inertia
+        active = active[moved]
+    best = int(inertia.argmin())          # the earliest restart wins ties
+    return KMeansModel(centroids[best], labels[best], float(inertia[best]), paths[best])
 
 
 def elbow_select_k(rows, k_range, seed: int, n_init: int = 10,

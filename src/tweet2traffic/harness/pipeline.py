@@ -121,7 +121,8 @@ class PreparedData(DayBlocks):
     incomplete: dict[str, np.ndarray]      # (n_days,) True when a morning cannot be filled
     morning_offset: int
     clean_texts: dict[str, str]             # text of every tweet with coordinates -> clean_text
-    user_geo: dict[str, list]
+    user_geo: dict[str, list]               # user -> geocoded tweets with coordinates
+    user_geo_days: dict[str, list]          # user -> the calendar day of each user_geo tweet
     landuse: dict                           # user_geo coordinate -> land use
 
 
@@ -279,16 +280,20 @@ def prepare_data(bundle: DatasetBundle, config: PipelineConfig) -> PreparedData:
             arr[:, morning_offset:morning_offset + N_SLOTS], cfg.max_ffill_slots)
 
     user_geo: dict[str, list] = {}
+    user_geo_days: dict[str, list] = {}
+    one_day = {}.setdefault                 # one date object per calendar day
     for t in bundle.tweets:
         if t.kind == "GEOCODED" and t.coord is not None:
             user_geo.setdefault(t.user_id, []).append(t)
+            day = t.timestamp.date()
+            user_geo_days.setdefault(t.user_id, []).append(one_day(day, day))
     landuse = landuse_table([t.coord for ts in user_geo.values() for t in ts],
                             bundle.zones)
 
     return PreparedData(
         **vars(blocks), tweets=bundle.tweets, speeds=speeds, filled=filled,
         incomplete=incomplete, morning_offset=morning_offset, clean_texts=clean_texts,
-        user_geo=user_geo, landuse=landuse,
+        user_geo=user_geo, user_geo_days=user_geo_days, landuse=landuse,
     )
 
 
@@ -341,10 +346,11 @@ def _split_homes(prepared: PreparedData, train_days) -> dict[str, tuple[float, f
     """The homes of the influential residents of the training span."""
     cfg = prepared.config.tweets
     train_set = set(train_days)
+    # a tweet of a training day or of the eve of one
+    near = train_set | {d - timedelta(days=1) for d in train_set}
     train_tweets = [t for u in sorted(prepared.user_geo)
-                    for t in prepared.user_geo[u]
-                    if t.timestamp.date() in train_set
-                    or (t.timestamp.date() + timedelta(days=1)) in train_set]
+                    for t, d in zip(prepared.user_geo[u], prepared.user_geo_days[u])
+                    if d in near]
     users = filter_influential_users(train_tweets, cfg,
                                      lexicon=load_resident_lexicon(
                                          prepared.config.resident_lexicon_path))
@@ -353,8 +359,8 @@ def _split_homes(prepared: PreparedData, train_days) -> dict[str, tuple[float, f
                  if users[u].is_resident and u not in bots]
     homes = {}
     for u in residents:
-        geo = [t for t in prepared.user_geo.get(u, [])
-               if t.timestamp.date() in train_set]
+        geo = [t for t, d in zip(prepared.user_geo[u], prepared.user_geo_days[u])
+               if d in train_set]
         home = infer_home(u, geo, prepared.landuse, cfg)
         if home is not None:
             homes[u] = home

@@ -298,11 +298,14 @@ def _load_weather(path, keep):
             if flag not in ("0", "1", "true", "false"):
                 raise ParseError(i, f"bad pavement_wet {wet!r}")
             try:
-                severity = int(float(sev))
+                severity = float(sev)
             except ValueError:
-                severity = int(_parse_float(sev, i, "wx_severity"))
+                severity = _parse_float(sev, i, "wx_severity")
+            if not severity.is_integer():       # nan, inf or a fraction
+                raise ParseError(i, f"bad wx_severity {sev!r}")
             if severity < 0:
                 raise ParseError(i, "negative wx_severity")
+            severity = int(severity)
             try:
                 values = (float(temp), float(humidity), float(wind), float(pressure),
                           float(visibility), float(precip))

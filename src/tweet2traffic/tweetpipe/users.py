@@ -140,43 +140,47 @@ def build_checkin_clusters(user_id: str, geocoded_tweets, landuse,
     """Cluster one user's check-ins and compute the six home-rule features.
 
     `landuse` maps each check-in coordinate to its land use (`landuse_table`).
+    One walk over the check-ins in time order gathers every cluster's
+    features, so each land-use mix keeps its uses in order of first check-in.
     """
     tweets = sorted(geocoded_tweets, key=lambda t: (t.timestamp, t.tweet_id))
     if not tweets:
         return []
     coords = np.asarray([t.coord for t in tweets], dtype=float)
     labels = dbscan_cluster(coords, cfg.dbscan_eps_km)
-
-    # last destination: the cluster of the final tweet of each calendar day
-    last_of_day = {}
-    for t, lab in zip(tweets, labels):
+    sizes = np.bincount(labels)
+    n_clusters = len(sizes)
+    mixes: list[dict[str, float]] = [{} for _ in range(n_clusters)]
+    midnight, home_tw = [False] * n_clusters, [False] * n_clusters
+    last_of_day = {}            # the cluster of the final check-in of each calendar day
+    for t, lab in zip(tweets, labels.tolist()):
+        lu = landuse[t.coord]
+        if lu is not None:
+            mixes[lab][lu] = mixes[lab].get(lu, 0.0) + 1.0
+        if t.timestamp.hour < 6:
+            midnight[lab] = True
+        if not home_tw[lab]:
+            text = t.text.lower()
+            home_tw[lab] = any(kw in text for kw in cfg.home_keywords)
         last_of_day[t.timestamp.date()] = lab
     last_dest_clusters = set(last_of_day.values())
+    # each cluster's coordinates in time order, from one stable sort by label
+    by_label = coords[np.argsort(labels, kind="stable")]
+    sizes = sizes.tolist()
 
-    landuses = [landuse[t.coord] for t in tweets]
     clusters = []
-    sizes = []
-    for lab in sorted(set(labels.tolist())):
-        idx = np.flatnonzero(labels == lab)
-        members = [tweets[i] for i in idx]
-        mix: dict[str, float] = {}
-        for i in idx:
-            lu = landuses[i]
-            if lu is not None:
-                mix[lu] = mix.get(lu, 0.0) + 1.0
+    start = 0
+    for lab, mix in enumerate(mixes):
         total = sum(mix.values())
         if total > 0:
             mix = {k: v / total for k, v in mix.items()}
-        midnight = any(0 <= t.timestamp.hour < 6 for t in members)
-        home_tw = any(any(kw in t.text.lower() for kw in cfg.home_keywords)
-                      for t in members)
         clusters.append(CheckinCluster(
-            user_id=user_id, coords=coords[idx], land_use_mix=mix,
-            checkin_rank=0, midnight_activity=midnight, home_tweet=home_tw,
+            user_id=user_id, coords=by_label[start:start + sizes[lab]], land_use_mix=mix,
+            checkin_rank=0, midnight_activity=midnight[lab], home_tweet=home_tw[lab],
             last_destination=lab in last_dest_clusters))
-        sizes.append(len(idx))
+        start += sizes[lab]
     # rank 1 = most check-ins; ties resolved by cluster discovery order
-    order = sorted(range(len(clusters)), key=lambda i: (-sizes[i], i))
+    order = sorted(range(n_clusters), key=lambda i: (-sizes[i], i))
     for rank, i in enumerate(order, start=1):
         clusters[i].checkin_rank = rank
     return clusters

@@ -763,6 +763,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "row 2:" in err and "carries a UTC offset" in err, err
 
+    @pytest.mark.parametrize("severity", ["nan", "inf", "2.7"])
+    def test_wx_severity_that_is_no_whole_number_exit_2(self, data_dir, tmp_path, capsys,
+                                                         severity):
+        import csv
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        with (broken / "weather.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][8] = severity
+        with (broken / "weather.csv").open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        assert main(["ingest", "--data", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert f"row 3: bad wx_severity {severity!r}" in err, err
+
     @pytest.mark.parametrize("overrides", [
         {"morning": {"start_hour": 6}},
         {"timezone": "UTC"},

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tweet2traffic.clustering import (
     pca_inverse_transform,
     pca_transform,
 )
+from tweet2traffic.config import PipelineConfig
 from tweet2traffic.errors import (
     DegenerateInput,
     DegenerateTable,
@@ -27,6 +29,8 @@ from tweet2traffic.errors import (
     KTooLarge,
     RangeTooSmall,
 )
+from tweet2traffic.harness.pipeline import build_split, prepare_data
+from tweet2traffic.ingest import SyntheticConfig, generate_synthetic
 
 
 class TestRoadProfiles:
@@ -244,7 +248,9 @@ def draw_both(ours, theirs, draw):
     if isinstance(draw, int):
         return ours.integers(draw), int(theirs.integers(draw))
     p = np.asarray(draw, dtype=float) / sum(draw)
-    return ours.choice(p), int(theirs.choice(len(p), p=p))
+    cdf = p.cumsum()                    # the draw of a row in `_kmeans_pp_init`
+    cdf /= cdf[-1]
+    return int((cdf <= ours.random()).sum()), int(theirs.choice(len(p), p=p))
 
 
 # a 32-bit draw, a 64-bit one, then the 32-bit draw from the kept half-word
@@ -277,23 +283,27 @@ def reference_kmeans_pp_init(X, k, rng):
     return centroids
 
 
-def reference_kmeans_fit(X, k, seed, n_init=10, max_iter=300):
-    """`kmeans_fit` as it was written against `np.random.default_rng`."""
+def reference_kmeans_fit(X, k, seed, n_init=10, max_iter=300, empties=None):
+    """`kmeans_fit` as it was written against `np.random.default_rng`, one
+    restart after another; `empties`, if given, gets the (restart, Lloyd
+    step, cluster) of each cluster found empty."""
     best = None
     master = np.random.default_rng(seed)
-    for rs in master.integers(0, 2 ** 63 - 1, size=n_init):
+    for restart, rs in enumerate(master.integers(0, 2 ** 63 - 1, size=n_init)):
         rng = np.random.default_rng(int(rs))
         centroids = reference_kmeans_pp_init(X, k, rng)
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         inertia = float(d2[np.arange(X.shape[0]), labels].sum())
         path = [inertia]
-        for _ in range(max_iter):
+        for step in range(max_iter):
             new_centroids = centroids.copy()
             for j in range(k):
                 members = X[labels == j]
                 if members.shape[0]:
                     new_centroids[j] = members.mean(axis=0)
+                elif empties is not None:
+                    empties.append((restart, step, j))
             d2 = ((X[:, None, :] - new_centroids[None, :, :]) ** 2).sum(axis=2)
             new_labels = np.argmin(d2, axis=1)
             new_inertia = float(d2[np.arange(X.shape[0]), new_labels].sum())
@@ -314,8 +324,31 @@ def model_bits(model):
             model.labels.tolist(), model.inertia.hex(), [v.hex() for v in model.inertia_path])
 
 
+def split_road_profiles():
+    """The PCA-reduced profiles of one road over the training days of one
+    outer split of a synthetic world, as `build_split` clusters them."""
+    bundle, _ = generate_synthetic(SyntheticConfig(n_days=40, n_roads=1, segments_per_road=3,
+                                                   n_users=8, n_tracts=3), seed=12)
+    prepared = prepare_data(bundle, PipelineConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        art = build_split(prepared, prepared.days[:32], [], seed=12)
+    (road,) = prepared.roads
+    seg_ids = [s.segment_id for s in prepared.segs_by_road[road]]
+    profile = build_road_profiles(road, seg_ids, art.tti)
+    pca = pca_fit(profile.rows, PipelineConfig().clustering.pca_variance_target)
+    return pca_transform(pca, profile.rows)
+
+
+# Seven points on a grid where, at seeds 0 and 7, a cluster of one restart
+# loses all its rows in a Lloyd step and keeps its centroid.
+EMPTIES = np.array([[4, 6], [2, 0], [0, 2], [5, 5], [1, 1], [6, 7], [7, 0]], dtype=float)
+
 # The inputs of TestKMeans and TestElbow, plus one with repeated rows, whose
-# zero distance total takes the `integers(n)` branch of the seeding.
+# zero distance total takes the `integers(n)` branch of the seeding; a
+# cluster emptied by a Lloyd step; k equal to the number of rows, distinct
+# and repeated; a single column, whose cluster means numpy sums pairwise; and
+# a split's road profiles.
 ORACLE_INPUTS = {
     "k1": (np.random.default_rng(5).normal(size=(20, 3)), [1]),
     "two_pairs": (np.array([[0, 0], [0, 0.1], [10, 10], [10, 10.1]]), [2]),
@@ -326,7 +359,19 @@ ORACLE_INPUTS = {
               list(range(2, 9))),
     "grid": (np.arange(64, dtype=float)[:, None], [2, 3, 4, 5]),
     "repeated": (np.repeat(np.random.default_rng(9).normal(size=(2, 3)), 4, axis=0), [3, 4, 5]),
+    "empties": (EMPTIES, [3]),
+    "k_is_n": (np.random.default_rng(11).normal(size=(6, 2)), [6]),
+    "k_is_n_repeated": (np.repeat(np.random.default_rng(12).normal(size=(3, 2)), 2, axis=0), [6]),
+    "one_column": (np.random.default_rng(13).normal(size=(60, 1)), [2, 3, 4]),
+    "split_profiles": (split_road_profiles(), [2, 3, 4, 5, 6]),
 }
+
+
+def test_a_cluster_empties_in_a_lloyd_step_of_the_empties_input():
+    for seed in (0, 7):
+        empties = []
+        reference_kmeans_fit(EMPTIES, 3, seed, empties=empties)
+        assert [step for _restart, step, _j in empties if step > 0], (seed, empties)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 32 + 3])

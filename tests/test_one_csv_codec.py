@@ -1,9 +1,10 @@
 """Every CSV file the program reads or writes goes through one codec.
 
 `ingest/loaders.py` holds it: `write_rows` is the only caller of
-`csv.writer` in src/, and `_open_rows`, under `read_rows` and the chunked
-speed loader, the only caller of `csv.reader`. A new call of either
-elsewhere writes or checks the file format a second time, so it fails here.
+`csv.writer` in src/, and `_open_rows`, under `read_rows`, the chunked
+speed loader and the one-pass tweet and weather loops, the only caller of
+`csv.reader`. A new call of either elsewhere writes or checks the file
+format a second time, so it fails here.
 """
 import ast
 from pathlib import Path
